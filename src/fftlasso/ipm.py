@@ -12,24 +12,26 @@ system (no predictor-corrector), solving the condensed 2x2 system with
 preconditioned CG, then applies separate primal and dual step lengths by
 the fraction-to-boundary rule.  The barrier parameter follows a monotone
 schedule with a superlinear tail once the iterate is centered.
+
+An iteration costs one transform pair outside PCG plus one per Krylov
+iteration: :func:`newton_rhs` evaluates each iterate once, and the
+convergence check, barrier test and Newton step all reuse it.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalBreakdownError, StalledError
 from .masking import Mask, observe, observe_adjoint
 from .newton_system import (
-    BarrierDiagonals,
     KktRhs,
     apply_kkt,
     apply_precond_inverse,
-    barrier_diagonals,
     newton_rhs,
     recover_eliminated,
 )
@@ -52,6 +54,13 @@ __all__ = [
 ]
 
 
+SIGMA_MU = 0.2  # barrier reduction factor
+MU_POWER = 1.5  # superlinear tail of the barrier schedule
+FTB_TAU = 0.995  # fraction-to-boundary damping
+GAMMA_CENTRALITY = 1e-4  # centrality monitor only, never enforced
+INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
+
+
 @dataclass(frozen=True)
 class IpmConfig:
     """Solver parameters.
@@ -62,24 +71,18 @@ class IpmConfig:
 
     lam: float | None = None
     tol: float = 1e-8
-    max_iters: int = 200
-    mu_init: float | None = None  # defaults to lam / 2
-    sigma_mu: float = 0.2
-    mu_power: float = 1.5
-    ftb_tau: float = 0.995
-    gamma_centrality: float = 1e-4  # monitoring only, never enforced
     cg_tol: float = 1e-12
-    cg_max_iters: int | None = None
-    # a barrier stage counts as solved when the barrier residual <= this * mu
-    inner_slack: float = 10.0
+    max_iters: int = 200
 
     def __post_init__(self):
-        if not 0.0 < self.sigma_mu < 1.0:
-            raise ValueError("sigma_mu must lie in (0, 1)")
-        if not 0.0 < self.ftb_tau < 1.0:
-            raise ValueError("ftb_tau must lie in (0, 1)")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0.0):
+            raise ValueError("lam must be positive and finite")
         if self.tol <= 0.0:
             raise ValueError("tol must be positive")
+        if self.cg_tol <= 0.0:
+            raise ValueError("cg_tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be nonnegative")
 
 
 @dataclass
@@ -103,11 +106,6 @@ class IpmState:
     def duality_measure(self) -> float:
         """Average complementarity product (nu1's1 + nu2's2) / 2n."""
         return float(self.nu1 @ self.s1 + self.nu2 @ self.s2) / (2 * self.n)
-
-    def assert_interior(self):
-        for name in ("s1", "s2", "nu1", "nu2"):
-            if np.any(getattr(self, name) <= 0.0):
-                raise StalledError(f"{name} left the strict interior")
 
 
 @dataclass(frozen=True)
@@ -211,7 +209,7 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(b, mask: Mask, lam: float, mu_init: float | None = None) -> IpmState:
+def initial_state(b, mask: Mask, lam: float) -> IpmState:
     """Well-centered starting point.
 
     ``beta = 0``, ``z = s1 = s2 = 1`` satisfies both slack equations
@@ -224,7 +222,6 @@ def initial_state(b, mask: Mask, lam: float, mu_init: float | None = None) -> Ip
     n = mask.shape.n
     e = np.ones(n)
     half = 0.5 * lam * e
-    mu = lam / 2.0 if mu_init is None else float(mu_init)
     return IpmState(
         beta=np.zeros(n),
         z=e.copy(),
@@ -234,32 +231,28 @@ def initial_state(b, mask: Mask, lam: float, mu_init: float | None = None) -> Ip
         y2=half.copy(),
         nu1=half.copy(),
         nu2=half.copy(),
-        mu=mu,
+        mu=lam / 2.0,
     )
 
 
-def check_convergence(state: IpmState, b, mask: Mask, lam: float,
-                      tol: float, gamma: float = 1e-4) -> ConvergenceReport:
-    """Evaluate the exact KKT residuals and the centrality monitor."""
-    resid = b - observe(state.beta, mask)
-    stationarity = observe_adjoint(resid, mask) + state.y1 - state.y2
-    dual_eq = lam - state.y1 - state.y2
+def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
+                      tol: float) -> ConvergenceReport:
+    """Exact KKT residuals and the centrality monitor; ``rhs`` = ``newton_rhs``."""
+    dual_eq = lam - state.y1 - state.y2  # not -rhs.r2: its rounding differs
     gap1 = state.y1 - state.nu1
     gap2 = state.y2 - state.nu2
-    primal1 = state.z + state.beta - state.s1
-    primal2 = state.z - state.beta - state.s2
     prod1 = state.s1 * state.nu1
     prod2 = state.s2 * state.nu2
 
-    stat = _inf_norm(stationarity)
+    stat = _inf_norm(rhs.r1)
     dual = _inf_norm(dual_eq)
     mgap = max(_inf_norm(gap1), _inf_norm(gap2))
-    primal = max(_inf_norm(primal1), _inf_norm(primal2))
+    primal = max(_inf_norm(rhs.r5), _inf_norm(rhs.r6))
     comp = max(float(prod1.max()), float(prod2.max()))
     worst = max(stat, dual, mgap, primal, comp)
 
     measure = state.duality_measure()
-    central = bool(min(prod1.min(), prod2.min()) >= gamma * measure)
+    central = bool(min(prod1.min(), prod2.min()) >= GAMMA_CENTRALITY * measure)
     return ConvergenceReport(
         stationarity=stat,
         dual_equality=dual,
@@ -296,24 +289,21 @@ class NewtonDirection:
     d_nu2: np.ndarray
     krylov_iters: int
     pcg_residual: float
-    rhs: KktRhs
-    diag: BarrierDiagonals
 
 
-def newton_direction(state: IpmState, b, mask: Mask, lam: float,
-                     config: IpmConfig) -> NewtonDirection:
-    """One Newton direction on the barrier KKT system at the current mu.
+def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
+                     cg_tol: float) -> NewtonDirection:
+    """One Newton direction on the barrier KKT system at ``state.mu``.
 
-    The condensed 2x2 system is solved matrix-free by PCG; eliminated
-    blocks are back-substituted, the slack components are flipped to the
-    physical sign convention, and the bound-multiplier step comes from the
-    linearized complementarity rows:
+    ``rhs`` is ``newton_rhs`` at this iterate and barrier.  The condensed
+    2x2 system is solved matrix-free by PCG; eliminated blocks are
+    back-substituted, slacks are flipped to the physical sign convention,
+    and the bound-multiplier step comes from the linearized complementarity:
 
         d_nu = (mu - s*nu)/s - sigma * d_s
     """
     n = state.n
-    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-    rhs = newton_rhs(state, b, mask, lam)
+    diag = rhs.diag
 
     def op(v):
         top, bottom = apply_kkt(v[:n], v[n:], diag, mask)
@@ -323,8 +313,8 @@ def newton_direction(state: IpmState, b, mask: Mask, lam: float,
         top, bottom = apply_precond_inverse(v[:n], v[n:], diag)
         return np.concatenate([top, bottom])
 
-    pcg_cfg = PcgConfig(abs_tol=config.cg_tol, max_iters=config.cg_max_iters)
-    result = pcg_solve(op, prec, np.concatenate([rhs.r_beta, rhs.r_c]), pcg_cfg)
+    result = pcg_solve(op, prec, np.concatenate([rhs.r_beta, rhs.r_c]),
+                       PcgConfig(abs_tol=cg_tol))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -347,8 +337,6 @@ def newton_direction(state: IpmState, b, mask: Mask, lam: float,
         d_nu2=d_nu2,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
-        rhs=rhs,
-        diag=diag,
     )
 
 
@@ -361,11 +349,11 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     return min(1.0, tau * ratio)
 
 
-def ipm_step(state: IpmState, b, mask: Mask, lam: float,
-             config: IpmConfig) -> tuple[IpmState, NewtonDirection, float, float]:
+def ipm_step(state: IpmState, rhs: KktRhs, mask: Mask,
+             cg_tol: float) -> tuple[IpmState, NewtonDirection, float, float]:
     """Take one damped Newton step; returns the new state and step data."""
-    direction = newton_direction(state, b, mask, lam, config)
-    tau = max(config.ftb_tau, 1.0 - state.mu)
+    direction = newton_direction(state, rhs, mask, cg_tol)
+    tau = max(FTB_TAU, 1.0 - state.mu)
     alpha_p = min(
         fraction_to_boundary(state.s1, direction.d_s1, tau),
         fraction_to_boundary(state.s2, direction.d_s2, tau),
@@ -390,13 +378,12 @@ def ipm_step(state: IpmState, b, mask: Mask, lam: float,
         nu2=state.nu2 + alpha_d * direction.d_nu2,
         mu=state.mu,
     )
-    new_state.assert_interior()
     return new_state, direction, alpha_p, alpha_d
 
 
-def next_barrier(mu: float, tol: float, config: IpmConfig) -> float:
+def next_barrier(mu: float, tol: float) -> float:
     """Monotone barrier schedule with a superlinear tail near the floor."""
-    return max(tol / 10.0, min(config.sigma_mu * mu, mu ** config.mu_power))
+    return max(tol / 10.0, min(SIGMA_MU * mu, mu ** MU_POWER))
 
 
 def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
@@ -413,7 +400,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         Parameters; ``config.lam=None`` picks the default penalty.
     observer : callable, optional
         Called as ``observer(state, record)`` after every iteration;
-        used by the spectral diagnostics to record trajectories.
+        used by the spectral diagnostics to record trajectories.  Each
+        state is a new object whose ``mu`` equals ``record.mu``.
 
     Returns
     -------
@@ -424,29 +412,37 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         Per-iteration residuals, barrier values, Krylov counts, timings.
         On iteration exhaustion the best iterate seen is returned with
         status ``"max_iters"``.
+
+    Raises ``ValueError`` for NaN/Inf in ``b`` before any transform, and
+    ``InteriorViolationError`` when a step leaves the strict interior.
     """
     b = np.asarray(b, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("observed samples must be finite")
     lam = config.lam if config.lam is not None else default_penalty(b, mask)
-    state = initial_state(b, mask, lam, config.mu_init)
+    if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
+        return np.zeros(mask.shape.n), SolveReport(
+            status="converged", iterations=0, lam=lam, tol=config.tol, records=[],
+            final_objective=0.0, final_kkt=0.0, final_mu=0.0, wall_time=0.0)
+    state = initial_state(b, mask, lam)
 
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
     best_beta = state.beta.copy()
     best_kkt = math.inf
-    status = "max_iters"
-    conv = check_convergence(state, b, mask, lam, config.tol, config.gamma_centrality)
+    rhs = newton_rhs(state, b, mask, lam)
+    conv = check_convergence(state, rhs, lam, config.tol)
 
     for iteration in range(1, config.max_iters + 1):
-        if conv.converged:
-            status = "converged"
-            break
-        rhs = newton_rhs(state, b, mask, lam)
-        if _barrier_residual(state, rhs) <= config.inner_slack * state.mu:
-            state.mu = next_barrier(state.mu, config.tol, config)
-
         t_iter = time.perf_counter()
-        state, direction, alpha_p, alpha_d = ipm_step(state, b, mask, lam, config)
-        conv = check_convergence(state, b, mask, lam, config.tol, config.gamma_centrality)
+        if conv.converged:
+            break
+        if _barrier_residual(state, rhs) <= INNER_SLACK * state.mu:
+            state = replace(state, mu=next_barrier(state.mu, config.tol))
+            rhs = rhs.at_barrier(state)
+        state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol)
+        rhs = newton_rhs(state, b, mask, lam)
+        conv = check_convergence(state, rhs, lam, config.tol)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
@@ -467,10 +463,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             best_beta = state.beta.copy()
         if observer is not None:
             observer(state, record)
-    else:
-        if conv.converged:
-            status = "converged"
 
+    status = "converged" if conv.converged else "max_iters"
     beta = state.beta if status == "converged" else best_beta
     report = SolveReport(
         status=status,

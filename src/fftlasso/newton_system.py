@@ -98,6 +98,7 @@ class KktRhs:
     ``r3``/``r4`` carry the barrier-shifted multiplier residuals
     ``y - mu/s`` (equal to ``y - nu`` exactly on the central path), which
     makes the condensed solve a true Newton step on the barrier system.
+    ``diag`` holds the barrier diagonals of the same iterate.
     """
 
     r1: np.ndarray
@@ -108,6 +109,19 @@ class KktRhs:
     r6: np.ndarray
     r_beta: np.ndarray
     r_c: np.ndarray
+    diag: BarrierDiagonals
+
+    def at_barrier(self, state) -> "KktRhs":
+        """The same residuals at ``state.mu``: only r3, r4, r_beta, r_c change."""
+        return _condense(state, self.r1, self.r2, self.r5, self.r6, self.diag)
+
+
+def _condense(state, r1, r2, r5, r6, diag: BarrierDiagonals) -> KktRhs:
+    r3 = state.y1 - state.mu / state.s1
+    r4 = state.y2 - state.mu / state.s2
+    r_beta = r1 - r3 + r4 - diag.sigma1 * r5 + diag.sigma2 * r6
+    r_c = r2 - r3 - r4 - diag.sigma1 * r5 - diag.sigma2 * r6
+    return KktRhs(r1, r2, r3, r4, r5, r6, r_beta, r_c, diag)
 
 
 def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
@@ -116,7 +130,7 @@ def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
     Parameters
     ----------
     state : object
-        Iterate with attributes ``beta, z, s1, s2, y1, y2, mu``.
+        Iterate with attributes ``beta, z, s1, s2, y1, y2, nu1, nu2, mu``.
     b : numpy.ndarray
         Observed samples (length ``mask.n_observed``).
     mask : Mask
@@ -127,7 +141,8 @@ def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
     Returns
     -------
     KktRhs
-        All six block residuals and the condensed pair ``(r_beta, r_c)``:
+        All six block residuals, the barrier diagonals and the condensed
+        pair ``(r_beta, r_c)``:
 
         ``r_beta = r1 - r3 + r4 - Sig1 r5 + Sig2 r6``
         ``r_c    = r2 - r3 - r4 - Sig1 r5 - Sig2 r6``
@@ -136,13 +151,9 @@ def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
     residual = b - observe(state.beta, mask)
     r1 = observe_adjoint(residual, mask) + state.y1 - state.y2
     r2 = state.y1 + state.y2 - lam
-    r3 = state.y1 - state.mu / state.s1
-    r4 = state.y2 - state.mu / state.s2
     r5 = state.z + state.beta - state.s1
     r6 = state.z - state.beta - state.s2
-    r_beta = r1 - r3 + r4 - diag.sigma1 * r5 + diag.sigma2 * r6
-    r_c = r2 - r3 - r4 - diag.sigma1 * r5 - diag.sigma2 * r6
-    return KktRhs(r1, r2, r3, r4, r5, r6, r_beta, r_c)
+    return _condense(state, r1, r2, r5, r6, diag)
 
 
 def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fftlasso.cli import EXIT_INPUT_ERROR, EXIT_MAX_ITERS, EXIT_OK, main
-from fftlasso.dataio import read_volume
+from fftlasso.dataio import read_volume, write_volume
 
 
 def read_report(path):
@@ -153,6 +153,18 @@ class TestSolve:
         ])
         assert code == EXIT_INPUT_ERROR
         assert "even" in capsys.readouterr().err
+
+    def test_nonfinite_volume_is_input_error(self, problem_files, capsys):
+        signal, mask, tmp = problem_files
+        values, dims = read_volume(signal)
+        values[::2] = np.nan
+        bad = str(tmp / "nan.f64")
+        write_volume(bad, values, dims)
+        code = main([
+            "solve", "--input", bad, "--mask", mask, "--output", str(tmp / "b.f64"),
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "finite" in capsys.readouterr().err
 
     def test_dims_mismatch(self, problem_files, tmp_path, capsys):
         signal, _, tmp = problem_files

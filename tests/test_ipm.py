@@ -1,13 +1,19 @@
 """Interior-point driver: direction oracles, closed forms, invariants."""
 
+import sys
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from fftlasso import (
     GridShape,
+    InteriorViolationError,
     Mask,
     StalledError,
+    SyntheticSpec,
     analyze,
+    generate_synthetic,
     lasso_objective,
     observe,
     observe_adjoint,
@@ -27,7 +33,10 @@ from fftlasso.ipm import (
 )
 from fftlasso.newton_system import newton_rhs
 
+import fftlasso.fourier
 import fftlasso.ipm
+import fftlasso.masking
+import fftlasso.newton_system
 from conftest import (
     central_path_state,
     dense_augmented_system,
@@ -68,7 +77,7 @@ class TestInitialState:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
-        conv = check_convergence(state, b, mask, 0.5, tol=1e-8)
+        conv = check_convergence(state, newton_rhs(state, b, mask, 0.5), 0.5, tol=1e-8)
         assert conv.stationarity == pytest.approx(np.max(np.abs(analyze(b, mask.shape))))
         assert conv.dual_equality == 0.0
         assert not conv.converged
@@ -86,7 +95,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(n)
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
-        d = newton_direction(state, b, mask, lam, IpmConfig(lam=lam))
+        d = newton_direction(state, newton_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
         for block in (d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2,
                       d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
@@ -97,8 +106,8 @@ class TestNewtonDirection:
         state = random_interior_state(rng, n, mu=0.02)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.5
-        d = newton_direction(state, b, mask, lam, IpmConfig(lam=lam, cg_tol=1e-14))
         rhs = newton_rhs(state, b, mask, lam)
+        d = newton_direction(state, rhs, mask, cg_tol=1e-14)
         m6 = dense_augmented_system(state, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
         dense = np.linalg.solve(m6, stacked)
@@ -141,7 +150,7 @@ class TestNewtonDirection:
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
-        d = newton_direction(state, b, mask, lam, IpmConfig(lam=lam, cg_tol=1e-14))
+        d = newton_direction(state, newton_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
         mine = [d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
@@ -159,7 +168,8 @@ class TestStepMechanics:
         lam = 0.4
         state = initial_state(b, mask, lam)
         for _ in range(5):
-            state, _, _, _ = ipm_step(state, b, mask, lam, IpmConfig(lam=lam))
+            rhs = newton_rhs(state, b, mask, lam)
+            state, _, _, _ = ipm_step(state, rhs, mask, cg_tol=1e-12)
             assert min(state.s1.min(), state.s2.min()) > 0.0
             assert min(state.nu1.min(), state.nu2.min()) > 0.0
 
@@ -174,41 +184,58 @@ class TestStepMechanics:
             d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
             d_y1=np.zeros(n), d_y2=np.zeros(n),
             d_nu1=np.zeros(n), d_nu2=np.zeros(n),
-            krylov_iters=0, pcg_residual=0.0, rhs=None, diag=None,
+            krylov_iters=0, pcg_residual=0.0,
         )
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
                             lambda *args, **kw: blocked)
         with pytest.raises(StalledError):
-            ipm_step(state, b, mask, 0.5, IpmConfig(lam=0.5))
+            ipm_step(state, newton_rhs(state, b, mask, 0.5), mask, cg_tol=1e-12)
 
-    def test_assert_interior_raises(self, rng):
-        state = random_interior_state(rng, 4)
-        state.s1[0] = -1.0
-        with pytest.raises(StalledError):
-            state.assert_interior()
+    def test_nan_slack_step_leaves_interior(self, rng, monkeypatch):
+        """A step that poisons a slack is caught by the next evaluation."""
+        b, mask, _ = sparse_instance(rng, 32, 4, 3)
+        exact = fftlasso.ipm.newton_direction
+
+        def poisoned(*args, **kw):
+            d = exact(*args, **kw)
+            d_s1 = d.d_s1.copy()
+            d_s1[0] = np.nan
+            return replace(d, d_s1=d_s1)
+
+        monkeypatch.setattr(fftlasso.ipm, "newton_direction", poisoned)
+        with pytest.raises(InteriorViolationError):
+            solve(b, mask, IpmConfig(lam=0.4))
 
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"sigma_mu": 0.0}, {"sigma_mu": 1.0}, {"ftb_tau": 1.0}, {"tol": 0.0},
+        pytest.param({"tol": 0.0}, id="tol"),
+        pytest.param({"cg_tol": 0.0}, id="cg_tol-zero"),
+        pytest.param({"cg_tol": -1e-12}, id="cg_tol-negative"),
+        pytest.param({"max_iters": -1}, id="max_iters-negative"),
+        pytest.param({"lam": 0.0}, id="lam-zero"),
+        pytest.param({"lam": -0.5}, id="lam-negative"),
+        pytest.param({"lam": np.nan}, id="lam-nan"),
+        pytest.param({"lam": np.inf}, id="lam-inf"),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             IpmConfig(**kwargs)
 
+    def test_settable_fields(self):
+        names = [f.name for f in fields(IpmConfig)]
+        assert names == ["lam", "tol", "cg_tol", "max_iters"]
+
 
 class TestBarrierSchedule:
     def test_plain_reduction(self):
-        cfg = IpmConfig(tol=1e-8)
-        assert next_barrier(1.0, cfg.tol, cfg) == pytest.approx(0.2)
+        assert next_barrier(1.0, 1e-8) == pytest.approx(0.2)
 
     def test_superlinear_tail(self):
-        cfg = IpmConfig(tol=1e-8)
-        assert next_barrier(1e-4, cfg.tol, cfg) == pytest.approx(1e-6)
+        assert next_barrier(1e-4, 1e-8) == pytest.approx(1e-6)
 
     def test_floor(self):
-        cfg = IpmConfig(tol=1e-8)
-        assert next_barrier(1e-9, cfg.tol, cfg) == pytest.approx(1e-9)
+        assert next_barrier(1e-9, 1e-8) == pytest.approx(1e-9)
 
 
 class TestCheckConvergence:
@@ -218,7 +245,7 @@ class TestCheckConvergence:
         b = rng.standard_normal(n)
         lam = 0.6
         state = central_path_state(analyze(b, mask.shape), lam, mu=1e-12)
-        conv = check_convergence(state, b, mask, lam, tol=1e-8)
+        conv = check_convergence(state, newton_rhs(state, b, mask, lam), lam, tol=1e-8)
         assert conv.converged
         assert conv.complementarity <= 1e-8
 
@@ -227,7 +254,8 @@ class TestCheckConvergence:
         mask = empty_mask(n)
         b = 10.0 * rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
-        assert not check_convergence(state, b, mask, 0.5, tol=1e-8).converged
+        rhs = newton_rhs(state, b, mask, 0.5)
+        assert not check_convergence(state, rhs, 0.5, tol=1e-8).converged
 
     def test_soft_threshold_fixed_point(self, rng):
         """Empty-mask solutions are the soft threshold of the correlation."""
@@ -363,3 +391,81 @@ class TestSolve:
         d = report.to_dict()
         assert d["status"] == "converged"
         assert d["total_krylov"] == report.total_krylov
+
+    def test_observer_states_keep_their_mu(self, rng):
+        """Observed states are not mutated when the barrier later drops."""
+        b, mask, _ = sparse_instance(rng, 64, 9, 3)
+        seen = []
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
+                             observer=lambda state, record: seen.append((state, record)))
+        assert len(seen) == report.iterations
+        assert len({record.mu for _, record in seen}) > 1
+        for state, record in seen:
+            assert state.mu == record.mu
+
+
+def forbid_transforms(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("transform called")
+
+    monkeypatch.setattr(fftlasso.masking, "synthesize", forbidden)
+    monkeypatch.setattr(fftlasso.masking, "analyze", forbidden)
+
+
+class TestSolveBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_samples(self, bad, monkeypatch):
+        forbid_transforms(monkeypatch)
+        b = np.ones(8)
+        b[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve(b, empty_mask(8))
+
+    @pytest.mark.parametrize("missing", [[], [1, 6]])
+    def test_zero_samples_default_penalty(self, missing):
+        mask = Mask(np.array(missing, dtype=np.int64), GridShape((8,)))
+        beta, report = solve(np.zeros(mask.n_observed), mask)
+        assert np.all(beta == 0.0) and beta.size == 8
+        assert report.status == "converged"
+        assert report.iterations == 0 and report.lam == 0.0
+
+
+def count_calls(monkeypatch, targets):
+    """Count calls of each ``module.name`` through every package module binding it."""
+    counts = {}
+    for module, name in targets:
+        original = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, _fn=original, _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+
+        for other in list(sys.modules.values()):
+            if (getattr(other, "__name__", "").startswith("fftlasso")
+                    and getattr(other, name, None) is original):
+                monkeypatch.setattr(other, name, counted)
+    return counts
+
+
+class TestEvaluationCounts:
+    """Each iterate is evaluated once: one transform pair outside PCG."""
+
+    @pytest.mark.parametrize("missing_fraction", [0.15, 0.0])
+    def test_one_evaluation_per_iterate(self, missing_fraction, monkeypatch):
+        spec = SyntheticSpec(dims=(16, 16, 16), noise_seed=5,
+                             missing_fraction=missing_fraction, missing_seed=6)
+        noisy, mask, _ = generate_synthetic(spec)
+        counts = count_calls(monkeypatch, [
+            (fftlasso.fourier, "synthesize"),
+            (fftlasso.fourier, "analyze"),
+            (fftlasso.newton_system, "newton_rhs"),
+            (fftlasso.newton_system, "barrier_diagonals"),
+        ])
+        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
+        assert report.converged and report.iterations > 3
+        budget = report.total_krylov + report.iterations + 2
+        assert counts["synthesize"] <= budget
+        assert counts["analyze"] <= budget
+        assert counts["newton_rhs"] == report.iterations + 1
+        assert counts["barrier_diagonals"] == report.iterations + 1

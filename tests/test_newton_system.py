@@ -259,8 +259,8 @@ class TestRecoverEliminated:
         n = 8
         st8 = random_interior_state(rng, n)
         zero = np.zeros(n)
-        zrhs = KktRhs(*(np.zeros(n) for _ in range(8)))
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
+        zrhs = KktRhs(*(np.zeros(n) for _ in range(8)), diag=d)
         sol = recover_eliminated(zero, zero, zrhs, d)
         for block in (sol.d_s1, sol.d_s2, sol.d_y1, sol.d_y2):
             assert np.all(block == 0.0)
