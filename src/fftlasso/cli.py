@@ -15,6 +15,8 @@ from .synthetic import SyntheticSpec, generate_synthetic
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_MAX_ITERS = 2
+EXIT_STALLED = 3
+_EXIT_BY_STATUS = {"converged": EXIT_OK, "max_iters": EXIT_MAX_ITERS, "stalled": EXIT_STALLED}
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -99,7 +101,7 @@ def _cmd_solve(args) -> int:
     print(f"{report.status} in {report.iterations} iterations, "
           f"objective {report.final_objective:.6e}, "
           f"total Krylov iterations {report.total_krylov}")
-    return EXIT_OK if report.converged else EXIT_MAX_ITERS
+    return _EXIT_BY_STATUS[report.status]
 
 
 def _cmd_bench(args) -> int:
@@ -137,8 +139,7 @@ def _cmd_bench(args) -> int:
         print(f"{size}^3: n={row['unknowns']}, {row['status']} in "
               f"{row['iterations']} iterations, {row['total_krylov']} Krylov, "
               f"{elapsed:.2f}s")
-        if not report.converged:
-            worst = EXIT_MAX_ITERS
+        worst = max(worst, _EXIT_BY_STATUS[report.status])
     if args.report:
         _write_report(args.report, records)
     return worst

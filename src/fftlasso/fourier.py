@@ -6,14 +6,19 @@ the independent degrees of freedom of ``v`` into a real vector
 
     beta = [v[0], v[m/2], sqrt(2)*Re(v[1:m/2]), sqrt(2)*Im(v[1:m/2])]
 
-defines a real orthogonal map between spectra and signals: the synthesis
-operator takes ``beta`` to ``x`` and its transpose (= inverse) takes ``x``
-back to ``beta``.  Everything is applied through FFTs; no matrix is ever
-materialized.
+is a unitary map ``Q`` (see :func:`_pack_axis`), so the synthesis operator
+taking ``beta`` to ``x`` is real orthogonal and its transpose (= inverse)
+takes ``x`` back to ``beta``.  Everything is applied through FFTs; no matrix
+is ever materialized.
 
-Multi-dimensional grids apply the one-dimensional transform independently
-along each axis in ascending axis order; the tensor product of orthogonal
-maps is again orthogonal.  Arrays are linearized row-major (C order).
+A multi-dimensional grid takes ``Q`` along every axis of the full unitary
+DFT.  With ``J`` reversing frequency indices along one axis,
+``Q(conj(J v)) == conj(Q v)``, because ``Q`` combines ``v[k]`` and ``v[m-k]``
+with weights that ``J`` and conjugation swap.  Packing the leading axes thus
+keeps the spectrum conjugate-symmetric along the last one, where ``Q`` is a
+Re/Im split of the half spectrum: :func:`analyze` is one ``rfftn``, ``Q`` on
+the leading axes and that split, and :func:`synthesize` is its exact inverse
+through one ``irfftn``.  Arrays are linearized row-major (C order).
 """
 
 from __future__ import annotations
@@ -39,14 +44,17 @@ __all__ = [
 SYMMETRY_RTOL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
+_RSQRT2 = 1.0 / _SQRT2
 
 
 def _fft_workers() -> int:
-    """Worker count for scipy.fft; capped by the FFTLASSO_THREADS env var."""
+    """Worker count for scipy.fft: the FFTLASSO_THREADS cap, else all cores."""
     cap = os.environ.get("FFTLASSO_THREADS")
-    if cap is not None:
-        return max(1, int(cap))
-    return os.cpu_count() or 1
+    if cap is None:
+        return os.cpu_count() or 1
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(f"FFTLASSO_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 @dataclass(frozen=True)
@@ -86,41 +94,54 @@ def _as_grid(values, shape: GridShape, dtype) -> np.ndarray:
     return arr.reshape(shape.dims)
 
 
-def _pack_axis(v: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the unitary packing matrix along one axis of a complex array.
+def _pack_axis(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Apply the unitary packing matrix ``Q`` along one axis, into ``out``.
 
-    On a conjugate-symmetric fiber the output fiber is real; on general
-    complex input it is the plain unitary action, so any residual imaginary
-    part downstream measures the symmetry violation.
+    Slots 0 and 1 take ``v[0]`` and ``v[h]``; for ``k = 1..h-1`` slot
+    ``k+1`` takes ``(v[k] + v[m-k])/sqrt(2)`` and slot ``k+h`` takes
+    ``i*(v[m-k] - v[k])/sqrt(2)``.  On a conjugate-symmetric fiber the
+    output fiber is real; on general complex input it is the plain unitary
+    action, so any residual imaginary part measures the symmetry violation.
     """
-    m = v.shape[axis]
-    v = np.moveaxis(v, axis, -1)
-    out = np.empty_like(v)
-    h = m // 2
-    out[..., 0] = v[..., 0]
-    out[..., 1] = v[..., h]
-    if h > 1:
-        fwd = v[..., 1:h]
-        rev = v[..., :h:-1]  # v[m-1], v[m-2], ..., v[h+1]  == v[m-k] for k=1..h-1
-        out[..., 2 : h + 1] = (fwd + rev) / _SQRT2
-        out[..., h + 1 :] = 1j * (rev - fwd) / _SQRT2
-    return np.moveaxis(out, -1, axis)
+    h = v.shape[axis] // 2
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = v[lead + (0,)]
+    out[lead + (1,)] = v[lead + (h,)]
+    fwd = v[lead + (slice(1, h),)]
+    rev = v[lead + (slice(None, h, -1),)]  # v[m-k] for k = 1..h-1
+    re = out[lead + (slice(2, h + 1),)]
+    im = out[lead + (slice(h + 1, None),)]
+    np.add(fwd, rev, out=re)
+    re *= _RSQRT2
+    np.subtract(rev, fwd, out=im)
+    im *= 1j * _RSQRT2
+    return out
 
 
-def _unpack_axis(b: np.ndarray, axis: int) -> np.ndarray:
-    """Inverse (adjoint) of :func:`_pack_axis` along one axis."""
-    m = b.shape[axis]
-    b = np.moveaxis(b, axis, -1)
-    out = np.empty_like(b)
-    h = m // 2
-    out[..., 0] = b[..., 0]
-    out[..., h] = b[..., 1]
-    if h > 1:
-        re = b[..., 2 : h + 1]
-        im = b[..., h + 1 :]
-        out[..., 1:h] = (re + 1j * im) / _SQRT2
-        out[..., :h:-1] = (re - 1j * im) / _SQRT2
-    return np.moveaxis(out, -1, axis)
+def _unpack_axis(b: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Inverse (adjoint) of :func:`_pack_axis` along one axis, into ``out``.
+
+    Scales the coefficient slots of ``b`` in place, which saves a temporary.
+    """
+    h = b.shape[axis] // 2
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = b[lead + (0,)]
+    out[lead + (h,)] = b[lead + (1,)]
+    re = b[lead + (slice(2, h + 1),)]
+    im = b[lead + (slice(h + 1, None),)]
+    re *= _RSQRT2
+    im *= 1j * _RSQRT2
+    np.add(re, im, out=out[lead + (slice(1, h),)])
+    np.subtract(re, im, out=out[lead + (slice(None, h, -1),)])
+    return out
+
+
+def _along(kernel, w: np.ndarray, axes) -> np.ndarray:
+    """Apply a per-axis kernel along each of ``axes``, overwriting ``w``."""
+    spare = np.empty_like(w)
+    for axis in axes:
+        w, spare = kernel(w, axis, spare), w
+    return w
 
 
 def pack(v, shape: GridShape) -> np.ndarray:
@@ -144,10 +165,9 @@ def pack(v, shape: GridShape) -> np.ndarray:
     MalformedSpectrumError
         If the symmetry violation exceeds tolerance.
     """
-    w = _as_grid(v, shape, np.complex128)
+    w = _as_grid(v, shape, np.complex128).copy()  # _along overwrites it
     scale = np.max(np.abs(w)) if w.size else 0.0
-    for axis in range(w.ndim):
-        w = _pack_axis(w, axis)
+    w = _along(_pack_axis, w, range(shape.ndim))
     residue = np.max(np.abs(w.imag)) if w.size else 0.0
     if residue > SYMMETRY_RTOL * max(scale, 1e-300):
         raise MalformedSpectrumError(
@@ -164,38 +184,7 @@ def unpack(beta, shape: GridShape) -> np.ndarray:
     floating-point commutativity of the sqrt(2) scaling.
     """
     w = _as_grid(beta, shape, np.float64).astype(np.complex128)
-    for axis in range(shape.ndim):
-        w = _unpack_axis(w, axis)
-    return w.reshape(-1)
-
-
-def _synthesize_axis(b: np.ndarray, axis: int, workers: int) -> np.ndarray:
-    """Real packed coefficients -> real samples along one axis (c2r FFT)."""
-    m = b.shape[axis]
-    b = np.moveaxis(b, axis, -1)
-    h = m // 2
-    half = np.zeros(b.shape[:-1] + (h + 1,), dtype=np.complex128)
-    half[..., 0] = b[..., 0]
-    half[..., h] = b[..., 1]
-    if h > 1:
-        half[..., 1:h] = (b[..., 2 : h + 1] + 1j * b[..., h + 1 :]) / _SQRT2
-    x = scipy.fft.irfft(half, n=m, axis=-1, norm="ortho", workers=workers)
-    return np.moveaxis(x, -1, axis)
-
-
-def _analyze_axis(x: np.ndarray, axis: int, workers: int) -> np.ndarray:
-    """Real samples -> real packed coefficients along one axis (r2c FFT)."""
-    m = x.shape[axis]
-    x = np.moveaxis(x, axis, -1)
-    half = scipy.fft.rfft(x, axis=-1, norm="ortho", workers=workers)
-    h = m // 2
-    out = np.empty(x.shape, dtype=np.float64)
-    out[..., 0] = half[..., 0].real
-    out[..., 1] = half[..., h].real
-    if h > 1:
-        out[..., 2 : h + 1] = _SQRT2 * half[..., 1:h].real
-        out[..., h + 1 :] = _SQRT2 * half[..., 1:h].imag
-    return np.moveaxis(out, -1, axis)
+    return _along(_unpack_axis, w, range(shape.ndim)).reshape(-1)
 
 
 def synthesize(beta, shape: GridShape) -> np.ndarray:
@@ -215,11 +204,16 @@ def synthesize(beta, shape: GridShape) -> np.ndarray:
     numpy.ndarray
         Flat real signal of length ``shape.n`` (row-major).
     """
-    x = _as_grid(beta, shape, np.float64)
-    workers = _fft_workers()
-    for axis in range(shape.ndim):
-        x = _synthesize_axis(x, axis, workers)
-    return np.ascontiguousarray(x).reshape(-1)
+    b = _as_grid(beta, shape, np.float64)
+    h = shape.dims[-1] // 2
+    half = np.empty(shape.dims[:-1] + (h + 1,), dtype=np.complex128)
+    half[..., 0] = b[..., 0]
+    half[..., h] = b[..., 1]
+    np.multiply(b[..., 2 : h + 1], _RSQRT2, out=half[..., 1:h].real)
+    np.multiply(b[..., h + 1 :], _RSQRT2, out=half[..., 1:h].imag)
+    half = _along(_unpack_axis, half, range(shape.ndim - 1))
+    x = scipy.fft.irfftn(half, s=shape.dims, norm="ortho", workers=_fft_workers())
+    return x.reshape(-1)
 
 
 def analyze(x, shape: GridShape) -> np.ndarray:
@@ -228,8 +222,13 @@ def analyze(x, shape: GridShape) -> np.ndarray:
     ``analyze(synthesize(beta)) == beta`` to machine precision because the
     underlying matrix is orthogonal.
     """
-    b = _as_grid(x, shape, np.float64)
-    workers = _fft_workers()
-    for axis in range(shape.ndim):
-        b = _analyze_axis(b, axis, workers)
-    return np.ascontiguousarray(b).reshape(-1)
+    half = scipy.fft.rfftn(_as_grid(x, shape, np.float64), norm="ortho",
+                           workers=_fft_workers())
+    half = _along(_pack_axis, half, range(shape.ndim - 1))
+    h = shape.dims[-1] // 2
+    out = np.empty(shape.dims)
+    out[..., 0] = half[..., 0].real
+    out[..., 1] = half[..., h].real
+    np.multiply(half[..., 1:h].real, _SQRT2, out=out[..., 2 : h + 1])
+    np.multiply(half[..., 1:h].imag, _SQRT2, out=out[..., h + 1 :])
+    return out.reshape(-1)

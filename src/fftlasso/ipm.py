@@ -158,7 +158,7 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    status: str  # "converged" or "max_iters"
+    status: str  # "converged", "max_iters" or "stalled"
     iterations: int
     lam: float
     tol: float
@@ -411,7 +411,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     report : SolveReport
         Per-iteration residuals, barrier values, Krylov counts, timings.
         On iteration exhaustion the best iterate seen is returned with
-        status ``"max_iters"``.
+        status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``)
+        or the step collapses (``StalledError``), with status ``"stalled"``.
 
     Raises ``ValueError`` for NaN/Inf in ``b`` before any transform, and
     ``InteriorViolationError`` when a step leaves the strict interior.
@@ -428,10 +429,10 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
 
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
-    best_beta = state.beta.copy()
-    best_kkt = math.inf
     rhs = newton_rhs(state, b, mask, lam)
     conv = check_convergence(state, rhs, lam, config.tol)
+    best_beta, best_kkt = state.beta.copy(), conv.max_residual
+    stalled = False
 
     for iteration in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
@@ -440,7 +441,11 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         if _barrier_residual(state, rhs) <= INNER_SLACK * state.mu:
             state = replace(state, mu=next_barrier(state.mu, config.tol))
             rhs = rhs.at_barrier(state)
-        state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol)
+        try:
+            state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol)
+        except (NumericalBreakdownError, StalledError):
+            stalled = True
+            break
         rhs = newton_rhs(state, b, mask, lam)
         conv = check_convergence(state, rhs, lam, config.tol)
         record = IterationRecord(
@@ -464,7 +469,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         if observer is not None:
             observer(state, record)
 
-    status = "converged" if conv.converged else "max_iters"
+    status = "converged" if conv.converged else "stalled" if stalled else "max_iters"
     beta = state.beta if status == "converged" else best_beta
     report = SolveReport(
         status=status,

@@ -124,6 +124,19 @@ def penalty_at_widest_gap(xi, lo_frac=1 / 16, hi_frac=1 / 4):
     return 0.5 * (a[k - 1] + a[k]), 0.5 * (a[k - 1] - a[k])
 
 
+def fail_on_call(k, error, fn):
+    """Wrap ``fn`` so that its ``k``-th call raises ``error``."""
+    calls = []
+
+    def wrapped(*args, **kw):
+        calls.append(None)
+        if len(calls) == k:
+            raise error("injected inner failure")
+        return fn(*args, **kw)
+
+    return wrapped
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

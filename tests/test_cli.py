@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from fftlasso.cli import EXIT_INPUT_ERROR, EXIT_MAX_ITERS, EXIT_OK, main
+import fftlasso.ipm
+from conftest import fail_on_call
+from fftlasso.cli import EXIT_INPUT_ERROR, EXIT_MAX_ITERS, EXIT_OK, EXIT_STALLED, main
 from fftlasso.dataio import read_volume, write_volume
+from fftlasso.errors import NumericalBreakdownError
 
 
 def read_report(path):
@@ -114,6 +117,32 @@ class TestSolve:
             "--output", str(tmp / "b.f64"),
         ])
         assert code == EXIT_MAX_ITERS
+
+    def test_stalled_exit_code_writes_best_iterate(self, problem_files, monkeypatch):
+        signal, mask, tmp = problem_files
+        monkeypatch.setattr(fftlasso.ipm, "newton_direction",
+                            fail_on_call(3, NumericalBreakdownError,
+                                         fftlasso.ipm.newton_direction))
+        out, impute, report = (str(tmp / name) for name in ("b.f64", "i.f64", "r.jsonl"))
+        code = main([
+            "solve", "--input", signal, "--mask", mask,
+            "--output", out, "--impute", impute, "--report", report,
+        ])
+        assert code == EXIT_STALLED
+        beta, dims = read_volume(out)
+        assert dims == (8, 8, 8) and np.all(np.isfinite(beta))
+        assert read_volume(impute)[0].size == 512
+        summary = read_report(report)[-1]
+        assert summary["status"] == "stalled" and summary["iterations"] == 2
+
+    def test_bad_thread_cap_is_input_error(self, problem_files, monkeypatch, capsys):
+        signal, mask, tmp = problem_files
+        monkeypatch.setenv("FFTLASSO_THREADS", "0")
+        code = main([
+            "solve", "--input", signal, "--mask", mask, "--output", str(tmp / "b.f64"),
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "FFTLASSO_THREADS" in capsys.readouterr().err
 
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         code = main([

@@ -1,13 +1,19 @@
 """Packing transform: hand values, dense equivalence, orthogonality."""
 
+import re
+import sys
+import threading
+
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fftlasso import (
     GridShape,
     MalformedSpectrumError,
+    Mask,
     UnsupportedShapeError,
     analyze,
     pack,
@@ -15,6 +21,8 @@ from fftlasso import (
     unpack,
 )
 from fftlasso.diagnostics import dense_synthesis_matrix, densify
+from fftlasso.fourier import _fft_workers
+from fftlasso.masking import gram
 
 SQRT2 = np.sqrt(2.0)
 
@@ -118,15 +126,23 @@ class TestAnalyze:
         np.testing.assert_allclose(analyze(synthesize(beta, g), g), beta, atol=1e-13)
 
 
-@pytest.mark.parametrize("dims", [(2,), (16,), (64,), (8, 8), (4, 2, 6)])
+@pytest.mark.parametrize("dims", [(2,), (16,), (64,), (8, 8), (4, 2, 6),
+                                  (2, 4), (6, 2), (2, 2, 2), (8, 2, 4), (4, 6, 8)])
 def test_dense_equivalence(dims, rng):
-    """FFT path agrees entrywise with the trig-formula matrix."""
+    """FFT path agrees entrywise with the trig-formula matrix.
+
+    Length-2 leading axes have no Re/Im pairs, the edge case of the
+    leading-axis packing of the half spectrum.
+    """
     g = GridShape(dims)
     a = dense_synthesis_matrix(g)
     a_fast = densify(lambda v: synthesize(v, g), g.n)
     at_fast = densify(lambda v: analyze(v, g), g.n)
     assert np.max(np.abs(a - a_fast)) <= 1e-12
     assert np.max(np.abs(a.T - at_fast)) <= 1e-12
+    x = rng.standard_normal(g.n)
+    full = pack(scipy.fft.fftn(x.reshape(dims), norm="ortho"), g)
+    assert np.max(np.abs(analyze(x, g) - full)) <= 1e-12
 
 
 @pytest.mark.parametrize("dims", [(4,), (1 << 20,), (32, 32, 32), (64, 64), (2, 2)])
@@ -169,14 +185,50 @@ def test_roundtrip_property(axes, seed):
 
 
 def test_thread_cap_env_var(monkeypatch, rng):
-    from fftlasso.fourier import _fft_workers
-
     monkeypatch.setenv("FFTLASSO_THREADS", "1")
     assert _fft_workers() == 1
     # transforms are identical regardless of the worker count
-    g = GridShape((16, 16))
+    g = GridShape((16, 12, 8))
     beta = rng.standard_normal(g.n)
-    single = synthesize(beta, g)
+    single = synthesize(beta, g), analyze(beta, g)
     monkeypatch.delenv("FFTLASSO_THREADS")
     assert _fft_workers() >= 1
-    np.testing.assert_array_equal(single, synthesize(beta, g))
+    np.testing.assert_array_equal(single[0], synthesize(beta, g))
+    np.testing.assert_array_equal(single[1], analyze(beta, g))
+
+
+@pytest.mark.parametrize("value", ["", "abc", "0", "-3", "1.5"])
+def test_thread_cap_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("FFTLASSO_THREADS", value)
+    message = f"FFTLASSO_THREADS must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synthesize(np.zeros(4), GridShape((4,)))
+
+
+def test_concurrent_gram_matches_serial(rng):
+    """Threads sharing one grid get the serial results bit for bit."""
+    g = GridShape((16, 16, 16))
+    mask = Mask.from_bool(rng.random(g.n) < 0.15, g)
+    inputs = [rng.standard_normal(g.n) for _ in range(4)]
+    serial = [gram(beta, mask) for beta in inputs]
+    results = [[] for _ in inputs]
+
+    def work(k):
+        for _ in range(20):
+            results[k].append(gram(inputs[k], mask))
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for expected, got in zip(serial, results):
+        assert len(got) == 20
+        for value in got:
+            np.testing.assert_array_equal(value, expected)

@@ -10,6 +10,7 @@ from fftlasso import (
     GridShape,
     InteriorViolationError,
     Mask,
+    NumericalBreakdownError,
     StalledError,
     SyntheticSpec,
     analyze,
@@ -41,6 +42,7 @@ from conftest import (
     central_path_state,
     dense_augmented_system,
     dense_observation_matrix,
+    fail_on_call,
     random_interior_state,
     sparse_instance,
 )
@@ -402,6 +404,30 @@ class TestSolve:
         assert len({record.mu for _, record in seen}) > 1
         for state, record in seen:
             assert state.mu == record.mu
+
+    @pytest.mark.parametrize("error", [NumericalBreakdownError, StalledError])
+    def test_inner_failure_returns_best_iterate(self, error, rng, monkeypatch):
+        """A PCG failure or step collapse keeps the best iterate seen."""
+        b, mask, _ = sparse_instance(rng, 64, 9, 3)
+        monkeypatch.setattr(fftlasso.ipm, "newton_direction",
+                            fail_on_call(3, error, fftlasso.ipm.newton_direction))
+        seen = []
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
+                             observer=lambda state, record: seen.append((state, record)))
+        assert report.status == "stalled" and not report.converged
+        assert report.iterations == len(seen) == 2
+        best_state, best_record = min(seen, key=lambda pair: pair[1].kkt_max)
+        np.testing.assert_array_equal(beta, best_state.beta)
+        assert report.final_kkt == best_record.kkt_max
+        assert report.final_objective == lasso_objective(beta, b, mask, 0.4)
+
+    def test_failure_on_first_step_returns_start(self, rng, monkeypatch):
+        b, mask, _ = sparse_instance(rng, 64, 9, 3)
+        monkeypatch.setattr(fftlasso.ipm, "newton_direction",
+                            fail_on_call(1, StalledError, fftlasso.ipm.newton_direction))
+        beta, report = solve(b, mask, IpmConfig(lam=0.4))
+        assert report.status == "stalled" and report.iterations == 0
+        assert np.all(beta == 0.0) and np.isfinite(report.final_kkt)
 
 
 def forbid_transforms(monkeypatch):
