@@ -101,6 +101,8 @@ def _cmd_solve(args) -> int:
     print(f"{report.status} in {report.iterations} iterations, "
           f"objective {report.final_objective:.6e}, "
           f"total Krylov iterations {report.total_krylov}")
+    if report.reason:
+        print(f"stalled: {report.reason}", file=sys.stderr)
     return _EXIT_BY_STATUS[report.status]
 
 
@@ -139,6 +141,8 @@ def _cmd_bench(args) -> int:
         print(f"{size}^3: n={row['unknowns']}, {row['status']} in "
               f"{row['iterations']} iterations, {row['total_krylov']} Krylov, "
               f"{elapsed:.2f}s")
+        if report.reason:
+            print(f"stalled at {size}^3: {report.reason}", file=sys.stderr)
         worst = max(worst, _EXIT_BY_STATUS[report.status])
     if args.report:
         _write_report(args.report, records)

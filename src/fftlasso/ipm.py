@@ -13,9 +13,14 @@ preconditioned CG, then applies separate primal and dual step lengths by
 the fraction-to-boundary rule.  The barrier parameter follows a monotone
 schedule with a superlinear tail once the iterate is centered.
 
-An iteration costs one transform pair outside PCG plus one per Krylov
-iteration: :func:`newton_rhs` evaluates each iterate once, and the
-convergence check, barrier test and Newton step all reuse it.
+An iteration costs one transform pair per Krylov iteration and none
+outside PCG.  The solve computes ``xi = observe_adjoint(b)`` once and
+carries ``g = gram(beta)``: PCG accumulates ``G d_beta`` from the products
+it forms anyway, so :func:`newton_rhs`, the convergence check, the barrier
+test and the Newton step are vector algebra.  Before a solve is declared
+converged, ``g`` is recomputed exactly and the check repeated.  With an
+empty mask ``G = I``, so a denoising solve takes one ``analyze`` (of
+``b``) and one ``synthesize`` (for the final objective) in total.
 """
 
 from __future__ import annotations
@@ -27,13 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalBreakdownError, StalledError
-from .masking import Mask, observe, observe_adjoint
+from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
     KktRhs,
     apply_kkt,
     apply_precond_inverse,
     newton_rhs,
     recover_eliminated,
+    sum_difference,
 )
 from .pcg import PcgConfig, pcg_solve
 
@@ -167,6 +173,7 @@ class SolveReport:
     final_kkt: float
     final_mu: float
     wall_time: float
+    reason: str = ""  # the inner failure's message when "stalled"
 
     @property
     def converged(self) -> bool:
@@ -191,6 +198,7 @@ class SolveReport:
             "final_kkt": self.final_kkt,
             "final_mu": self.final_mu,
             "total_krylov": self.total_krylov,
+            "reason": self.reason,
             "wall_time": self.wall_time,
         }
 
@@ -201,7 +209,11 @@ def _inf_norm(v: np.ndarray) -> float:
 
 def default_penalty(b, mask: Mask) -> float:
     """Standard LASSO heuristic: one tenth of the max correlation."""
-    return 0.1 * float(np.max(np.abs(observe_adjoint(b, mask))))
+    return _penalty_of_correlation(observe_adjoint(b, mask))
+
+
+def _penalty_of_correlation(xi: np.ndarray) -> float:
+    return 0.1 * float(np.max(np.abs(xi)))
 
 
 def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
@@ -287,6 +299,7 @@ class NewtonDirection:
     d_y2: np.ndarray
     d_nu1: np.ndarray
     d_nu2: np.ndarray
+    gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
     pcg_residual: float
 
@@ -296,32 +309,31 @@ def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
     ``rhs`` is ``newton_rhs`` at this iterate and barrier.  The condensed
-    2x2 system is solved matrix-free by PCG; eliminated blocks are
+    2x2 system is solved matrix-free by PCG in sum/difference coordinates,
+    which also accumulates ``G d_beta``; eliminated blocks are
     back-substituted, slacks are flipped to the physical sign convention,
     and the bound-multiplier step comes from the linearized complementarity:
 
         d_nu = (mu - s*nu)/s - sigma * d_s
     """
-    n = state.n
     diag = rhs.diag
 
     def op(v):
-        top, bottom = apply_kkt(v[:n], v[n:], diag, mask)
-        return np.concatenate([top, bottom])
+        return apply_kkt(v[0], v[1], diag, mask, rotated=True)
 
     def prec(v):
-        top, bottom = apply_precond_inverse(v[:n], v[n:], diag)
-        return np.concatenate([top, bottom])
+        return apply_precond_inverse(v[0], v[1], diag, rotated=True)
 
-    result = pcg_solve(op, prec, np.concatenate([rhs.r_beta, rhs.r_c]),
-                       PcgConfig(abs_tol=cg_tol))
+    gram_d_beta = np.empty(state.n)  # G (u + w)/2 = G d_beta / sqrt(2)
+    result = pcg_solve(op, prec, rhs.r_uw, PcgConfig(abs_tol=cg_tol), image=gram_d_beta)
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
+    gram_d_beta *= math.sqrt(2.0)
 
-    sol = recover_eliminated(result.solution[:n], result.solution[n:], rhs, diag)
+    sol = recover_eliminated(*sum_difference(*result.solution), rhs, diag)
     d_s1 = -sol.d_s1  # condensed system carries slacks with flipped sign
     d_s2 = -sol.d_s2
     d_nu1 = (state.mu - state.s1 * state.nu1) / state.s1 - diag.sigma1 * d_s1
@@ -335,6 +347,7 @@ def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
         d_y2=sol.d_y2,
         d_nu1=d_nu1,
         d_nu2=d_nu2,
+        gram_d_beta=gram_d_beta,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
     )
@@ -342,11 +355,9 @@ def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
 
 def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     """Largest step in (0, 1] keeping ``v + alpha*dv >= (1 - tau) * v``."""
-    shrinking = dv < 0.0
-    if not np.any(shrinking):
-        return 1.0
-    ratio = float(np.min(v[shrinking] / -dv[shrinking]))
-    return min(1.0, tau * ratio)
+    # max of v/dv over the shrinking entries is minus the min of v/(-dv)
+    ratios = np.divide(v, dv, out=np.full(v.shape, -np.inf), where=dv < 0.0)
+    return min(1.0, tau * -float(ratios.max()))
 
 
 def ipm_step(state: IpmState, rhs: KktRhs, mask: Mask,
@@ -412,7 +423,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         Per-iteration residuals, barrier values, Krylov counts, timings.
         On iteration exhaustion the best iterate seen is returned with
         status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``)
-        or the step collapses (``StalledError``), with status ``"stalled"``.
+        or the step collapses (``StalledError``), with status ``"stalled"``
+        and the error's message as ``reason``.
 
     Raises ``ValueError`` for NaN/Inf in ``b`` before any transform, and
     ``InteriorViolationError`` when a step leaves the strict interior.
@@ -420,7 +432,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(b)):
         raise ValueError("observed samples must be finite")
-    lam = config.lam if config.lam is not None else default_penalty(b, mask)
+    xi = observe_adjoint(b, mask)
+    lam = config.lam if config.lam is not None else _penalty_of_correlation(xi)
     if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
         return np.zeros(mask.shape.n), SolveReport(
             status="converged", iterations=0, lam=lam, tol=config.tol, records=[],
@@ -429,10 +442,11 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
 
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
-    rhs = newton_rhs(state, b, mask, lam)
+    g = np.zeros(mask.shape.n)  # gram(beta), exact at beta = 0
+    rhs = newton_rhs(state, xi, g, lam)
     conv = check_convergence(state, rhs, lam, config.tol)
     best_beta, best_kkt = state.beta.copy(), conv.max_residual
-    stalled = False
+    stalled, reason = False, ""
 
     for iteration in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
@@ -443,11 +457,18 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             rhs = rhs.at_barrier(state)
         try:
             state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol)
-        except (NumericalBreakdownError, StalledError):
-            stalled = True
+        except (NumericalBreakdownError, StalledError) as exc:
+            stalled, reason = True, str(exc)
             break
-        rhs = newton_rhs(state, b, mask, lam)
+        g += alpha_p * direction.gram_d_beta
+        krylov_iters, pcg_residual = direction.krylov_iters, direction.pcg_residual
+        del direction  # nine vectors, not to be held through the next step
+        rhs = newton_rhs(state, xi, g, lam)
         conv = check_convergence(state, rhs, lam, config.tol)
+        if conv.converged:  # confirm on the exact product, never on the carried one
+            g = gram(state.beta, mask)
+            rhs = newton_rhs(state, xi, g, lam)
+            conv = check_convergence(state, rhs, lam, config.tol)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
@@ -455,10 +476,10 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             dual_inf=max(conv.dual_equality, conv.multiplier_gap, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
-            krylov_iters=direction.krylov_iters,
+            krylov_iters=krylov_iters,
             alpha_primal=alpha_p,
             alpha_dual=alpha_d,
-            pcg_residual=direction.pcg_residual,
+            pcg_residual=pcg_residual,
             centrality_ok=conv.centrality_ok,
             wall_time=time.perf_counter() - t_iter,
         )
@@ -481,5 +502,6 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         final_kkt=conv.max_residual if status == "converged" else best_kkt,
         final_mu=state.mu,
         wall_time=time.perf_counter() - t0,
+        reason=reason,
     )
     return beta, report

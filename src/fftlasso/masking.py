@@ -109,10 +109,13 @@ def gram(beta, mask: Mask) -> np.ndarray:
 
     Equivalent to ``observe_adjoint(observe(beta, mask), mask)`` but zeroes
     the missing samples in place on the full grid instead of materializing
-    the shorter observed vector.
+    the shorter observed vector.  With an empty mask the synthesis map is
+    orthogonal, so the Gram operator is the identity and this returns a
+    copy of ``beta`` without a transform.
     """
     beta = _check_spectrum(beta, mask)
+    if not mask.n_missing:
+        return beta.copy()
     x = synthesize(beta, mask.shape)
-    if mask.n_missing:
-        x[mask.missing] = 0.0
+    x[mask.missing] = 0.0
     return analyze(x, mask.shape)

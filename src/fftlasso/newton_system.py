@@ -33,16 +33,43 @@ whose inverse is closed-form diagonal-block:
 Elementwise, ``D = Sig1 + Sig2 + 4 Sig1 Sig2 > 0`` so the inverse is always
 well defined on the interior, and ``P^{-1} K`` is block lower-triangular
 with identity (2,2)-block; with an empty mask ``G = I`` and ``P^{-1}K = I``.
+
+Sum/difference coordinates.  Near convergence the barrier diagonals grow
+like ``1/mu``: one of ``Sig1, Sig2`` on the support, both off it.  On the
+support ``Lam1 ~ +-Lam2 ~ sigma_max``, so products with ``K`` and
+``P^{-1}`` in ``(d_beta, d_z)`` subtract huge, nearly equal terms, and
+rounding leaves errors of order ``eps * sigma_max``: with an empty mask
+PCG takes two or three steps where ``P^{-1}K = I`` promises one.  The
+solver works in the orthonormal coordinates
+
+    u = (d_beta + d_z)/sqrt(2),    w = (d_beta - d_z)/sqrt(2),
+
+an orthogonal similarity that turns the barrier blocks diagonal:
+
+    K' = [ G/2 + 2 Sig1   G/2          ]    P' = [ 1/2 + 2 Sig1   1/2          ]
+         [ G/2            G/2 + 2 Sig2 ]         [ 1/2            1/2 + 2 Sig2 ]
+
+    P'^{-1} = (1/D) [ 1/2 + 2 Sig2   -1/2         ]
+                    [ -1/2           1/2 + 2 Sig1 ]
+
+with the same ``D``.  No coefficient is a difference, PCG produces the
+same iterates in exact arithmetic, and ``G`` enters only as ``G(u + w)/2
+= G d_beta / sqrt(2)``, which PCG accumulates to carry ``G beta`` from one
+iterate to the next without a transform.  ``apply_kkt``,
+``apply_precond_inverse`` and the ``lambda1``/``lambda2``/``dvec``/``bvec``
+properties keep the ``(d_beta, d_z)`` form above, by a rotation into and
+out of these coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InteriorViolationError
-from .masking import Mask, gram, observe, observe_adjoint
+from .masking import Mask, gram
 
 __all__ = [
     "BarrierDiagonals",
@@ -50,23 +77,41 @@ __all__ = [
     "CondensedSolution",
     "barrier_diagonals",
     "newton_rhs",
+    "sum_difference",
     "apply_kkt",
     "apply_precond_inverse",
     "apply_precond_kkt",
     "recover_eliminated",
 ]
 
+SQRT_HALF = math.sqrt(0.5)
+
 
 @dataclass(frozen=True)
 class BarrierDiagonals:
-    """Diagonal data of the condensed system and its preconditioner."""
+    """Barrier scaling diagonals and the coefficients of ``P'^{-1}``."""
 
     sigma1: np.ndarray
     sigma2: np.ndarray
-    lambda1: np.ndarray  # sigma1 + sigma2
-    lambda2: np.ndarray  # sigma1 - sigma2
-    dvec: np.ndarray  # sigma1 + sigma2 + 4*sigma1*sigma2
-    bvec: np.ndarray  # dvec / (1 + lambda1)
+    prec_u: np.ndarray  # (1/2 + 2 sigma2) / D
+    prec_w: np.ndarray  # (1/2 + 2 sigma1) / D
+    prec_uw: np.ndarray  # -1 / (2 D)
+
+    @property
+    def lambda1(self) -> np.ndarray:
+        return self.sigma1 + self.sigma2
+
+    @property
+    def lambda2(self) -> np.ndarray:
+        return self.sigma1 - self.sigma2
+
+    @property
+    def dvec(self) -> np.ndarray:
+        return self.sigma1 + self.sigma2 + 4.0 * self.sigma1 * self.sigma2
+
+    @property
+    def bvec(self) -> np.ndarray:
+        return self.dvec / (1.0 + self.lambda1)
 
 
 def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
@@ -84,11 +129,23 @@ def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
             raise InteriorViolationError(f"{name} must be strictly positive and finite")
     sigma1 = nu1 / s1
     sigma2 = nu2 / s2
-    lambda1 = sigma1 + sigma2
-    lambda2 = sigma1 - sigma2
-    dvec = sigma1 + sigma2 + 4.0 * sigma1 * sigma2
-    bvec = dvec / (1.0 + lambda1)
-    return BarrierDiagonals(sigma1, sigma2, lambda1, lambda2, dvec, bvec)
+    prec_uw = -0.5 / (sigma1 + sigma2 + 4.0 * sigma1 * sigma2)
+    prec_u = (-1.0 - 4.0 * sigma2) * prec_uw
+    prec_w = (-1.0 - 4.0 * sigma1) * prec_uw
+    return BarrierDiagonals(sigma1, sigma2, prec_u, prec_w, prec_uw)
+
+
+def sum_difference(first, second) -> np.ndarray:
+    """``((first + second)/sqrt(2), (first - second)/sqrt(2))`` as a (2, n) array.
+
+    The change between ``(d_beta, d_z)`` and ``(u, w)`` in both directions:
+    the map is orthogonal and its own inverse.
+    """
+    pair = np.empty((2, np.size(first)))
+    np.add(first, second, out=pair[0])
+    np.subtract(first, second, out=pair[1])
+    pair *= SQRT_HALF
+    return pair
 
 
 @dataclass(frozen=True)
@@ -98,7 +155,9 @@ class KktRhs:
     ``r3``/``r4`` carry the barrier-shifted multiplier residuals
     ``y - mu/s`` (equal to ``y - nu`` exactly on the central path), which
     makes the condensed solve a true Newton step on the barrier system.
-    ``diag`` holds the barrier diagonals of the same iterate.
+    ``r_uw`` is the condensed right-hand side in sum/difference
+    coordinates, a (2, n) array; ``diag`` holds the barrier diagonals of
+    the same iterate.
     """
 
     r1: np.ndarray
@@ -107,34 +166,37 @@ class KktRhs:
     r4: np.ndarray
     r5: np.ndarray
     r6: np.ndarray
-    r_beta: np.ndarray
-    r_c: np.ndarray
+    r_uw: np.ndarray
     diag: BarrierDiagonals
 
     def at_barrier(self, state) -> "KktRhs":
-        """The same residuals at ``state.mu``: only r3, r4, r_beta, r_c change."""
+        """The same residuals at ``state.mu``: only r3, r4 and r_uw change."""
         return _condense(state, self.r1, self.r2, self.r5, self.r6, self.diag)
 
 
 def _condense(state, r1, r2, r5, r6, diag: BarrierDiagonals) -> KktRhs:
     r3 = state.y1 - state.mu / state.s1
     r4 = state.y2 - state.mu / state.s2
-    r_beta = r1 - r3 + r4 - diag.sigma1 * r5 + diag.sigma2 * r6
-    r_c = r2 - r3 - r4 - diag.sigma1 * r5 - diag.sigma2 * r6
-    return KktRhs(r1, r2, r3, r4, r5, r6, r_beta, r_c, diag)
+    r_uw = np.empty((2, r1.size))
+    r_uw[0] = r1 + r2 - 2.0 * (r3 + diag.sigma1 * r5)
+    r_uw[1] = r1 - r2 + 2.0 * (r4 + diag.sigma2 * r6)
+    r_uw *= SQRT_HALF
+    return KktRhs(r1, r2, r3, r4, r5, r6, r_uw, diag)
 
 
-def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
+def newton_rhs(state, xi, g, lam: float) -> KktRhs:
     """Residuals of the barrier KKT system at a strictly interior iterate.
+
+    Vector algebra only: the data enter through ``xi`` and ``g``.
 
     Parameters
     ----------
     state : object
         Iterate with attributes ``beta, z, s1, s2, y1, y2, nu1, nu2, mu``.
-    b : numpy.ndarray
-        Observed samples (length ``mask.n_observed``).
-    mask : Mask
-        Missing-sample set.
+    xi : numpy.ndarray
+        Data correlation ``observe_adjoint(b, mask)``.
+    g : numpy.ndarray
+        Gram product ``gram(state.beta, mask)``.
     lam : float
         L1 penalty weight.
 
@@ -142,32 +204,68 @@ def newton_rhs(state, b, mask: Mask, lam: float) -> KktRhs:
     -------
     KktRhs
         All six block residuals, the barrier diagonals and the condensed
-        pair ``(r_beta, r_c)``:
+        pair in sum/difference coordinates:
 
-        ``r_beta = r1 - r3 + r4 - Sig1 r5 + Sig2 r6``
-        ``r_c    = r2 - r3 - r4 - Sig1 r5 - Sig2 r6``
+        ``r_u = (r1 + r2 - 2 r3 - 2 Sig1 r5) / sqrt(2)``
+        ``r_w = (r1 - r2 + 2 r4 + 2 Sig2 r6) / sqrt(2)``
     """
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-    residual = b - observe(state.beta, mask)
-    r1 = observe_adjoint(residual, mask) + state.y1 - state.y2
+    r1 = xi - g + state.y1 - state.y2
     r2 = state.y1 + state.y2 - lam
     r5 = state.z + state.beta - state.s1
     r6 = state.z - state.beta - state.s2
     return _condense(state, r1, r2, r5, r6, diag)
 
 
-def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
-    """Apply the condensed operator ``K`` to a direction pair."""
-    top = gram(d_beta, mask) + diag.lambda1 * d_beta + diag.lambda2 * d_z
-    bottom = diag.lambda2 * d_beta + diag.lambda1 * d_z
-    return top, bottom
+def _apply_kkt_uw(u, w, diag: BarrierDiagonals, mask: Mask):
+    """``(K' (u, w), G(u + w)/2)``: the (2, n) product and its Gram part."""
+    half_gram = gram(u + w, mask)
+    half_gram *= 0.5
+    product = np.empty((2, half_gram.size))
+    np.multiply(diag.sigma1, u, out=product[0])
+    np.multiply(diag.sigma2, w, out=product[1])
+    product *= 2.0
+    product += half_gram
+    return product, half_gram
 
 
-def apply_precond_inverse(r_beta, r_c, diag: BarrierDiagonals):
-    """Apply the closed-form inverse of the preconditioner ``P``."""
-    top = (diag.lambda1 * r_beta - diag.lambda2 * r_c) / diag.dvec
-    bottom = -diag.lambda2 / diag.dvec * r_beta + r_c / diag.bvec
-    return top, bottom
+def _apply_precond_inverse_uw(u, w, diag: BarrierDiagonals) -> np.ndarray:
+    """``P'^{-1} (u, w)`` as a (2, n) array."""
+    out = np.empty((2, np.size(u)))
+    np.multiply(diag.prec_u, u, out=out[0])
+    out[0] += diag.prec_uw * w
+    np.multiply(diag.prec_w, w, out=out[1])
+    out[1] += diag.prec_uw * u
+    return out
+
+
+def apply_kkt(first, second, diag: BarrierDiagonals, mask: Mask, *, rotated=False):
+    """Apply the condensed operator to a direction pair.
+
+    By default the pair is ``(d_beta, d_z)`` and the result is ``K`` times
+    it, a (2, n) array.  With ``rotated=True`` the pair is ``(u, w)`` and
+    the result is ``(K' (u, w), G(u + w)/2)``: the (2, n) product and the
+    half Gram product inside it, which PCG accumulates.  PCG goes through
+    this function rather than the kernel so that each Krylov step is one
+    call of ``apply_kkt``, the unit in which Krylov work is counted.
+    """
+    if rotated:
+        return _apply_kkt_uw(first, second, diag, mask)
+    product, _ = _apply_kkt_uw(*sum_difference(first, second), diag, mask)
+    return sum_difference(*product)
+
+
+def apply_precond_inverse(first, second, diag: BarrierDiagonals, *, rotated=False):
+    """Apply the closed-form inverse of the preconditioner; a (2, n) array.
+
+    By default the pair and the result are in ``(d_beta, d_z)``
+    coordinates (``P^{-1}``); with ``rotated=True`` in ``(u, w)``
+    coordinates (``P'^{-1}``).
+    """
+    if rotated:
+        return _apply_precond_inverse_uw(first, second, diag)
+    return sum_difference(*_apply_precond_inverse_uw(
+        *sum_difference(first, second), diag))
 
 
 def apply_precond_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):

@@ -1,8 +1,12 @@
 """Preconditioned conjugate gradients for SPD operator equations.
 
 Matrix-free: the operator and the preconditioner inverse are callables on
-flat vectors.  Convergence is declared on the preconditioned residual norm
-``sqrt(r' P^{-1} r)``, the natural quantity CG already carries.
+arrays of the right-hand side's shape, whose iterates are updated in
+place.  Convergence is declared on the preconditioned residual norm
+``sqrt(r' P^{-1} r)``, the natural quantity CG already carries.  Like the
+residual, a linear image ``L x`` of the solution can ride along on the
+recurrence (Hestenes-Stiefel): when the operator returns ``L p`` next to
+``K p``, its image costs one vector update per iteration.
 """
 
 from __future__ import annotations
@@ -54,19 +58,24 @@ class PcgResult:
     residual_history: list[float] | None = field(default=None)
 
 
-def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig()) -> PcgResult:
+def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
+              image=None) -> PcgResult:
     """Solve ``K x = rhs`` with preconditioned CG from a zero initial guess.
 
     Parameters
     ----------
     apply_op : callable
-        ``v -> K v`` for a symmetric positive definite ``K``.
+        ``v -> K v`` for a symmetric positive definite ``K``; with
+        ``image`` given, ``v -> (K v, L v)`` for a linear map ``L``.
     apply_prec : callable
         ``v -> P^{-1} v`` for a symmetric positive definite ``P``.
     rhs : numpy.ndarray
-        Right-hand side vector.
+        Right-hand side, of any shape; inner products run over all entries.
     config : PcgConfig
         Tolerances and iteration limit.
+    image : numpy.ndarray, optional
+        Overwritten with ``L x`` for the returned ``x``, accumulated with
+        CG's own step lengths, so ``L`` is never applied to ``x`` itself.
 
     Returns
     -------
@@ -86,9 +95,11 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig()) -> Pcg
     limit = config.iteration_limit(dim)
 
     x = np.zeros_like(rhs)
+    if image is not None:
+        image.fill(0.0)
     r = rhs.copy()
     z = apply_prec(r)
-    rho = float(r @ z)
+    rho = float(np.vdot(r, z))
     if not math.isfinite(rho) or rho < 0:
         raise NumericalBreakdownError(f"preconditioner produced r'P^{{-1}}r = {rho}")
     norm0 = math.sqrt(rho)
@@ -102,16 +113,20 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig()) -> Pcg
     norm = norm0
     for k in range(1, limit + 1):
         kp = apply_op(p)
-        curvature = float(p @ kp)
+        if image is not None:
+            kp, lp = kp
+        curvature = float(np.vdot(p, kp))
         if not math.isfinite(curvature) or curvature <= 0:
             raise NumericalBreakdownError(
                 f"nonpositive curvature p'Kp = {curvature} at iteration {k}"
             )
         alpha = rho / curvature
         x += alpha * p
+        if image is not None:
+            image += alpha * lp
         r -= alpha * kp
         z = apply_prec(r)
-        rho_next = float(r @ z)
+        rho_next = float(np.vdot(r, z))
         if not math.isfinite(rho_next) or rho_next < 0:
             raise NumericalBreakdownError(
                 f"r'P^{{-1}}r = {rho_next} at iteration {k}"
@@ -121,7 +136,8 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig()) -> Pcg
             history.append(norm)
         if norm <= threshold:
             return PcgResult(x, k, True, norm, history)
-        p = z + (rho_next / rho) * p
+        p *= rho_next / rho
+        p += z
         rho = rho_next
 
     return PcgResult(x, limit, False, norm, history)

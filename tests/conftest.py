@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from fftlasso import GridShape, Mask
+from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
 from fftlasso.ipm import IpmState
+from fftlasso.newton_system import newton_rhs
 
 
 def dense_observation_matrix(mask: Mask) -> np.ndarray:
@@ -37,6 +38,11 @@ def dense_augmented_system(state: IpmState, mask: Mask):
         [-i, -i, -i, z, z, z],
         [i, -i, z, -i, z, z],
     ])
+
+
+def exact_rhs(state, b, mask: Mask, lam: float):
+    """``newton_rhs`` from the samples, with ``xi`` and ``g`` evaluated exactly."""
+    return newton_rhs(state, observe_adjoint(b, mask), gram(state.beta, mask), lam)
 
 
 def random_interior_state(rng, n: int, mu: float = 0.05) -> IpmState:

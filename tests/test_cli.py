@@ -135,6 +135,21 @@ class TestSolve:
         summary = read_report(report)[-1]
         assert summary["status"] == "stalled" and summary["iterations"] == 2
 
+    def test_stalled_reason_is_reported(self, problem_files, monkeypatch, capsys):
+        """The inner failure's message reaches the summary record and stderr."""
+        signal, mask, tmp = problem_files
+        monkeypatch.setattr(fftlasso.ipm, "newton_direction",
+                            fail_on_call(2, NumericalBreakdownError,
+                                         fftlasso.ipm.newton_direction))
+        report = str(tmp / "r.jsonl")
+        code = main([
+            "solve", "--input", signal, "--mask", mask,
+            "--output", str(tmp / "b.f64"), "--report", report,
+        ])
+        assert code == EXIT_STALLED
+        assert read_report(report)[-1]["reason"] == "injected inner failure"
+        assert "injected inner failure" in capsys.readouterr().err
+
     def test_bad_thread_cap_is_input_error(self, problem_files, monkeypatch, capsys):
         signal, mask, tmp = problem_files
         monkeypatch.setenv("FFTLASSO_THREADS", "0")

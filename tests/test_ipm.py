@@ -15,6 +15,7 @@ from fftlasso import (
     SyntheticSpec,
     analyze,
     generate_synthetic,
+    gram,
     lasso_objective,
     observe,
     observe_adjoint,
@@ -32,7 +33,6 @@ from fftlasso.ipm import (
     newton_direction,
     next_barrier,
 )
-from fftlasso.newton_system import newton_rhs
 
 import fftlasso.fourier
 import fftlasso.ipm
@@ -42,6 +42,7 @@ from conftest import (
     central_path_state,
     dense_augmented_system,
     dense_observation_matrix,
+    exact_rhs,
     fail_on_call,
     random_interior_state,
     sparse_instance,
@@ -65,7 +66,7 @@ class TestInitialState:
         b = rng.standard_normal(n)
         lam = 0.7
         state = initial_state(b, mask, lam)
-        rhs = newton_rhs(state, b, mask, lam)
+        rhs = exact_rhs(state, b, mask, lam)
         for block in (rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
             assert np.all(block == 0.0)
 
@@ -79,7 +80,7 @@ class TestInitialState:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
-        conv = check_convergence(state, newton_rhs(state, b, mask, 0.5), 0.5, tol=1e-8)
+        conv = check_convergence(state, exact_rhs(state, b, mask, 0.5), 0.5, tol=1e-8)
         assert conv.stationarity == pytest.approx(np.max(np.abs(analyze(b, mask.shape))))
         assert conv.dual_equality == 0.0
         assert not conv.converged
@@ -97,7 +98,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(n)
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
-        d = newton_direction(state, newton_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
+        d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
         for block in (d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2,
                       d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
@@ -108,7 +109,7 @@ class TestNewtonDirection:
         state = random_interior_state(rng, n, mu=0.02)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.5
-        rhs = newton_rhs(state, b, mask, lam)
+        rhs = exact_rhs(state, b, mask, lam)
         d = newton_direction(state, rhs, mask, cg_tol=1e-14)
         m6 = dense_augmented_system(state, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
@@ -152,7 +153,7 @@ class TestNewtonDirection:
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
-        d = newton_direction(state, newton_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
+        d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
         mine = [d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
@@ -165,12 +166,21 @@ class TestStepMechanics:
         alpha = fraction_to_boundary(v, np.array([-2.0, -1.0]), 0.995)
         assert alpha == pytest.approx(0.995 * 0.5)
 
+    @pytest.mark.parametrize("shift", [-2.0, 0.0, 2.0])
+    def test_fraction_to_boundary_matches_gathered_ratios(self, rng, shift):
+        """Bit-identical to the minimum over the gathered shrinking entries."""
+        v = rng.random(1000) + 1e-3
+        dv = np.round(rng.standard_normal(1000) + shift, 1)  # some exact zeros
+        shrinking = dv < 0.0
+        ratio = np.min(v[shrinking] / -dv[shrinking]) if shrinking.any() else np.inf
+        assert fraction_to_boundary(v, dv, 0.995) == min(1.0, 0.995 * float(ratio))
+
     def test_step_preserves_interior(self, rng):
         b, mask, _ = sparse_instance(rng, 32, 4, 3)
         lam = 0.4
         state = initial_state(b, mask, lam)
         for _ in range(5):
-            rhs = newton_rhs(state, b, mask, lam)
+            rhs = exact_rhs(state, b, mask, lam)
             state, _, _, _ = ipm_step(state, rhs, mask, cg_tol=1e-12)
             assert min(state.s1.min(), state.s2.min()) > 0.0
             assert min(state.nu1.min(), state.nu2.min()) > 0.0
@@ -185,13 +195,13 @@ class TestStepMechanics:
             d_beta=np.zeros(n), d_z=np.zeros(n),
             d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
             d_y1=np.zeros(n), d_y2=np.zeros(n),
-            d_nu1=np.zeros(n), d_nu2=np.zeros(n),
+            d_nu1=np.zeros(n), d_nu2=np.zeros(n), gram_d_beta=np.zeros(n),
             krylov_iters=0, pcg_residual=0.0,
         )
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
                             lambda *args, **kw: blocked)
         with pytest.raises(StalledError):
-            ipm_step(state, newton_rhs(state, b, mask, 0.5), mask, cg_tol=1e-12)
+            ipm_step(state, exact_rhs(state, b, mask, 0.5), mask, cg_tol=1e-12)
 
     def test_nan_slack_step_leaves_interior(self, rng, monkeypatch):
         """A step that poisons a slack is caught by the next evaluation."""
@@ -247,7 +257,7 @@ class TestCheckConvergence:
         b = rng.standard_normal(n)
         lam = 0.6
         state = central_path_state(analyze(b, mask.shape), lam, mu=1e-12)
-        conv = check_convergence(state, newton_rhs(state, b, mask, lam), lam, tol=1e-8)
+        conv = check_convergence(state, exact_rhs(state, b, mask, lam), lam, tol=1e-8)
         assert conv.converged
         assert conv.complementarity <= 1e-8
 
@@ -256,7 +266,7 @@ class TestCheckConvergence:
         mask = empty_mask(n)
         b = 10.0 * rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
-        rhs = newton_rhs(state, b, mask, 0.5)
+        rhs = exact_rhs(state, b, mask, 0.5)
         assert not check_convergence(state, rhs, 0.5, tol=1e-8).converged
 
     def test_soft_threshold_fixed_point(self, rng):
@@ -277,6 +287,15 @@ class TestSolve:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         beta, report = solve(b, mask, IpmConfig(tol=1e-8))
+        assert report.converged
+        assert max(report.krylov_counts) <= 2
+
+    @pytest.mark.parametrize("seed", [10, 11, 12, 13])
+    @pytest.mark.parametrize("n", [128, 512, 2048])
+    def test_empty_mask_pcg_identity_holds_to_convergence(self, n, seed):
+        """P^-1 K = I with no missing data, also once the barrier diagonals diverge."""
+        b = np.random.default_rng(seed).standard_normal(n)
+        beta, report = solve(b, empty_mask(n), IpmConfig(tol=1e-8))
         assert report.converged
         assert max(report.krylov_counts) <= 2
 
@@ -391,7 +410,7 @@ class TestSolve:
             assert rec.krylov_iters >= 0
             assert 0 < rec.alpha_primal <= 1 and 0 < rec.alpha_dual <= 1
         d = report.to_dict()
-        assert d["status"] == "converged"
+        assert d["status"] == "converged" and d["reason"] == ""
         assert d["total_krylov"] == report.total_krylov
 
     def test_observer_states_keep_their_mu(self, rng):
@@ -415,6 +434,7 @@ class TestSolve:
         beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
                              observer=lambda state, record: seen.append((state, record)))
         assert report.status == "stalled" and not report.converged
+        assert report.reason == "injected inner failure"
         assert report.iterations == len(seen) == 2
         best_state, best_record = min(seen, key=lambda pair: pair[1].kkt_max)
         np.testing.assert_array_equal(beta, best_state.beta)
@@ -456,6 +476,13 @@ class TestSolveBoundary:
         assert report.iterations == 0 and report.lam == 0.0
 
 
+def _bindings(fn, name):
+    """Package modules that bind ``fn`` as ``name``."""
+    return [module for module in list(sys.modules.values())
+            if getattr(module, "__name__", "").startswith("fftlasso")
+            and getattr(module, name, None) is fn]
+
+
 def count_calls(monkeypatch, targets):
     """Count calls of each ``module.name`` through every package module binding it."""
     counts = {}
@@ -467,31 +494,76 @@ def count_calls(monkeypatch, targets):
             counts[_name] += 1
             return _fn(*args, **kw)
 
-        for other in list(sys.modules.values()):
-            if (getattr(other, "__name__", "").startswith("fftlasso")
-                    and getattr(other, name, None) is original):
-                monkeypatch.setattr(other, name, counted)
+        for other in _bindings(original, name):
+            monkeypatch.setattr(other, name, counted)
     return counts
 
 
+def without_transforms(monkeypatch, module, name):
+    """Make either transform fail while ``module.name`` runs."""
+    original = getattr(module, name)
+
+    def guarded(*args, **kw):
+        with pytest.MonkeyPatch.context() as inner:
+            for transform in ("synthesize", "analyze"):
+                current = getattr(fftlasso.fourier, transform)
+                for other in _bindings(current, transform):
+                    inner.setattr(other, transform,
+                                  fail_on_call(1, AssertionError, current))
+            return original(*args, **kw)
+
+    for other in _bindings(original, name):
+        monkeypatch.setattr(other, name, guarded)
+
+
 class TestEvaluationCounts:
-    """Each iterate is evaluated once: one transform pair outside PCG."""
+    """Transforms run only inside PCG, plus a fixed few per solve."""
 
     @pytest.mark.parametrize("missing_fraction", [0.15, 0.0])
     def test_one_evaluation_per_iterate(self, missing_fraction, monkeypatch):
         spec = SyntheticSpec(dims=(16, 16, 16), noise_seed=5,
                              missing_fraction=missing_fraction, missing_seed=6)
         noisy, mask, _ = generate_synthetic(spec)
+        b = noisy[~mask.missing_bool]
         counts = count_calls(monkeypatch, [
             (fftlasso.fourier, "synthesize"),
             (fftlasso.fourier, "analyze"),
             (fftlasso.newton_system, "newton_rhs"),
             (fftlasso.newton_system, "barrier_diagonals"),
         ])
-        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
+        without_transforms(monkeypatch, fftlasso.newton_system, "newton_rhs")
+        states = []
+        beta, report = solve(b, mask, IpmConfig(tol=1e-8),
+                             observer=lambda state, record: states.append(state))
         assert report.converged and report.iterations > 3
-        budget = report.total_krylov + report.iterations + 2
+        # analyze(b), one pair per Krylov iteration, the exact gram(beta) that
+        # confirms convergence and the final objective's observe(beta); the
+        # last two need no analyze and gram no transform when G = I
+        budget = report.total_krylov + 2 if mask.n_missing else 1
         assert counts["synthesize"] <= budget
         assert counts["analyze"] <= budget
-        assert counts["newton_rhs"] == report.iterations + 1
-        assert counts["barrier_diagonals"] == report.iterations + 1
+        # one evaluation per iterate, plus the exact one confirming convergence
+        assert counts["newton_rhs"] == report.iterations + 2
+        assert counts["barrier_diagonals"] == report.iterations + 2
+
+        exact = check_convergence(states[-1], exact_rhs(states[-1], b, mask, report.lam),
+                                  report.lam, report.tol)
+        assert exact.converged
+        assert abs(report.final_kkt - exact.max_residual) <= 1e-14
+
+    def test_carried_gram_tracks_exact_product(self, monkeypatch):
+        """``g`` carried out of PCG stays at ``gram(beta)`` to rounding."""
+        spec = SyntheticSpec(dims=(16, 16, 16), noise_seed=5, missing_seed=6)
+        noisy, mask, _ = generate_synthetic(spec)
+        evaluate = fftlasso.ipm.newton_rhs
+        drift = []
+
+        def spy(state, xi, g, lam):
+            drift.append(np.max(np.abs(g - gram(state.beta, mask))))
+            return evaluate(state, xi, g, lam)
+
+        monkeypatch.setattr(fftlasso.ipm, "newton_rhs", spy)
+        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
+        assert report.converged and len(drift) == report.iterations + 2
+        assert max(drift) <= 1e-11
+        assert drift[-1] == 0.0  # convergence is confirmed on the exact product

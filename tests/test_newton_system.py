@@ -12,11 +12,16 @@ from fftlasso.newton_system import (
     apply_precond_inverse,
     apply_precond_kkt,
     barrier_diagonals,
-    newton_rhs,
     recover_eliminated,
+    sum_difference,
 )
 
-from conftest import central_path_state, dense_augmented_system, random_interior_state
+from conftest import (
+    central_path_state,
+    dense_augmented_system,
+    exact_rhs,
+    random_interior_state,
+)
 
 
 def empty_mask(n):
@@ -75,7 +80,7 @@ class TestNewtonRhs:
         b = rng.standard_normal(n)
         lam, mu = 0.7, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
-        rhs = newton_rhs(state, b, mask, lam)
+        rhs = exact_rhs(state, b, mask, lam)
         for block in (rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
             assert np.max(np.abs(block)) <= 1e-10
 
@@ -87,7 +92,7 @@ class TestNewtonRhs:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         lam = 0.5
-        rhs = newton_rhs(initial_state(b, mask, lam), b, mask, lam)
+        rhs = exact_rhs(initial_state(b, mask, lam), b, mask, lam)
         np.testing.assert_allclose(rhs.r1, analyze(b, mask.shape), atol=1e-13)
         for block in (rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
             assert np.max(np.abs(block)) == 0.0
@@ -97,15 +102,16 @@ class TestNewtonRhs:
         mask = Mask(np.array([1, 6]), GridShape((n,)))
         state = random_interior_state(rng, n)
         b = rng.standard_normal(mask.n_observed)
-        rhs = newton_rhs(state, b, mask, 0.4)
+        rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
+        r_beta, r_c = sum_difference(*rhs.r_uw)
         np.testing.assert_allclose(
-            rhs.r_beta,
+            r_beta,
             rhs.r1 - rhs.r3 + rhs.r4 - d.sigma1 * rhs.r5 + d.sigma2 * rhs.r6,
             atol=1e-13,
         )
         np.testing.assert_allclose(
-            rhs.r_c,
+            r_c,
             rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6,
             atol=1e-13,
         )
@@ -116,7 +122,7 @@ class TestNewtonRhs:
         mask = Mask(np.array([2, 5]), GridShape((n,)))
         state = random_interior_state(rng, n)
         b = rng.standard_normal(mask.n_observed)
-        rhs = newton_rhs(state, b, mask, 0.4)
+        rhs = exact_rhs(state, b, mask, 0.4)
 
         m6 = dense_augmented_system(state, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
@@ -126,7 +132,7 @@ class TestNewtonRhs:
         a22 = m6[2 * n :, 2 * n :]
         r_top = stacked[: 2 * n] - a12 @ np.linalg.solve(a22, stacked[2 * n :])
         np.testing.assert_allclose(
-            np.concatenate([rhs.r_beta, rhs.r_c]), r_top, atol=1e-11
+            sum_difference(*rhs.r_uw).reshape(-1), r_top, atol=1e-11
         )
         # and the Schur complement itself is the condensed operator
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
@@ -260,7 +266,7 @@ class TestRecoverEliminated:
         st8 = random_interior_state(rng, n)
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        zrhs = KktRhs(*(np.zeros(n) for _ in range(8)), diag=d)
+        zrhs = KktRhs(*(np.zeros(n) for _ in range(6)), np.zeros((2, n)), diag=d)
         sol = recover_eliminated(zero, zero, zrhs, d)
         for block in (sol.d_s1, sol.d_s2, sol.d_y1, sol.d_y2):
             assert np.all(block == 0.0)
@@ -273,13 +279,13 @@ class TestRecoverEliminated:
         st4 = random_interior_state(rng, n)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.6
-        rhs = newton_rhs(st4, b, mask, lam)
+        rhs = exact_rhs(st4, b, mask, lam)
         d = barrier_diagonals(st4.s1, st4.s2, st4.nu1, st4.nu2)
 
         res = pcg_solve(
             lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)),
             lambda v: np.concatenate(apply_precond_inverse(v[:n], v[n:], d)),
-            np.concatenate([rhs.r_beta, rhs.r_c]),
+            sum_difference(*rhs.r_uw).reshape(-1),
             PcgConfig(abs_tol=1e-13),
         )
         sol = recover_eliminated(res.solution[:n], res.solution[n:], rhs, d)
@@ -297,7 +303,7 @@ class TestRecoverEliminated:
         mask = Mask(np.array([2, 3]), GridShape((n,)))
         st8 = random_interior_state(rng, n)
         b = rng.standard_normal(mask.n_observed)
-        rhs = newton_rhs(st8, b, mask, 0.4)
+        rhs = exact_rhs(st8, b, mask, 0.4)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         db, dz = rng.standard_normal(n), rng.standard_normal(n)
         sol = recover_eliminated(db, dz, rhs, d)
