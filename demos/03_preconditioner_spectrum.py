@@ -12,7 +12,6 @@ import numpy as np
 
 from fftlasso import GridShape, IpmConfig, Mask, observe, solve
 from fftlasso.diagnostics import preconditioned_spectrum
-from fftlasso.ipm import IpmState
 
 rng = np.random.default_rng(5)
 n = 48
@@ -27,10 +26,7 @@ probes = []
 
 
 def watch(state, record):
-    snap = IpmState(mu=state.mu, **{
-        f: getattr(state, f).copy()
-        for f in ("beta", "z", "s1", "s2", "y1", "y2", "nu1", "nu2")})
-    probes.append(preconditioned_spectrum(snap, mask))
+    probes.append(preconditioned_spectrum(state, mask))
 
 
 beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8), observer=watch)

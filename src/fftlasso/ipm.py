@@ -8,19 +8,24 @@ through the standard bound-constrained reformulation with auxiliary
 variable ``z`` (|beta| <= z elementwise), slacks ``s1 = z + beta``,
 ``s2 = z - beta``, equality multipliers ``y1, y2`` and bound multipliers
 ``nu1, nu2``.  Each iteration takes one Newton step on the barrier KKT
-system (no predictor-corrector), solving the condensed 2x2 system with
-preconditioned CG, then applies separate primal and dual step lengths by
-the fraction-to-boundary rule.  The barrier parameter follows a monotone
-schedule with a superlinear tail once the iterate is centered.
+system (no predictor-corrector), solving the Schur complement of the
+condensed 2x2 system, an n x n system in ``d_beta``, with preconditioned
+CG; the other blocks follow by back-substitution.  Separate primal and
+dual step lengths come from the fraction-to-boundary rule.  The barrier
+parameter follows a monotone schedule with a superlinear tail once the
+iterate is centered.
 
 An iteration costs one transform pair per Krylov iteration and none
-outside PCG.  The solve computes ``xi = observe_adjoint(b)`` once and
-carries ``g = gram(beta)``: PCG accumulates ``G d_beta`` from the products
-it forms anyway, so :func:`newton_rhs`, the convergence check, the barrier
-test and the Newton step are vector algebra.  Before a solve is declared
-converged, ``g`` is recomputed exactly and the check repeated.  With an
-empty mask ``G = I``, so a denoising solve takes one ``analyze`` (of
-``b``) and one ``synthesize`` (for the final objective) in total.
+outside PCG, and every vector PCG touches has length n.  The solve
+computes ``xi = observe_adjoint(b)`` once and carries ``g = gram(beta)``:
+PCG accumulates ``G d_beta`` from the products it forms anyway, so
+:func:`newton_rhs`, the convergence check, the barrier test and the Newton
+step are vector algebra.  Before a solve is declared converged, ``g`` is
+recomputed exactly and the check repeated.  With an empty mask ``G = I``
+and the preconditioned Schur operator is ``(I + Delta)^{-1}(I + Delta) =
+I``: one Krylov step per Newton step, and a denoising solve takes one
+``analyze`` (of ``b``) and one ``synthesize`` (for the final objective) in
+total.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ import numpy as np
 from .errors import NumericalBreakdownError, StalledError
 from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
+    CondensedSolution,
     KktRhs,
     apply_kkt,
     apply_precond_inverse,
     newton_rhs,
     recover_eliminated,
-    sum_difference,
 )
 from .pcg import PcgConfig, pcg_solve
 
@@ -125,6 +130,7 @@ class ConvergenceReport:
     complementarity: float  # max s_i nu_i
     max_residual: float
     converged: bool
+    barrier_residual: float  # max norm of the mu-shifted residuals, for the barrier test
     centrality_ok: bool  # min s_i nu_i >= gamma * duality measure
     duality_measure: float
 
@@ -204,7 +210,8 @@ class SolveReport:
 
 
 def _inf_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v))) if v.size else 0.0
+    # max|v| without the |v| temporary; abs() turns an all -0.0 max into +0.0
+    return abs(float(max(v.max(), -v.min()))) if v.size else 0.0
 
 
 def default_penalty(b, mask: Mask) -> float:
@@ -249,7 +256,8 @@ def initial_state(b, mask: Mask, lam: float) -> IpmState:
 
 def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
                       tol: float) -> ConvergenceReport:
-    """Exact KKT residuals and the centrality monitor; ``rhs`` = ``newton_rhs``."""
+    """Exact KKT residuals, the barrier residual at ``state.mu`` and the
+    centrality monitor; ``rhs`` = ``newton_rhs``."""
     dual_eq = lam - state.y1 - state.y2  # not -rhs.r2: its rounding differs
     gap1 = state.y1 - state.nu1
     gap2 = state.y2 - state.nu2
@@ -262,9 +270,12 @@ def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
     primal = max(_inf_norm(rhs.r5), _inf_norm(rhs.r6))
     comp = max(float(prod1.max()), float(prod2.max()))
     worst = max(stat, dual, mgap, primal, comp)
+    comp_min = min(float(prod1.min()), float(prod2.min()))
+    # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
+    comp_barrier = max(comp - state.mu, state.mu - comp_min)
 
     measure = state.duality_measure()
-    central = bool(min(prod1.min(), prod2.min()) >= GAMMA_CENTRALITY * measure)
+    central = comp_min >= GAMMA_CENTRALITY * measure
     return ConvergenceReport(
         stationarity=stat,
         dual_equality=dual,
@@ -273,32 +284,16 @@ def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
         complementarity=comp,
         max_residual=worst,
         converged=worst <= tol,
+        barrier_residual=max(stat, _inf_norm(rhs.r2), primal, comp_barrier, mgap),
         centrality_ok=central,
         duality_measure=measure,
     )
 
 
-def _barrier_residual(state: IpmState, rhs: KktRhs) -> float:
-    """Max norm of the barrier (mu-shifted) KKT residuals."""
-    comp1 = state.s1 * state.nu1 - state.mu
-    comp2 = state.s2 * state.nu2 - state.mu
-    pieces = [rhs.r1, rhs.r2, rhs.r5, rhs.r6, comp1, comp2,
-              state.y1 - state.nu1, state.y2 - state.nu2]
-    return max(float(np.max(np.abs(p))) for p in pieces)
-
-
 @dataclass(frozen=True)
-class NewtonDirection:
+class NewtonDirection(CondensedSolution):
     """Physical step for every block, plus solve diagnostics."""
 
-    d_beta: np.ndarray
-    d_z: np.ndarray
-    d_s1: np.ndarray
-    d_s2: np.ndarray
-    d_y1: np.ndarray
-    d_y2: np.ndarray
-    d_nu1: np.ndarray
-    d_nu2: np.ndarray
     gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
     pcg_residual: float
@@ -308,45 +303,30 @@ def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
                      cg_tol: float) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
-    ``rhs`` is ``newton_rhs`` at this iterate and barrier.  The condensed
-    2x2 system is solved matrix-free by PCG in sum/difference coordinates,
-    which also accumulates ``G d_beta``; eliminated blocks are
-    back-substituted, slacks are flipped to the physical sign convention,
-    and the bound-multiplier step comes from the linearized complementarity:
-
-        d_nu = (mu - s*nu)/s - sigma * d_s
+    ``rhs`` is ``newton_rhs`` at this iterate and barrier.  PCG solves the
+    Schur complement ``S d_beta = rho`` matrix-free and also accumulates
+    ``G d_beta``; :func:`recover_eliminated` back-substitutes the other
+    blocks, with the bound-multiplier step from the linearized
+    complementarity ``d_nu = (mu - s*nu)/s - sigma * d_s``.
     """
     diag = rhs.diag
 
     def op(v):
-        return apply_kkt(v[0], v[1], diag, mask, rotated=True)
+        return apply_kkt(v, None, diag, mask)
 
     def prec(v):
-        return apply_precond_inverse(v[0], v[1], diag, rotated=True)
+        return apply_precond_inverse(v, None, diag)
 
-    gram_d_beta = np.empty(state.n)  # G (u + w)/2 = G d_beta / sqrt(2)
-    result = pcg_solve(op, prec, rhs.r_uw, PcgConfig(abs_tol=cg_tol), image=gram_d_beta)
+    gram_d_beta = np.empty(state.n)
+    result = pcg_solve(op, prec, rhs.rho, PcgConfig(abs_tol=cg_tol), image=gram_d_beta)
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
-    gram_d_beta *= math.sqrt(2.0)
-
-    sol = recover_eliminated(*sum_difference(*result.solution), rhs, diag)
-    d_s1 = -sol.d_s1  # condensed system carries slacks with flipped sign
-    d_s2 = -sol.d_s2
-    d_nu1 = (state.mu - state.s1 * state.nu1) / state.s1 - diag.sigma1 * d_s1
-    d_nu2 = (state.mu - state.s2 * state.nu2) / state.s2 - diag.sigma2 * d_s2
+    sol = recover_eliminated(result.solution, rhs, state)
     return NewtonDirection(
-        d_beta=sol.d_beta,
-        d_z=sol.d_z,
-        d_s1=d_s1,
-        d_s2=d_s2,
-        d_y1=sol.d_y1,
-        d_y2=sol.d_y2,
-        d_nu1=d_nu1,
-        d_nu2=d_nu2,
+        **vars(sol),
         gram_d_beta=gram_d_beta,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
@@ -452,7 +432,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         t_iter = time.perf_counter()
         if conv.converged:
             break
-        if _barrier_residual(state, rhs) <= INNER_SLACK * state.mu:
+        if conv.barrier_residual <= INNER_SLACK * state.mu:
             state = replace(state, mu=next_barrier(state.mu, config.tol))
             rhs = rhs.at_barrier(state)
         try:

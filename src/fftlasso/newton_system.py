@@ -13,57 +13,67 @@ system in the direction ``(d_beta, d_z, d_s1, d_s2, d_y1, d_y2)``:
 with ``G`` the masked Gram operator and ``Sig1 = nu1/s1``, ``Sig2 = nu2/s2``
 the barrier scaling diagonals.  In this symmetrized form the slack blocks
 carry the opposite sign from the raw Newton linearization: the true slack
-step is ``-d_s1, -d_s2`` (the driver flips it on update).
+step is ``-d_s1, -d_s2``, which :func:`recover_eliminated` returns.
 
-Eliminating the slack and multiplier blocks condenses the system to 2x2:
+Eliminating the slack and multiplier blocks condenses the system to 2x2,
+``K (d_beta, d_z) = (r_beta, r_c)`` with
 
     K = [ G + Lam1   Lam2 ]        Lam1 = Sig1 + Sig2
         [ Lam2       Lam1 ]        Lam2 = Sig1 - Sig2
 
-which is solved by preconditioned CG with the preconditioner
+    r_beta = r1 - r3 + r4 - Sig1 r5 + Sig2 r6
+    r_c    = r2 - r3 - r4 - Sig1 r5 - Sig2 r6
+
+preconditioned by
 
     P = [ I + Lam1   Lam2 ]
         [ Lam2       Lam1 ]
 
-whose inverse is closed-form diagonal-block:
+``K`` and ``P`` differ only in their (1,1) block, so ``P^{-1} K`` is block
+lower-triangular with identity (2,2) block; with an empty mask ``G = I``
+and ``P^{-1} K = I``.
 
-    P^{-1} = [ Lam1/D    -Lam2/D ]      D = Lam1 (I + Lam1) - Lam2^2
-             [ -Lam2/D    1/B    ]      B = D / (I + Lam1)
+Schur reduction.  The (2,2) block ``Lam1`` is diagonal, so ``d_z`` leaves
+both matrices exactly, and what is left are n x n systems:
 
-Elementwise, ``D = Sig1 + Sig2 + 4 Sig1 Sig2 > 0`` so the inverse is always
-well defined on the interior, and ``P^{-1} K`` is block lower-triangular
-with identity (2,2)-block; with an empty mask ``G = I`` and ``P^{-1}K = I``.
+    S = G + Delta,    P_S = I + Delta,    Delta = Lam1 - Lam2^2/Lam1
+                                                = 4 Sig1 Sig2 / (Sig1 + Sig2)
 
-Sum/difference coordinates.  Near convergence the barrier diagonals grow
-like ``1/mu``: one of ``Sig1, Sig2`` on the support, both off it.  On the
-support ``Lam1 ~ +-Lam2 ~ sigma_max``, so products with ``K`` and
-``P^{-1}`` in ``(d_beta, d_z)`` subtract huge, nearly equal terms, and
-rounding leaves errors of order ``eps * sigma_max``: with an empty mask
-PCG takes two or three steps where ``P^{-1}K = I`` promises one.  The
-solver works in the orthonormal coordinates
+The solver runs PCG on ``S d_beta = rho = r_beta - Lam1^{-1} Lam2 r_c``
+with the diagonal preconditioner ``(I + Delta)^{-1}``.  That is PCG on
+``K`` with ``P`` started at ``d_beta = 0, d_z = Lam1^{-1} r_c``, a start
+that satisfies the second block row: every residual then has a zero
+second block, every search direction has the form
+``(p, -Lam1^{-1} Lam2 p)``, and on such vectors ``K`` and ``P^{-1}`` act
+on the first block as ``S`` and ``(I + Delta)^{-1}``.  So the Krylov
+iterates and the stopping quantity ``sqrt(r' P^{-1} r)`` are those of the
+2x2 iteration, on vectors half as long, and with an empty mask the
+identity reads ``(I + Delta)^{-1} (I + Delta) = I``.  The closed-form
+``P^{-1}`` of the 2x2 form is the same block elimination:
 
-    u = (d_beta + d_z)/sqrt(2),    w = (d_beta - d_z)/sqrt(2),
+    P^{-1} (a, c) = (x, c/Lam1 - (omega1 - omega2) x),
+    x = (I + Delta)^{-1} (a - (omega1 - omega2) c).
 
-an orthogonal similarity that turns the barrier blocks diagonal:
+Coefficients.  Near convergence the barrier diagonals grow like ``1/mu``:
+one of ``Sig1, Sig2`` on the support, both off it.  On the support
+``Lam1 ~ |Lam2|``, so expressions in ``Lam1, Lam2`` subtract huge, nearly
+equal terms.  Everything here is written instead with
 
-    K' = [ G/2 + 2 Sig1   G/2          ]    P' = [ 1/2 + 2 Sig1   1/2          ]
-         [ G/2            G/2 + 2 Sig2 ]         [ 1/2            1/2 + 2 Sig2 ]
+    omega_i = Sig_i / (Sig1 + Sig2) in [0, 1],    Delta = 4 Sig1 omega2,
 
-    P'^{-1} = (1/D) [ 1/2 + 2 Sig2   -1/2         ]
-                    [ -1/2           1/2 + 2 Sig1 ]
+so that ``Delta <= 4 min(Sig1, Sig2)`` and no two terms of size ``1/mu``
+cancel.  The condensed right-hand side and the back-substitution are
 
-with the same ``D``.  No coefficient is a difference, PCG produces the
-same iterates in exact arithmetic, and ``G`` enters only as ``G(u + w)/2
-= G d_beta / sqrt(2)``, which PCG accumulates to carry ``G beta`` from one
-iterate to the next without a transform.  ``apply_kkt``,
-``apply_precond_inverse`` and the ``lambda1``/``lambda2``/``dvec``/``bvec``
-properties keep the ``(d_beta, d_z)`` form above, by a rotation into and
-out of these coordinates.
+    rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3) + (Delta/2)(r6 - r5)
+    d_z = (r2 - r3 - r4)/(Sig1 + Sig2) - omega1 (r5 + d_beta)
+          - omega2 (r6 - d_beta).
+
+``G`` enters PCG only as ``G d_beta``, which PCG accumulates to carry
+``G beta`` from one iterate to the next without a transform.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +87,23 @@ __all__ = [
     "CondensedSolution",
     "barrier_diagonals",
     "newton_rhs",
-    "sum_difference",
     "apply_kkt",
     "apply_precond_inverse",
     "apply_precond_kkt",
     "recover_eliminated",
 ]
 
-SQRT_HALF = math.sqrt(0.5)
-
 
 @dataclass(frozen=True)
 class BarrierDiagonals:
-    """Barrier scaling diagonals and the coefficients of ``P'^{-1}``."""
+    """Barrier scaling diagonals and the coefficients of the Schur reduction."""
 
     sigma1: np.ndarray
     sigma2: np.ndarray
-    prec_u: np.ndarray  # (1/2 + 2 sigma2) / D
-    prec_w: np.ndarray  # (1/2 + 2 sigma1) / D
-    prec_uw: np.ndarray  # -1 / (2 D)
+    omega1: np.ndarray  # sigma1 / (sigma1 + sigma2)
+    omega2: np.ndarray  # sigma2 / (sigma1 + sigma2)
+    delta: np.ndarray  # 4 sigma1 sigma2 / (sigma1 + sigma2)
+    precond: np.ndarray  # 1 / (1 + delta)
 
     @property
     def lambda1(self) -> np.ndarray:
@@ -107,57 +115,46 @@ class BarrierDiagonals:
 
     @property
     def dvec(self) -> np.ndarray:
+        """``D = Lam1 (1 + Lam1) - Lam2^2``, the determinant of ``P``'s 2x2 blocks."""
         return self.sigma1 + self.sigma2 + 4.0 * self.sigma1 * self.sigma2
 
     @property
     def bvec(self) -> np.ndarray:
+        """``B = D / (1 + Lam1)``, the Schur complement of ``P``'s (1,1) block."""
         return self.dvec / (1.0 + self.lambda1)
 
 
 def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
     """Build the barrier scaling diagonals from slacks and multipliers.
 
-    All four inputs must be strictly positive; otherwise the iterate has
-    left the interior and the condensed system loses definiteness.
+    All four inputs must be strictly positive and finite; otherwise the
+    iterate has left the interior and the condensed system loses
+    definiteness.
     """
-    s1 = np.asarray(s1, dtype=np.float64)
-    s2 = np.asarray(s2, dtype=np.float64)
-    nu1 = np.asarray(nu1, dtype=np.float64)
-    nu2 = np.asarray(nu2, dtype=np.float64)
-    for name, arr in (("s1", s1), ("s2", s2), ("nu1", nu1), ("nu2", nu2)):
-        if arr.size == 0 or np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
+    arrays = [np.asarray(a, dtype=np.float64) for a in (s1, s2, nu1, nu2)]
+    for name, arr in zip(("s1", "s2", "nu1", "nu2"), arrays):
+        # one reduction each way; NaN fails both comparisons
+        if arr.size == 0 or not (arr.min() > 0.0 and arr.max() < np.inf):
             raise InteriorViolationError(f"{name} must be strictly positive and finite")
+    s1, s2, nu1, nu2 = arrays
     sigma1 = nu1 / s1
     sigma2 = nu2 / s2
-    prec_uw = -0.5 / (sigma1 + sigma2 + 4.0 * sigma1 * sigma2)
-    prec_u = (-1.0 - 4.0 * sigma2) * prec_uw
-    prec_w = (-1.0 - 4.0 * sigma1) * prec_uw
-    return BarrierDiagonals(sigma1, sigma2, prec_u, prec_w, prec_uw)
-
-
-def sum_difference(first, second) -> np.ndarray:
-    """``((first + second)/sqrt(2), (first - second)/sqrt(2))`` as a (2, n) array.
-
-    The change between ``(d_beta, d_z)`` and ``(u, w)`` in both directions:
-    the map is orthogonal and its own inverse.
-    """
-    pair = np.empty((2, np.size(first)))
-    np.add(first, second, out=pair[0])
-    np.subtract(first, second, out=pair[1])
-    pair *= SQRT_HALF
-    return pair
+    lambda1 = sigma1 + sigma2
+    omega1 = sigma1 / lambda1
+    omega2 = sigma2 / lambda1
+    delta = 4.0 * sigma1 * omega2
+    return BarrierDiagonals(sigma1, sigma2, omega1, omega2, delta, 1.0 / (1.0 + delta))
 
 
 @dataclass(frozen=True)
 class KktRhs:
-    """Right-hand side of the 6-block system plus its condensed form.
+    """Right-hand side of the 6-block system plus its Schur-reduced form.
 
     ``r3``/``r4`` carry the barrier-shifted multiplier residuals
     ``y - mu/s`` (equal to ``y - nu`` exactly on the central path), which
     makes the condensed solve a true Newton step on the barrier system.
-    ``r_uw`` is the condensed right-hand side in sum/difference
-    coordinates, a (2, n) array; ``diag`` holds the barrier diagonals of
-    the same iterate.
+    ``rho`` is the right-hand side of ``S d_beta = rho``; ``diag`` holds
+    the barrier diagonals of the same iterate.
     """
 
     r1: np.ndarray
@@ -166,22 +163,20 @@ class KktRhs:
     r4: np.ndarray
     r5: np.ndarray
     r6: np.ndarray
-    r_uw: np.ndarray
+    rho: np.ndarray
     diag: BarrierDiagonals
 
     def at_barrier(self, state) -> "KktRhs":
-        """The same residuals at ``state.mu``: only r3, r4 and r_uw change."""
+        """The same residuals at ``state.mu``: only r3, r4 and rho change."""
         return _condense(state, self.r1, self.r2, self.r5, self.r6, self.diag)
 
 
 def _condense(state, r1, r2, r5, r6, diag: BarrierDiagonals) -> KktRhs:
     r3 = state.y1 - state.mu / state.s1
     r4 = state.y2 - state.mu / state.s2
-    r_uw = np.empty((2, r1.size))
-    r_uw[0] = r1 + r2 - 2.0 * (r3 + diag.sigma1 * r5)
-    r_uw[1] = r1 - r2 + 2.0 * (r4 + diag.sigma2 * r6)
-    r_uw *= SQRT_HALF
-    return KktRhs(r1, r2, r3, r4, r5, r6, r_uw, diag)
+    rho = (r1 + diag.omega1 * (2.0 * r4 - r2) + diag.omega2 * (r2 - 2.0 * r3)
+           + 0.5 * diag.delta * (r6 - r5))
+    return KktRhs(r1, r2, r3, r4, r5, r6, rho, diag)
 
 
 def newton_rhs(state, xi, g, lam: float) -> KktRhs:
@@ -203,11 +198,10 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
     Returns
     -------
     KktRhs
-        All six block residuals, the barrier diagonals and the condensed
-        pair in sum/difference coordinates:
+        All six block residuals, the barrier diagonals and the Schur
+        right-hand side
 
-        ``r_u = (r1 + r2 - 2 r3 - 2 Sig1 r5) / sqrt(2)``
-        ``r_w = (r1 - r2 + 2 r4 + 2 Sig2 r6) / sqrt(2)``
+        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3) + (Delta/2)(r6 - r5)``.
     """
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
     r1 = xi - g + state.y1 - state.y2
@@ -217,55 +211,43 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
     return _condense(state, r1, r2, r5, r6, diag)
 
 
-def _apply_kkt_uw(u, w, diag: BarrierDiagonals, mask: Mask):
-    """``(K' (u, w), G(u + w)/2)``: the (2, n) product and its Gram part."""
-    half_gram = gram(u + w, mask)
-    half_gram *= 0.5
-    product = np.empty((2, half_gram.size))
-    np.multiply(diag.sigma1, u, out=product[0])
-    np.multiply(diag.sigma2, w, out=product[1])
-    product *= 2.0
-    product += half_gram
-    return product, half_gram
+def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
+    """Apply the condensed operator.
 
-
-def _apply_precond_inverse_uw(u, w, diag: BarrierDiagonals) -> np.ndarray:
-    """``P'^{-1} (u, w)`` as a (2, n) array."""
-    out = np.empty((2, np.size(u)))
-    np.multiply(diag.prec_u, u, out=out[0])
-    out[0] += diag.prec_uw * w
-    np.multiply(diag.prec_w, w, out=out[1])
-    out[1] += diag.prec_uw * u
+    With a pair ``(d_beta, d_z)`` the result is ``K (d_beta, d_z)``, a
+    (2, n) array.  With ``d_z=None`` it is the Schur complement's product
+    and the Gram product inside it, ``(S d_beta, G d_beta)``; PCG
+    accumulates the second.  PCG calls this function rather than a private
+    kernel so that each Krylov step is one call of ``apply_kkt``, the unit
+    in which Krylov work is counted.
+    """
+    gram_d_beta = gram(d_beta, mask)
+    if d_z is None:
+        product = diag.delta * d_beta
+        product += gram_d_beta
+        return product, gram_d_beta
+    lambda1, lambda2 = diag.lambda1, diag.lambda2
+    out = np.empty((2, gram_d_beta.size))
+    out[0] = gram_d_beta + lambda1 * d_beta + lambda2 * d_z
+    out[1] = lambda2 * d_beta + lambda1 * d_z
     return out
 
 
-def apply_kkt(first, second, diag: BarrierDiagonals, mask: Mask, *, rotated=False):
-    """Apply the condensed operator to a direction pair.
+def apply_precond_inverse(first, second, diag: BarrierDiagonals):
+    """Apply the closed-form inverse of the preconditioner.
 
-    By default the pair is ``(d_beta, d_z)`` and the result is ``K`` times
-    it, a (2, n) array.  With ``rotated=True`` the pair is ``(u, w)`` and
-    the result is ``(K' (u, w), G(u + w)/2)``: the (2, n) product and the
-    half Gram product inside it, which PCG accumulates.  PCG goes through
-    this function rather than the kernel so that each Krylov step is one
-    call of ``apply_kkt``, the unit in which Krylov work is counted.
+    With a pair ``(first, second)`` the result is ``P^{-1}`` times it, a
+    (2, n) array, by block elimination through ``Delta`` and ``omega``.
+    With ``second=None`` it is the Schur preconditioner's
+    ``(I + Delta)^{-1} first``.
     """
-    if rotated:
-        return _apply_kkt_uw(first, second, diag, mask)
-    product, _ = _apply_kkt_uw(*sum_difference(first, second), diag, mask)
-    return sum_difference(*product)
-
-
-def apply_precond_inverse(first, second, diag: BarrierDiagonals, *, rotated=False):
-    """Apply the closed-form inverse of the preconditioner; a (2, n) array.
-
-    By default the pair and the result are in ``(d_beta, d_z)``
-    coordinates (``P^{-1}``); with ``rotated=True`` in ``(u, w)``
-    coordinates (``P'^{-1}``).
-    """
-    if rotated:
-        return _apply_precond_inverse_uw(first, second, diag)
-    return sum_difference(*_apply_precond_inverse_uw(
-        *sum_difference(first, second), diag))
+    if second is None:
+        return diag.precond * first
+    tilt = diag.omega1 - diag.omega2  # Lam2 / Lam1
+    out = np.empty((2, np.size(first)))
+    out[0] = diag.precond * (first - tilt * second)
+    out[1] = second / diag.lambda1 - tilt * out[0]
+    return out
 
 
 def apply_precond_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
@@ -276,10 +258,10 @@ def apply_precond_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
 
 @dataclass(frozen=True)
 class CondensedSolution:
-    """Full 6-block direction recovered from the condensed solve.
+    """Every block of the Newton step, recovered from the Schur solution.
 
-    Components are in the symmetrized system's convention; the physical
-    slack step is ``(-d_s1, -d_s2)``.
+    The slack steps are physical: the symmetrized 6-block system above
+    carries ``-d_s1, -d_s2``.
     """
 
     d_beta: np.ndarray
@@ -288,18 +270,29 @@ class CondensedSolution:
     d_s2: np.ndarray
     d_y1: np.ndarray
     d_y2: np.ndarray
+    d_nu1: np.ndarray
+    d_nu2: np.ndarray
 
 
-def recover_eliminated(d_beta, d_z, rhs: KktRhs, diag: BarrierDiagonals) -> CondensedSolution:
-    """Back-substitute multipliers and slacks from the condensed solution.
+def recover_eliminated(d_beta, rhs: KktRhs, state) -> CondensedSolution:
+    """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
-    ``d_y1 = Sig1 (-d_beta - d_z - r5 - r3/Sig1)``
-    ``d_y2 = Sig2 ( d_beta - d_z - r6 - r4/Sig2)``
-    ``d_s1 = (r3 + d_y1) / Sig1``
-    ``d_s2 = (r4 + d_y2) / Sig2``
+    ``d_z = (r2 - r3 - r4)/(Sig1 + Sig2) - omega1 (r5 + d_beta) - omega2 (r6 - d_beta)``
+    ``d_s1 = d_beta + d_z + r5``,  ``d_s2 = d_z - d_beta + r6``
+    ``d_y1 = -Sig1 d_s1 - r3``,  ``d_y2 = -Sig2 d_s2 - r4``
+    ``d_nu = d_y + (y - nu)``
+
+    The last line is the linearized complementarity
+    ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = y1 - mu/s1`` and
+    ``r4 = y2 - mu/s2``.
     """
-    d_y1 = -diag.sigma1 * (d_beta + d_z + rhs.r5) - rhs.r3
-    d_y2 = diag.sigma2 * (d_beta - d_z - rhs.r6) - rhs.r4
-    d_s1 = (rhs.r3 + d_y1) / diag.sigma1
-    d_s2 = (rhs.r4 + d_y2) / diag.sigma2
-    return CondensedSolution(d_beta, d_z, d_s1, d_s2, d_y1, d_y2)
+    diag = rhs.diag
+    d_z = (rhs.r2 - rhs.r3 - rhs.r4) / diag.lambda1
+    d_z -= diag.omega1 * (rhs.r5 + d_beta)
+    d_z -= diag.omega2 * (rhs.r6 - d_beta)
+    d_s1 = d_beta + d_z + rhs.r5
+    d_s2 = d_z - d_beta + rhs.r6
+    d_y1 = -diag.sigma1 * d_s1 - rhs.r3
+    d_y2 = -diag.sigma2 * d_s2 - rhs.r4
+    return CondensedSolution(d_beta, d_z, d_s1, d_s2, d_y1, d_y2,
+                             d_y1 + (state.y1 - state.nu1), d_y2 + (state.y2 - state.nu2))

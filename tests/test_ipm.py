@@ -5,6 +5,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fftlasso import (
     GridShape,
@@ -38,6 +40,7 @@ import fftlasso.fourier
 import fftlasso.ipm
 import fftlasso.masking
 import fftlasso.newton_system
+import fftlasso.pcg
 from conftest import (
     central_path_state,
     dense_augmented_system,
@@ -158,6 +161,32 @@ class TestNewtonDirection:
         for got, want in zip(mine, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
 
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**31),
+           dims=st.sampled_from([(2,), (4,), (6,), (10,), (16,), (2, 2), (2, 4),
+                                 (4, 2), (2, 6), (4, 4), (2, 8), (8, 2)]),
+           log_mu=st.floats(-8.0, 0.0))
+    def test_matches_dense_six_block_solve_random(self, seed, dims, log_mu):
+        """Schur solve plus back-substitution against the dense 6-block solve."""
+        rng = np.random.default_rng(seed)
+        shape = GridShape(dims)
+        n = shape.n
+        missing = np.flatnonzero(rng.random(n) < rng.random())[: n - 1]
+        mask = Mask(missing, shape)
+        state = random_interior_state(rng, n, mu=10.0 ** log_mu)
+        b = rng.standard_normal(mask.n_observed)
+        rhs = exact_rhs(state, b, mask, 0.5)
+        d = newton_direction(state, rhs, mask, cg_tol=1e-14)
+        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
+        dense = np.linalg.solve(dense_augmented_system(state, mask), stacked)
+        # six-block system carries slacks with the flipped sign
+        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_y1, d.d_y2])
+        assert np.max(np.abs(mine - dense)) <= 1e-8
+        d_nu1 = (state.mu - state.s1 * state.nu1) / state.s1 - rhs.diag.sigma1 * d.d_s1
+        d_nu2 = (state.mu - state.s2 * state.nu2) / state.s2 - rhs.diag.sigma2 * d.d_s2
+        assert np.max(np.abs(d.d_nu1 - d_nu1)) <= 1e-12
+        assert np.max(np.abs(d.d_nu2 - d_nu2)) <= 1e-12
+
 
 class TestStepMechanics:
     def test_fraction_to_boundary(self):
@@ -260,6 +289,24 @@ class TestCheckConvergence:
         conv = check_convergence(state, exact_rhs(state, b, mask, lam), lam, tol=1e-8)
         assert conv.converged
         assert conv.complementarity <= 1e-8
+
+    @settings(deadline=None, max_examples=50)
+    @given(seed=st.integers(0, 2**31), log_mu=st.floats(-8.0, 1.0))
+    def test_barrier_residual_matches_eight_piece_formula(self, seed, log_mu):
+        """Bit for bit the max over the eight barrier residual blocks."""
+        rng = np.random.default_rng(seed)
+        n = 32
+        mask = Mask(np.sort(rng.choice(n, 5, replace=False)), GridShape((n,)))
+        state = random_interior_state(rng, n, mu=10.0 ** log_mu)
+        rhs = exact_rhs(state, rng.standard_normal(mask.n_observed), mask, 0.5)
+        conv = check_convergence(state, rhs, 0.5, tol=1e-8)
+        pieces = [rhs.r1, rhs.r2, rhs.r5, rhs.r6,
+                  state.s1 * state.nu1 - state.mu, state.s2 * state.nu2 - state.mu,
+                  state.y1 - state.nu1, state.y2 - state.nu2]
+        assert conv.barrier_residual == max(float(np.max(np.abs(p))) for p in pieces)
+        assert conv.stationarity == float(np.max(np.abs(rhs.r1)))
+        assert conv.primal == max(float(np.max(np.abs(rhs.r5))),
+                                  float(np.max(np.abs(rhs.r6))))
 
     def test_not_converged_at_start(self, rng):
         n = 16
@@ -567,3 +614,46 @@ class TestEvaluationCounts:
         assert report.converged and len(drift) == report.iterations + 2
         assert max(drift) <= 1e-11
         assert drift[-1] == 0.0  # convergence is confirmed on the exact product
+
+    def test_one_operator_call_per_krylov_step(self, monkeypatch):
+        """PCG calls ``apply_kkt`` once per Krylov step, on length-n vectors only."""
+        spec = SyntheticSpec(dims=(16, 16, 16), noise_seed=5, missing_seed=6)
+        noisy, mask, _ = generate_synthetic(spec)
+        n = mask.shape.n
+        calls = {"inside": 0, "outside": 0}
+        shapes = set()
+        inside = []
+        solve_pcg = fftlasso.pcg.pcg_solve
+        apply_kkt = fftlasso.newton_system.apply_kkt
+        apply_prec = fftlasso.newton_system.apply_precond_inverse
+
+        def pcg_spy(op, prec, rhs, *args, **kw):
+            shapes.add(np.shape(rhs))
+            inside.append(None)
+            try:
+                result = solve_pcg(op, prec, rhs, *args, **kw)
+            finally:
+                inside.pop()
+            shapes.add(result.solution.shape)
+            return result
+
+        def kkt_spy(d_beta, d_z, *args, **kw):
+            calls["inside" if inside else "outside"] += 1
+            product, image = apply_kkt(d_beta, d_z, *args, **kw)
+            shapes.update({np.shape(d_beta), product.shape, image.shape})
+            return product, image
+
+        def prec_spy(first, second, *args, **kw):
+            out = apply_prec(first, second, *args, **kw)
+            shapes.update({np.shape(first), out.shape})
+            return out
+
+        for fn, spy, name in ((solve_pcg, pcg_spy, "pcg_solve"),
+                              (apply_kkt, kkt_spy, "apply_kkt"),
+                              (apply_prec, prec_spy, "apply_precond_inverse")):
+            for module in _bindings(fn, name):
+                monkeypatch.setattr(module, name, spy)
+        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
+        assert report.converged and report.total_krylov > report.iterations
+        assert calls == {"inside": report.total_krylov, "outside": 0}
+        assert shapes == {(n,)}

@@ -13,7 +13,6 @@ from fftlasso.newton_system import (
     apply_precond_kkt,
     barrier_diagonals,
     recover_eliminated,
-    sum_difference,
 )
 
 from conftest import (
@@ -50,13 +49,18 @@ class TestBarrierDiagonals:
         # cross-check the product form against lambda1*(1+lambda1) - lambda2^2
         assert d.dvec[0] == pytest.approx(3.5 * 4.5 - 2.5**2)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf,
+                                     pytest.param(None, id="empty")])
     def test_interior_violation(self, bad):
-        e = np.ones(3)
-        s1 = e.copy()
-        s1[1] = bad
-        with pytest.raises(InteriorViolationError):
-            barrier_diagonals(s1, e, e, e)
+        """Each of s1, s2, nu1, nu2 is checked, and named when it fails."""
+        for position, name in enumerate(("s1", "s2", "nu1", "nu2")):
+            args = [np.ones(3) for _ in range(4)]
+            if bad is None:
+                args[position] = np.ones(0)
+            else:
+                args[position][1] = bad
+            with pytest.raises(InteriorViolationError, match=name):
+                barrier_diagonals(*args)
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 2**31), n=st.integers(1, 32))
@@ -104,39 +108,38 @@ class TestNewtonRhs:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-        r_beta, r_c = sum_difference(*rhs.r_uw)
+        r_beta = rhs.r1 - rhs.r3 + rhs.r4 - d.sigma1 * rhs.r5 + d.sigma2 * rhs.r6
+        r_c = rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6
         np.testing.assert_allclose(
-            r_beta,
-            rhs.r1 - rhs.r3 + rhs.r4 - d.sigma1 * rhs.r5 + d.sigma2 * rhs.r6,
-            atol=1e-13,
+            rhs.rho, r_beta - d.lambda2 / d.lambda1 * r_c, atol=1e-13
         )
         np.testing.assert_allclose(
-            r_c,
-            rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6,
-            atol=1e-13,
+            d.delta, d.lambda1 - d.lambda2**2 / d.lambda1, atol=1e-13
         )
 
     def test_condensed_rhs_matches_dense_elimination(self, rng):
-        """Schur complement of the dense 6-block system onto (beta, z)."""
+        """Schur complements of the dense 6-block system onto beta, and onto (beta, z)."""
         n = 8
         mask = Mask(np.array([2, 5]), GridShape((n,)))
         state = random_interior_state(rng, n)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
-
+        d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
         m6 = dense_augmented_system(state, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
-        a11 = m6[: 2 * n, : 2 * n]
-        a12 = m6[: 2 * n, 2 * n :]
-        a21 = m6[2 * n :, : 2 * n]
-        a22 = m6[2 * n :, 2 * n :]
-        r_top = stacked[: 2 * n] - a12 @ np.linalg.solve(a22, stacked[2 * n :])
-        np.testing.assert_allclose(
-            sum_difference(*rhs.r_uw).reshape(-1), r_top, atol=1e-11
-        )
-        # and the Schur complement itself is the condensed operator
-        d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-        k_cond = a11 - a12 @ np.linalg.solve(a22, a21)
+
+        def schur(k):
+            a11, a12 = m6[:k, :k], m6[:k, k:]
+            a21, a22 = m6[k:, :k], m6[k:, k:]
+            return (a11 - a12 @ np.linalg.solve(a22, a21),
+                    stacked[:k] - a12 @ np.linalg.solve(a22, stacked[k:]))
+
+        s_dense, rho_dense = schur(n)
+        np.testing.assert_allclose(rhs.rho, rho_dense, atol=1e-11)
+        s_fast = densify(lambda v: apply_kkt(v, None, d, mask)[0], n)
+        assert np.max(np.abs(s_dense - s_fast)) <= 1e-11
+        # the 2x2 condensed operator is the complement onto (beta, z)
+        k_cond, _ = schur(2 * n)
         k_fast = densify(
             lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)), 2 * n
         )
@@ -266,10 +269,11 @@ class TestRecoverEliminated:
         st8 = random_interior_state(rng, n)
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        zrhs = KktRhs(*(np.zeros(n) for _ in range(6)), np.zeros((2, n)), diag=d)
-        sol = recover_eliminated(zero, zero, zrhs, d)
-        for block in (sol.d_s1, sol.d_s2, sol.d_y1, sol.d_y2):
+        zrhs = KktRhs(*(np.zeros(n) for _ in range(6)), np.zeros(n), diag=d)
+        sol = recover_eliminated(zero, zrhs, st8)
+        for block in (sol.d_z, sol.d_s1, sol.d_s2, sol.d_y1, sol.d_y2):
             assert np.all(block == 0.0)
+        np.testing.assert_array_equal(sol.d_nu1, st8.y1 - st8.nu1)
 
     def test_matches_dense_six_block_solve(self, rng):
         from fftlasso.pcg import PcgConfig, pcg_solve
@@ -283,17 +287,18 @@ class TestRecoverEliminated:
         d = barrier_diagonals(st4.s1, st4.s2, st4.nu1, st4.nu2)
 
         res = pcg_solve(
-            lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)),
-            lambda v: np.concatenate(apply_precond_inverse(v[:n], v[n:], d)),
-            sum_difference(*rhs.r_uw).reshape(-1),
+            lambda v: apply_kkt(v, None, d, mask)[0],
+            lambda v: apply_precond_inverse(v, None, d),
+            rhs.rho,
             PcgConfig(abs_tol=1e-13),
         )
-        sol = recover_eliminated(res.solution[:n], res.solution[n:], rhs, d)
+        sol = recover_eliminated(res.solution, rhs, st4)
 
         m6 = dense_augmented_system(st4, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
         dense = np.linalg.solve(m6, stacked)
-        mine = np.concatenate([sol.d_beta, sol.d_z, sol.d_s1, sol.d_s2,
+        # the six-block system carries slacks with the flipped sign
+        mine = np.concatenate([sol.d_beta, sol.d_z, -sol.d_s1, -sol.d_s2,
                                sol.d_y1, sol.d_y2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
@@ -305,11 +310,15 @@ class TestRecoverEliminated:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(st8, b, mask, 0.4)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        db, dz = rng.standard_normal(n), rng.standard_normal(n)
-        sol = recover_eliminated(db, dz, rhs, d)
+        db = rng.standard_normal(n)
+        sol = recover_eliminated(db, rhs, st8)
+        dz = sol.d_z
         np.testing.assert_allclose(
             -db - dz - sol.d_y1 / d.sigma1, rhs.r5 + rhs.r3 / d.sigma1, atol=1e-12
         )
         np.testing.assert_allclose(
             db - dz - sol.d_y2 / d.sigma2, rhs.r6 + rhs.r4 / d.sigma2, atol=1e-12
         )
+        # d_z satisfies the second condensed row for any d_beta
+        r_c = rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6
+        np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
