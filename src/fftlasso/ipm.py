@@ -51,6 +51,7 @@ from .pcg import PcgConfig, pcg_solve
 __all__ = [
     "IpmConfig",
     "IpmState",
+    "Iterate",
     "IterationRecord",
     "SolveReport",
     "ConvergenceReport",
@@ -96,9 +97,25 @@ class IpmConfig:
             raise ValueError("max_iters must be nonnegative")
 
 
+class _Complementarity:
+    """What the iterate and its observer view both answer."""
+
+    @property
+    def n(self) -> int:
+        return self.s1.size
+
+    def duality_measure(self) -> float:
+        """Average complementarity product (nu1's1 + nu2's2) / 2n."""
+        return float(self.nu1 @ self.s1 + self.nu2 @ self.s2) / (2 * self.n)
+
+
 @dataclass
-class IpmState:
-    """All primal-dual iterates plus the current barrier parameter."""
+class IpmState(_Complementarity):
+    """All primal-dual iterates plus the current barrier parameter.
+
+    The solver hands this view of its :class:`Iterate` to observers; there
+    ``y1``/``y2`` are the very arrays ``nu1``/``nu2``.
+    """
 
     beta: np.ndarray
     z: np.ndarray
@@ -110,13 +127,28 @@ class IpmState:
     nu2: np.ndarray
     mu: float
 
-    @property
-    def n(self) -> int:
-        return self.beta.size
 
-    def duality_measure(self) -> float:
-        """Average complementarity product (nu1's1 + nu2's2) / 2n."""
-        return float(self.nu1 @ self.s1 + self.nu2 @ self.s2) / (2 * self.n)
+@dataclass(frozen=True)
+class Iterate(_Complementarity):
+    """The solver's iterate: the state without the equality multipliers.
+
+    The start sets ``y = nu`` and every Newton step moves both by the same
+    ``d_nu``, so the solver carries only ``nu``.
+    """
+
+    beta: np.ndarray
+    z: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    nu1: np.ndarray
+    nu2: np.ndarray
+    mu: float
+
+    def view(self) -> IpmState:
+        """The full primal-dual state, sharing this iterate's arrays."""
+        return IpmState(beta=self.beta, z=self.z, s1=self.s1, s2=self.s2,
+                        y1=self.nu1, y2=self.nu2, nu1=self.nu1, nu2=self.nu2,
+                        mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -124,8 +156,7 @@ class ConvergenceReport:
     """Residuals of the exact (mu = 0) KKT conditions at an iterate."""
 
     stationarity: float  # grad of the quadratic + multiplier split
-    dual_equality: float  # lam - y1 - y2
-    multiplier_gap: float  # y - nu
+    dual_equality: float  # lam - nu1 - nu2
     primal: float  # z +/- beta - s
     complementarity: float  # max s_i nu_i
     max_residual: float
@@ -228,7 +259,7 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(b, mask: Mask, lam: float) -> IpmState:
+def initial_state(b, mask: Mask, lam: float) -> Iterate:
     """Well-centered starting point.
 
     ``beta = 0``, ``z = s1 = s2 = 1`` satisfies both slack equations
@@ -241,35 +272,30 @@ def initial_state(b, mask: Mask, lam: float) -> IpmState:
     n = mask.shape.n
     e = np.ones(n)
     half = 0.5 * lam * e
-    return IpmState(
+    return Iterate(
         beta=np.zeros(n),
         z=e.copy(),
         s1=e.copy(),
         s2=e.copy(),
-        y1=half.copy(),
-        y2=half.copy(),
         nu1=half.copy(),
         nu2=half.copy(),
         mu=lam / 2.0,
     )
 
 
-def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
+def check_convergence(state: Iterate, rhs: KktRhs, lam: float,
                       tol: float) -> ConvergenceReport:
     """Exact KKT residuals, the barrier residual at ``state.mu`` and the
     centrality monitor; ``rhs`` = ``newton_rhs``."""
-    dual_eq = lam - state.y1 - state.y2  # not -rhs.r2: its rounding differs
-    gap1 = state.y1 - state.nu1
-    gap2 = state.y2 - state.nu2
+    dual_eq = lam - state.nu1 - state.nu2  # not -rhs.r2: its rounding differs
     prod1 = state.s1 * state.nu1
     prod2 = state.s2 * state.nu2
 
     stat = _inf_norm(rhs.r1)
     dual = _inf_norm(dual_eq)
-    mgap = max(_inf_norm(gap1), _inf_norm(gap2))
     primal = max(_inf_norm(rhs.r5), _inf_norm(rhs.r6))
     comp = max(float(prod1.max()), float(prod2.max()))
-    worst = max(stat, dual, mgap, primal, comp)
+    worst = max(stat, dual, primal, comp)
     comp_min = min(float(prod1.min()), float(prod2.min()))
     # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
@@ -279,12 +305,11 @@ def check_convergence(state: IpmState, rhs: KktRhs, lam: float,
     return ConvergenceReport(
         stationarity=stat,
         dual_equality=dual,
-        multiplier_gap=mgap,
         primal=primal,
         complementarity=comp,
         max_residual=worst,
         converged=worst <= tol,
-        barrier_residual=max(stat, _inf_norm(rhs.r2), primal, comp_barrier, mgap),
+        barrier_residual=max(stat, _inf_norm(rhs.r2), primal, comp_barrier),
         centrality_ok=central,
         duality_measure=measure,
     )
@@ -299,7 +324,7 @@ class NewtonDirection(CondensedSolution):
     pcg_residual: float
 
 
-def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
+def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask,
                      cg_tol: float) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
@@ -324,7 +349,7 @@ def newton_direction(state: IpmState, rhs: KktRhs, mask: Mask,
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
-    sol = recover_eliminated(result.solution, rhs, state)
+    sol = recover_eliminated(result.solution, rhs)
     return NewtonDirection(
         **vars(sol),
         gram_d_beta=gram_d_beta,
@@ -340,8 +365,8 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
     return min(1.0, tau * -float(ratios.max()))
 
 
-def ipm_step(state: IpmState, rhs: KktRhs, mask: Mask,
-             cg_tol: float) -> tuple[IpmState, NewtonDirection, float, float]:
+def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask,
+             cg_tol: float) -> tuple[Iterate, NewtonDirection, float, float]:
     """Take one damped Newton step; returns the new state and step data."""
     direction = newton_direction(state, rhs, mask, cg_tol)
     tau = max(FTB_TAU, 1.0 - state.mu)
@@ -358,13 +383,11 @@ def ipm_step(state: IpmState, rhs: KktRhs, mask: Mask,
             f"fraction-to-boundary step collapsed (alpha_p={alpha_p:.2e}, "
             f"alpha_d={alpha_d:.2e})"
         )
-    new_state = IpmState(
+    new_state = Iterate(
         beta=state.beta + alpha_p * direction.d_beta,
         z=state.z + alpha_p * direction.d_z,
         s1=state.s1 + alpha_p * direction.d_s1,
         s2=state.s2 + alpha_p * direction.d_s2,
-        y1=state.y1 + alpha_d * direction.d_y1,
-        y2=state.y2 + alpha_d * direction.d_y2,
         nu1=state.nu1 + alpha_d * direction.d_nu1,
         nu2=state.nu2 + alpha_d * direction.d_nu2,
         mu=state.mu,
@@ -453,7 +476,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             iteration=iteration,
             mu=state.mu,
             primal_inf=conv.primal,
-            dual_inf=max(conv.dual_equality, conv.multiplier_gap, conv.stationarity),
+            dual_inf=max(conv.dual_equality, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
             krylov_iters=krylov_iters,
@@ -468,7 +491,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             best_kkt = conv.max_residual
             best_beta = state.beta.copy()
         if observer is not None:
-            observer(state, record)
+            observer(state.view(), record)
 
     status = "converged" if conv.converged else "stalled" if stalled else "max_iters"
     beta = state.beta if status == "converged" else best_beta

@@ -150,9 +150,10 @@ def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
 class KktRhs:
     """Right-hand side of the 6-block system plus its Schur-reduced form.
 
-    ``r3``/``r4`` carry the barrier-shifted multiplier residuals
-    ``y - mu/s`` (equal to ``y - nu`` exactly on the central path), which
-    makes the condensed solve a true Newton step on the barrier system.
+    ``r3``/``r4`` carry the barrier-shifted complementarity residuals
+    ``nu - mu/s``, which makes the condensed solve a true Newton step on
+    the barrier system.  The equality multipliers ``y`` equal ``nu`` on
+    every iterate, so they appear as ``nu`` throughout.
     ``rho`` is the right-hand side of ``S d_beta = rho``; ``diag`` holds
     the barrier diagonals of the same iterate.
     """
@@ -172,8 +173,8 @@ class KktRhs:
 
 
 def _condense(state, r1, r2, r5, r6, diag: BarrierDiagonals) -> KktRhs:
-    r3 = state.y1 - state.mu / state.s1
-    r4 = state.y2 - state.mu / state.s2
+    r3 = state.nu1 - state.mu / state.s1
+    r4 = state.nu2 - state.mu / state.s2
     rho = (r1 + diag.omega1 * (2.0 * r4 - r2) + diag.omega2 * (r2 - 2.0 * r3)
            + 0.5 * diag.delta * (r6 - r5))
     return KktRhs(r1, r2, r3, r4, r5, r6, rho, diag)
@@ -187,7 +188,7 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
     Parameters
     ----------
     state : object
-        Iterate with attributes ``beta, z, s1, s2, y1, y2, nu1, nu2, mu``.
+        Iterate with attributes ``beta, z, s1, s2, nu1, nu2, mu``.
     xi : numpy.ndarray
         Data correlation ``observe_adjoint(b, mask)``.
     g : numpy.ndarray
@@ -204,8 +205,8 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
         ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3) + (Delta/2)(r6 - r5)``.
     """
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-    r1 = xi - g + state.y1 - state.y2
-    r2 = state.y1 + state.y2 - lam
+    r1 = xi - g + state.nu1 - state.nu2
+    r2 = state.nu1 + state.nu2 - lam
     r5 = state.z + state.beta - state.s1
     r6 = state.z - state.beta - state.s2
     return _condense(state, r1, r2, r5, r6, diag)
@@ -268,23 +269,21 @@ class CondensedSolution:
     d_z: np.ndarray
     d_s1: np.ndarray
     d_s2: np.ndarray
-    d_y1: np.ndarray
-    d_y2: np.ndarray
     d_nu1: np.ndarray
     d_nu2: np.ndarray
 
 
-def recover_eliminated(d_beta, rhs: KktRhs, state) -> CondensedSolution:
+def recover_eliminated(d_beta, rhs: KktRhs) -> CondensedSolution:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
     ``d_z = (r2 - r3 - r4)/(Sig1 + Sig2) - omega1 (r5 + d_beta) - omega2 (r6 - d_beta)``
     ``d_s1 = d_beta + d_z + r5``,  ``d_s2 = d_z - d_beta + r6``
-    ``d_y1 = -Sig1 d_s1 - r3``,  ``d_y2 = -Sig2 d_s2 - r4``
-    ``d_nu = d_y + (y - nu)``
+    ``d_nu1 = -Sig1 d_s1 - r3``,  ``d_nu2 = -Sig2 d_s2 - r4``
 
     The last line is the linearized complementarity
-    ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = y1 - mu/s1`` and
-    ``r4 = y2 - mu/s2``.
+    ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
+    ``r4 = nu2 - mu/s2``; it is also the equality multipliers' step, as
+    ``y = nu``.
     """
     diag = rhs.diag
     d_z = (rhs.r2 - rhs.r3 - rhs.r4) / diag.lambda1
@@ -292,7 +291,5 @@ def recover_eliminated(d_beta, rhs: KktRhs, state) -> CondensedSolution:
     d_z -= diag.omega2 * (rhs.r6 - d_beta)
     d_s1 = d_beta + d_z + rhs.r5
     d_s2 = d_z - d_beta + rhs.r6
-    d_y1 = -diag.sigma1 * d_s1 - rhs.r3
-    d_y2 = -diag.sigma2 * d_s2 - rhs.r4
-    return CondensedSolution(d_beta, d_z, d_s1, d_s2, d_y1, d_y2,
-                             d_y1 + (state.y1 - state.nu1), d_y2 + (state.y2 - state.nu2))
+    return CondensedSolution(d_beta, d_z, d_s1, d_s2,
+                             -diag.sigma1 * d_s1 - rhs.r3, -diag.sigma2 * d_s2 - rhs.r4)

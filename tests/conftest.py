@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
-from fftlasso.ipm import IpmState
+from fftlasso.ipm import IpmState, Iterate
 from fftlasso.newton_system import newton_rhs
 
 
@@ -58,6 +58,19 @@ def random_interior_state(rng, n: int, mu: float = 0.05) -> IpmState:
         nu2=rng.random(n) + 0.3,
         mu=mu,
     )
+
+
+def random_feasible_iterate(rng, n: int, mu: float = 0.05) -> Iterate:
+    """Arbitrary strictly interior iterate of the solver (not centered).
+
+    The slack equations hold and ``y = nu``, as on every iterate the solver
+    forms; the stationarity, dual-equality and complementarity residuals
+    are arbitrary.
+    """
+    s1 = rng.random(n) + 0.4
+    s2 = rng.random(n) + 0.4
+    return Iterate(beta=0.5 * (s1 - s2), z=0.5 * (s1 + s2), s1=s1, s2=s2,
+                   nu1=rng.random(n) + 0.3, nu2=rng.random(n) + 0.3, mu=mu)
 
 
 def central_path_state(xi: np.ndarray, lam: float, mu: float) -> IpmState:

@@ -26,7 +26,6 @@ from fftlasso import (
 from fftlasso.diagnostics import ista_solve, soft_threshold
 from fftlasso.ipm import (
     IpmConfig,
-    IpmState,
     NewtonDirection,
     check_convergence,
     fraction_to_boundary,
@@ -47,19 +46,13 @@ from conftest import (
     dense_observation_matrix,
     exact_rhs,
     fail_on_call,
-    random_interior_state,
+    random_feasible_iterate,
     sparse_instance,
 )
 
 
 def empty_mask(n):
     return Mask(np.array([], dtype=np.int64), GridShape((n,)))
-
-
-def copy_state(state):
-    arrays = {f: getattr(state, f).copy()
-              for f in ("beta", "z", "s1", "s2", "y1", "y2", "nu1", "nu2")}
-    return IpmState(mu=state.mu, **arrays)
 
 
 class TestInitialState:
@@ -102,14 +95,13 @@ class TestNewtonDirection:
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
         d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
-        for block in (d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2,
-                      d.d_nu1, d.d_nu2):
+        for block in (d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
 
     def test_matches_dense_six_block_solve(self, rng):
         n = 16
         mask = Mask(np.sort(rng.choice(n, 3, replace=False)), GridShape((n,)))
-        state = random_interior_state(rng, n, mu=0.02)
+        state = random_feasible_iterate(rng, n, mu=0.02)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.5
         rhs = exact_rhs(state, b, mask, lam)
@@ -117,23 +109,24 @@ class TestNewtonDirection:
         m6 = dense_augmented_system(state, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
         dense = np.linalg.solve(m6, stacked)
-        # six-block system carries slacks with the flipped sign
-        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_y1, d.d_y2])
+        # six-block system carries slacks with the flipped sign; d_y = d_nu
+        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_nu1, d.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
     def test_matches_full_newton_solve(self, rng):
         """Against a from-scratch Jacobian of the raw barrier system."""
         n = 16
         mask = Mask(np.array([2, 5, 9]), GridShape((n,)))
-        state = random_interior_state(rng, n, mu=0.03)
+        state = random_feasible_iterate(rng, n, mu=0.03)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.4
+        full = state.view()
 
         m_perp = dense_observation_matrix(mask)
         g = m_perp.T @ m_perp
         i, z = np.eye(n), np.zeros((n, n))
-        s1, s2 = np.diag(state.s1), np.diag(state.s2)
-        v1, v2 = np.diag(state.nu1), np.diag(state.nu2)
+        s1, s2 = np.diag(full.s1), np.diag(full.s2)
+        v1, v2 = np.diag(full.nu1), np.diag(full.nu2)
         jac = np.block([
             [g, z, z, z, -i, i, z, z],
             [z, z, z, z, -i, -i, z, z],
@@ -145,19 +138,19 @@ class TestNewtonDirection:
             [z, z, z, v2, z, z, z, s2],
         ])
         resid = np.concatenate([
-            m_perp.T @ (m_perp @ state.beta - b) - state.y1 + state.y2,
-            lam - state.y1 - state.y2,
-            state.y1 - state.nu1,
-            state.y2 - state.nu2,
-            state.z + state.beta - state.s1,
-            state.z - state.beta - state.s2,
-            state.s1 * state.nu1 - state.mu,
-            state.s2 * state.nu2 - state.mu,
+            m_perp.T @ (m_perp @ full.beta - b) - full.y1 + full.y2,
+            lam - full.y1 - full.y2,
+            full.y1 - full.nu1,
+            full.y2 - full.nu2,
+            full.z + full.beta - full.s1,
+            full.z - full.beta - full.s2,
+            full.s1 * full.nu1 - full.mu,
+            full.s2 * full.nu2 - full.mu,
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
         d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
-        mine = [d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_y1, d.d_y2, d.d_nu1, d.d_nu2]
+        mine = [d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -173,14 +166,14 @@ class TestNewtonDirection:
         n = shape.n
         missing = np.flatnonzero(rng.random(n) < rng.random())[: n - 1]
         mask = Mask(missing, shape)
-        state = random_interior_state(rng, n, mu=10.0 ** log_mu)
+        state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.5)
         d = newton_direction(state, rhs, mask, cg_tol=1e-14)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
         dense = np.linalg.solve(dense_augmented_system(state, mask), stacked)
-        # six-block system carries slacks with the flipped sign
-        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_y1, d.d_y2])
+        # six-block system carries slacks with the flipped sign; d_y = d_nu
+        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_nu1, d.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
         d_nu1 = (state.mu - state.s1 * state.nu1) / state.s1 - rhs.diag.sigma1 * d.d_s1
         d_nu2 = (state.mu - state.s2 * state.nu2) / state.s2 - rhs.diag.sigma2 * d.d_s2
@@ -223,7 +216,6 @@ class TestStepMechanics:
         blocked = NewtonDirection(
             d_beta=np.zeros(n), d_z=np.zeros(n),
             d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
-            d_y1=np.zeros(n), d_y2=np.zeros(n),
             d_nu1=np.zeros(n), d_nu2=np.zeros(n), gram_d_beta=np.zeros(n),
             krylov_iters=0, pcg_residual=0.0,
         )
@@ -297,12 +289,13 @@ class TestCheckConvergence:
         rng = np.random.default_rng(seed)
         n = 32
         mask = Mask(np.sort(rng.choice(n, 5, replace=False)), GridShape((n,)))
-        state = random_interior_state(rng, n, mu=10.0 ** log_mu)
+        state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
         rhs = exact_rhs(state, rng.standard_normal(mask.n_observed), mask, 0.5)
         conv = check_convergence(state, rhs, 0.5, tol=1e-8)
+        full = state.view()
         pieces = [rhs.r1, rhs.r2, rhs.r5, rhs.r6,
-                  state.s1 * state.nu1 - state.mu, state.s2 * state.nu2 - state.mu,
-                  state.y1 - state.nu1, state.y2 - state.nu2]
+                  full.s1 * full.nu1 - full.mu, full.s2 * full.nu2 - full.mu,
+                  full.y1 - full.nu1, full.y2 - full.nu2]
         assert conv.barrier_residual == max(float(np.max(np.abs(p))) for p in pieces)
         assert conv.stationarity == float(np.max(np.abs(rhs.r1)))
         assert conv.primal == max(float(np.max(np.abs(rhs.r5))),

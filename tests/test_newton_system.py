@@ -19,6 +19,7 @@ from conftest import (
     central_path_state,
     dense_augmented_system,
     exact_rhs,
+    random_feasible_iterate,
     random_interior_state,
 )
 
@@ -104,7 +105,7 @@ class TestNewtonRhs:
     def test_condensed_rhs_identities(self, rng):
         n = 8
         mask = Mask(np.array([1, 6]), GridShape((n,)))
-        state = random_interior_state(rng, n)
+        state = random_feasible_iterate(rng, n)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
@@ -121,7 +122,7 @@ class TestNewtonRhs:
         """Schur complements of the dense 6-block system onto beta, and onto (beta, z)."""
         n = 8
         mask = Mask(np.array([2, 5]), GridShape((n,)))
-        state = random_interior_state(rng, n)
+        state = random_feasible_iterate(rng, n)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
@@ -266,21 +267,20 @@ class TestRecoverEliminated:
         from fftlasso.newton_system import KktRhs
 
         n = 8
-        st8 = random_interior_state(rng, n)
+        st8 = random_feasible_iterate(rng, n)
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         zrhs = KktRhs(*(np.zeros(n) for _ in range(6)), np.zeros(n), diag=d)
-        sol = recover_eliminated(zero, zrhs, st8)
-        for block in (sol.d_z, sol.d_s1, sol.d_s2, sol.d_y1, sol.d_y2):
+        sol = recover_eliminated(zero, zrhs)
+        for block in (sol.d_z, sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2):
             assert np.all(block == 0.0)
-        np.testing.assert_array_equal(sol.d_nu1, st8.y1 - st8.nu1)
 
     def test_matches_dense_six_block_solve(self, rng):
         from fftlasso.pcg import PcgConfig, pcg_solve
 
         n = 4
         mask = Mask(np.array([1]), GridShape((n,)))
-        st4 = random_interior_state(rng, n)
+        st4 = random_feasible_iterate(rng, n)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.6
         rhs = exact_rhs(st4, b, mask, lam)
@@ -292,32 +292,32 @@ class TestRecoverEliminated:
             rhs.rho,
             PcgConfig(abs_tol=1e-13),
         )
-        sol = recover_eliminated(res.solution, rhs, st4)
+        sol = recover_eliminated(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
         dense = np.linalg.solve(m6, stacked)
-        # the six-block system carries slacks with the flipped sign
+        # the six-block system carries slacks with the flipped sign; d_y = d_nu
         mine = np.concatenate([sol.d_beta, sol.d_z, -sol.d_s1, -sol.d_s2,
-                               sol.d_y1, sol.d_y2])
+                               sol.d_nu1, sol.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
     def test_multiplier_rows_consistency(self, rng):
         """Recovered multipliers satisfy the eliminated 4-block rows."""
         n = 8
         mask = Mask(np.array([2, 3]), GridShape((n,)))
-        st8 = random_interior_state(rng, n)
+        st8 = random_feasible_iterate(rng, n)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(st8, b, mask, 0.4)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         db = rng.standard_normal(n)
-        sol = recover_eliminated(db, rhs, st8)
+        sol = recover_eliminated(db, rhs)
         dz = sol.d_z
         np.testing.assert_allclose(
-            -db - dz - sol.d_y1 / d.sigma1, rhs.r5 + rhs.r3 / d.sigma1, atol=1e-12
+            -db - dz - sol.d_nu1 / d.sigma1, rhs.r5 + rhs.r3 / d.sigma1, atol=1e-12
         )
         np.testing.assert_allclose(
-            db - dz - sol.d_y2 / d.sigma2, rhs.r6 + rhs.r4 / d.sigma2, atol=1e-12
+            db - dz - sol.d_nu2 / d.sigma2, rhs.r6 + rhs.r4 / d.sigma2, atol=1e-12
         )
         # d_z satisfies the second condensed row for any d_beta
         r_c = rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6
