@@ -7,13 +7,17 @@ Solves
 through the standard bound-constrained reformulation with auxiliary
 variable ``z`` (|beta| <= z elementwise), slacks ``s1 = z + beta``,
 ``s2 = z - beta``, equality multipliers ``y1, y2`` and bound multipliers
-``nu1, nu2``.  Each iteration takes one Newton step on the barrier KKT
-system (no predictor-corrector), solving the Schur complement of the
-condensed 2x2 system, an n x n system in ``d_beta``, with preconditioned
-CG; the other blocks follow by back-substitution.  Separate primal and
-dual step lengths come from the fraction-to-boundary rule.  The barrier
-parameter follows a monotone schedule with a superlinear tail once the
-iterate is centered.
+``nu1, nu2``.  The solver carries four of them, an :class:`Iterate`
+``(s1, s2, nu1, nu2)`` with ``beta`` and ``z`` derived and ``y = nu``;
+observers get an :class:`IpmState` view.  :func:`check_convergence`,
+:func:`newton_direction` and :func:`ipm_step` take an ``Iterate`` and the
+:func:`newton_rhs` evaluation of it at its barrier.  Each iteration takes
+one Newton step on the barrier KKT system (no predictor-corrector),
+solving the Schur complement of the condensed 2x2 system, an n x n system
+in ``d_beta``, with preconditioned CG; the other blocks follow by
+back-substitution.  Separate primal and dual step lengths come from the
+fraction-to-boundary rule.  The barrier parameter follows a monotone
+schedule with a superlinear tail once the iterate is centered.
 
 An iteration costs one transform pair per Krylov iteration and none
 outside PCG, and every vector PCG touches has length n.  The solve
@@ -98,7 +102,7 @@ class IpmConfig:
 
 
 class _Complementarity:
-    """What the iterate and its observer view both answer."""
+    """Size and duality measure, shared by :class:`Iterate` and its view."""
 
     @property
     def n(self) -> int:
@@ -111,10 +115,10 @@ class _Complementarity:
 
 @dataclass
 class IpmState(_Complementarity):
-    """All primal-dual iterates plus the current barrier parameter.
+    """All primal-dual variables plus the current barrier parameter.
 
-    The solver hands this view of its :class:`Iterate` to observers; there
-    ``y1``/``y2`` are the very arrays ``nu1``/``nu2``.
+    Observers get this :meth:`Iterate.view`: ``y1``/``y2`` are the arrays
+    ``nu1``/``nu2``, and ``z +/- beta`` gives ``s1``/``s2`` to rounding.
     """
 
     beta: np.ndarray
@@ -130,25 +134,31 @@ class IpmState(_Complementarity):
 
 @dataclass(frozen=True)
 class Iterate(_Complementarity):
-    """The solver's iterate: the state without the equality multipliers.
+    """The solver's iterate: slacks, bound multipliers and the barrier.
 
-    The start sets ``y = nu`` and every Newton step moves both by the same
-    ``d_nu``, so the solver carries only ``nu``.
+    ``beta = (s1 - s2)/2`` and ``z = (s1 + s2)/2`` are derived, so the slack
+    equations hold by construction; ``y = nu``, as the start sets it and
+    every step moves both by ``d_nu``.  The slacks are stored because on
+    the support one of them tends to ``mu/nu``, which ``z - |beta|`` would
+    lose to cancellation.  ``barrier_diagonals`` checks their positivity.
     """
 
-    beta: np.ndarray
-    z: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
     nu1: np.ndarray
     nu2: np.ndarray
     mu: float
 
+    @property
+    def beta(self) -> np.ndarray:
+        """``(s1 - s2)/2``, a new array on every access."""
+        return 0.5 * (self.s1 - self.s2)
+
     def view(self) -> IpmState:
         """The full primal-dual state, sharing this iterate's arrays."""
-        return IpmState(beta=self.beta, z=self.z, s1=self.s1, s2=self.s2,
-                        y1=self.nu1, y2=self.nu2, nu1=self.nu1, nu2=self.nu2,
-                        mu=self.mu)
+        return IpmState(beta=self.beta, z=0.5 * (self.s1 + self.s2),
+                        s1=self.s1, s2=self.s2, y1=self.nu1, y2=self.nu2,
+                        nu1=self.nu1, nu2=self.nu2, mu=self.mu)
 
 
 @dataclass(frozen=True)
@@ -156,14 +166,12 @@ class ConvergenceReport:
     """Residuals of the exact (mu = 0) KKT conditions at an iterate."""
 
     stationarity: float  # grad of the quadratic + multiplier split
-    dual_equality: float  # lam - nu1 - nu2
-    primal: float  # z +/- beta - s
+    dual_equality: float  # nu1 + nu2 - lam
     complementarity: float  # max s_i nu_i
     max_residual: float
     converged: bool
     barrier_residual: float  # max norm of the mu-shifted residuals, for the barrier test
     centrality_ok: bool  # min s_i nu_i >= gamma * duality measure
-    duality_measure: float
 
 
 @dataclass
@@ -262,62 +270,46 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
 def initial_state(b, mask: Mask, lam: float) -> Iterate:
     """Well-centered starting point.
 
-    ``beta = 0``, ``z = s1 = s2 = 1`` satisfies both slack equations
-    exactly; ``y = nu = lam/2`` zeroes the dual equality and multiplier
-    gaps; the only nonzero residual left is the data correlation.  The
-    duality measure then equals ``lam/2``, taken as the initial barrier.
+    ``s1 = s2 = 1`` puts ``beta = 0``, ``z = 1``; ``nu = lam/2`` zeroes
+    the dual equality; the only nonzero residual left is the data
+    correlation.  The duality measure then equals ``lam/2``, taken as the
+    initial barrier.
     """
     if lam <= 0:
         raise ValueError("penalty must be positive")
     n = mask.shape.n
-    e = np.ones(n)
-    half = 0.5 * lam * e
-    return Iterate(
-        beta=np.zeros(n),
-        z=e.copy(),
-        s1=e.copy(),
-        s2=e.copy(),
-        nu1=half.copy(),
-        nu2=half.copy(),
-        mu=lam / 2.0,
-    )
+    return Iterate(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
+                   nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
-def check_convergence(state: Iterate, rhs: KktRhs, lam: float,
-                      tol: float) -> ConvergenceReport:
+def check_convergence(state: Iterate, rhs: KktRhs, tol: float) -> ConvergenceReport:
     """Exact KKT residuals, the barrier residual at ``state.mu`` and the
-    centrality monitor; ``rhs`` = ``newton_rhs``."""
-    dual_eq = lam - state.nu1 - state.nu2  # not -rhs.r2: its rounding differs
+    centrality monitor; ``rhs`` = ``newton_rhs``.  The slack equations and
+    ``y = nu`` hold exactly, so their residuals are not checked."""
     prod1 = state.s1 * state.nu1
     prod2 = state.s2 * state.nu2
 
     stat = _inf_norm(rhs.r1)
-    dual = _inf_norm(dual_eq)
-    primal = max(_inf_norm(rhs.r5), _inf_norm(rhs.r6))
+    dual = _inf_norm(rhs.r2)
     comp = max(float(prod1.max()), float(prod2.max()))
-    worst = max(stat, dual, primal, comp)
+    worst = max(stat, dual, comp)
     comp_min = min(float(prod1.min()), float(prod2.min()))
     # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
-
-    measure = state.duality_measure()
-    central = comp_min >= GAMMA_CENTRALITY * measure
     return ConvergenceReport(
         stationarity=stat,
         dual_equality=dual,
-        primal=primal,
         complementarity=comp,
         max_residual=worst,
         converged=worst <= tol,
-        barrier_residual=max(stat, _inf_norm(rhs.r2), primal, comp_barrier),
-        centrality_ok=central,
-        duality_measure=measure,
+        barrier_residual=max(stat, dual, comp_barrier),
+        centrality_ok=comp_min >= GAMMA_CENTRALITY * state.duality_measure(),
     )
 
 
 @dataclass(frozen=True)
 class NewtonDirection(CondensedSolution):
-    """Physical step for every block, plus solve diagnostics."""
+    """Physical step of the iterate, plus ``G d_beta`` and solve diagnostics."""
 
     gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
@@ -330,9 +322,9 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask,
 
     ``rhs`` is ``newton_rhs`` at this iterate and barrier.  PCG solves the
     Schur complement ``S d_beta = rho`` matrix-free and also accumulates
-    ``G d_beta``; :func:`recover_eliminated` back-substitutes the other
-    blocks, with the bound-multiplier step from the linearized
-    complementarity ``d_nu = (mu - s*nu)/s - sigma * d_s``.
+    ``G d_beta``; :func:`recover_eliminated` back-substitutes the slack
+    steps and the multiplier step from the linearized complementarity
+    ``d_nu = (mu - s*nu)/s - sigma * d_s``.
     """
     diag = rhs.diag
 
@@ -367,7 +359,8 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
 
 def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask,
              cg_tol: float) -> tuple[Iterate, NewtonDirection, float, float]:
-    """Take one damped Newton step; returns the new state and step data."""
+    """Take one damped Newton step from ``state``, with ``rhs = newton_rhs``
+    at it; returns the new iterate, the direction and both step lengths."""
     direction = newton_direction(state, rhs, mask, cg_tol)
     tau = max(FTB_TAU, 1.0 - state.mu)
     alpha_p = min(
@@ -384,8 +377,6 @@ def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask,
             f"alpha_d={alpha_d:.2e})"
         )
     new_state = Iterate(
-        beta=state.beta + alpha_p * direction.d_beta,
-        z=state.z + alpha_p * direction.d_z,
         s1=state.s1 + alpha_p * direction.d_s1,
         s2=state.s2 + alpha_p * direction.d_s2,
         nu1=state.nu1 + alpha_d * direction.d_nu1,
@@ -415,7 +406,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     observer : callable, optional
         Called as ``observer(state, record)`` after every iteration;
         used by the spectral diagnostics to record trajectories.  Each
-        state is a new object whose ``mu`` equals ``record.mu``.
+        state is a new :class:`IpmState` view whose ``mu`` equals
+        ``record.mu``; the solver never modifies its arrays.
 
     Returns
     -------
@@ -447,8 +439,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     records: list[IterationRecord] = []
     g = np.zeros(mask.shape.n)  # gram(beta), exact at beta = 0
     rhs = newton_rhs(state, xi, g, lam)
-    conv = check_convergence(state, rhs, lam, config.tol)
-    best_beta, best_kkt = state.beta.copy(), conv.max_residual
+    conv = check_convergence(state, rhs, config.tol)
+    best_beta, best_kkt = state.beta, conv.max_residual
     stalled, reason = False, ""
 
     for iteration in range(1, config.max_iters + 1):
@@ -465,17 +457,18 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             break
         g += alpha_p * direction.gram_d_beta
         krylov_iters, pcg_residual = direction.krylov_iters, direction.pcg_residual
-        del direction  # nine vectors, not to be held through the next step
+        del direction, rhs  # released before the next evaluation is built
         rhs = newton_rhs(state, xi, g, lam)
-        conv = check_convergence(state, rhs, lam, config.tol)
+        conv = check_convergence(state, rhs, config.tol)
         if conv.converged:  # confirm on the exact product, never on the carried one
+            del rhs
             g = gram(state.beta, mask)
             rhs = newton_rhs(state, xi, g, lam)
-            conv = check_convergence(state, rhs, lam, config.tol)
+            conv = check_convergence(state, rhs, config.tol)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
-            primal_inf=conv.primal,
+            primal_inf=0.0,  # the slack equations hold by construction
             dual_inf=max(conv.dual_equality, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
@@ -489,7 +482,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         records.append(record)
         if conv.max_residual < best_kkt:
             best_kkt = conv.max_residual
-            best_beta = state.beta.copy()
+            best_beta = state.beta
         if observer is not None:
             observer(state.view(), record)
 

@@ -7,13 +7,20 @@ system in the direction ``(d_beta, d_z, d_s1, d_s2, d_y1, d_y2)``:
     [ 0          0     0     0    -I   -I ] [d_z   ]   [r2]
     [ 0          0    Sig1   0    -I    0 ] [d_s1  ] = [r3]
     [ 0          0     0    Sig2   0   -I ] [d_s2  ]   [r4]
-    [-I         -I    -I     0     0    0 ] [d_y1  ]   [r5]
-    [ I         -I     0    -I     0    0 ] [d_y2  ]   [r6]
+    [-I         -I    -I     0     0    0 ] [d_y1  ]   [0 ]
+    [ I         -I     0    -I     0    0 ] [d_y2  ]   [0 ]
 
 with ``G`` the masked Gram operator and ``Sig1 = nu1/s1``, ``Sig2 = nu2/s2``
 the barrier scaling diagonals.  In this symmetrized form the slack blocks
 carry the opposite sign from the raw Newton linearization: the true slack
 step is ``-d_s1, -d_s2``, which :func:`recover_eliminated` returns.
+
+On the solver's domain (``ipm.Iterate``) the slack equations hold by
+construction, so the last two residual blocks are zero, and ``y = nu``, so
+the multiplier step ``d_y`` is ``d_nu`` and
+
+    r1 = xi - G beta + nu1 - nu2,    r2 = nu1 + nu2 - lam,
+    r3 = nu1 - mu/s1,                r4 = nu2 - mu/s2.
 
 Eliminating the slack and multiplier blocks condenses the system to 2x2,
 ``K (d_beta, d_z) = (r_beta, r_c)`` with
@@ -21,8 +28,7 @@ Eliminating the slack and multiplier blocks condenses the system to 2x2,
     K = [ G + Lam1   Lam2 ]        Lam1 = Sig1 + Sig2
         [ Lam2       Lam1 ]        Lam2 = Sig1 - Sig2
 
-    r_beta = r1 - r3 + r4 - Sig1 r5 + Sig2 r6
-    r_c    = r2 - r3 - r4 - Sig1 r5 - Sig2 r6
+    r_beta = r1 - r3 + r4,    r_c = r2 - r3 - r4,
 
 preconditioned by
 
@@ -62,11 +68,16 @@ equal terms.  Everything here is written instead with
     omega_i = Sig_i / (Sig1 + Sig2) in [0, 1],    Delta = 4 Sig1 omega2,
 
 so that ``Delta <= 4 min(Sig1, Sig2)`` and no two terms of size ``1/mu``
-cancel.  The condensed right-hand side and the back-substitution are
+cancel.  The condensed right-hand side is
 
-    rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3) + (Delta/2)(r6 - r5)
-    d_z = (r2 - r3 - r4)/(Sig1 + Sig2) - omega1 (r5 + d_beta)
-          - omega2 (r6 - d_beta).
+    rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3).
+
+Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
+with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
+``d_z +/- d_beta`` are ``c + 2 omega2 d_beta`` and ``c - 2 omega1 d_beta``,
+as ``omega1 + omega2 = 1``: on the support the vanishing slack's step is
+a small ``c`` plus a small multiple of ``d_beta``, not a difference of two
+steps of size ``|d_beta|``, and ``d_z`` is never formed.
 
 ``G`` enters PCG only as ``G d_beta``, which PCG accumulates to carry
 ``G beta`` from one iterate to the next without a transform.
@@ -89,7 +100,6 @@ __all__ = [
     "newton_rhs",
     "apply_kkt",
     "apply_precond_inverse",
-    "apply_precond_kkt",
     "recover_eliminated",
 ]
 
@@ -112,16 +122,6 @@ class BarrierDiagonals:
     @property
     def lambda2(self) -> np.ndarray:
         return self.sigma1 - self.sigma2
-
-    @property
-    def dvec(self) -> np.ndarray:
-        """``D = Lam1 (1 + Lam1) - Lam2^2``, the determinant of ``P``'s 2x2 blocks."""
-        return self.sigma1 + self.sigma2 + 4.0 * self.sigma1 * self.sigma2
-
-    @property
-    def bvec(self) -> np.ndarray:
-        """``B = D / (1 + Lam1)``, the Schur complement of ``P``'s (1,1) block."""
-        return self.dvec / (1.0 + self.lambda1)
 
 
 def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
@@ -148,36 +148,31 @@ def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
 
 @dataclass(frozen=True)
 class KktRhs:
-    """Right-hand side of the 6-block system plus its Schur-reduced form.
+    """Nonzero residual blocks of the 6-block system plus its Schur-reduced form.
 
-    ``r3``/``r4`` carry the barrier-shifted complementarity residuals
-    ``nu - mu/s``, which makes the condensed solve a true Newton step on
-    the barrier system.  The equality multipliers ``y`` equal ``nu`` on
-    every iterate, so they appear as ``nu`` throughout.
-    ``rho`` is the right-hand side of ``S d_beta = rho``; ``diag`` holds
-    the barrier diagonals of the same iterate.
+    ``r3``/``r4`` are the barrier-shifted residuals ``nu - mu/s``, which
+    make the condensed solve a Newton step on the barrier system.  ``rho``
+    is the right-hand side of ``S d_beta = rho``; ``diag`` holds the
+    barrier diagonals of the same iterate.
     """
 
     r1: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
     r4: np.ndarray
-    r5: np.ndarray
-    r6: np.ndarray
     rho: np.ndarray
     diag: BarrierDiagonals
 
     def at_barrier(self, state) -> "KktRhs":
         """The same residuals at ``state.mu``: only r3, r4 and rho change."""
-        return _condense(state, self.r1, self.r2, self.r5, self.r6, self.diag)
+        return _condense(state, self.r1, self.r2, self.diag)
 
 
-def _condense(state, r1, r2, r5, r6, diag: BarrierDiagonals) -> KktRhs:
+def _condense(state, r1, r2, diag: BarrierDiagonals) -> KktRhs:
     r3 = state.nu1 - state.mu / state.s1
     r4 = state.nu2 - state.mu / state.s2
-    rho = (r1 + diag.omega1 * (2.0 * r4 - r2) + diag.omega2 * (r2 - 2.0 * r3)
-           + 0.5 * diag.delta * (r6 - r5))
-    return KktRhs(r1, r2, r3, r4, r5, r6, rho, diag)
+    rho = r1 + diag.omega1 * (2.0 * r4 - r2) + diag.omega2 * (r2 - 2.0 * r3)
+    return KktRhs(r1, r2, r3, r4, rho, diag)
 
 
 def newton_rhs(state, xi, g, lam: float) -> KktRhs:
@@ -188,28 +183,27 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
     Parameters
     ----------
     state : object
-        Iterate with attributes ``beta, z, s1, s2, nu1, nu2, mu``.
+        Iterate with attributes ``s1, s2, nu1, nu2, mu``, on the solver's
+        domain: the slack equations hold and ``y = nu``.
     xi : numpy.ndarray
         Data correlation ``observe_adjoint(b, mask)``.
     g : numpy.ndarray
-        Gram product ``gram(state.beta, mask)``.
+        Gram product ``gram(beta, mask)`` at ``beta = (s1 - s2)/2``.
     lam : float
         L1 penalty weight.
 
     Returns
     -------
     KktRhs
-        All six block residuals, the barrier diagonals and the Schur
-        right-hand side
+        The four nonzero block residuals, the barrier diagonals and the
+        Schur right-hand side
 
-        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3) + (Delta/2)(r6 - r5)``.
+        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3)``.
     """
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
     r1 = xi - g + state.nu1 - state.nu2
     r2 = state.nu1 + state.nu2 - lam
-    r5 = state.z + state.beta - state.s1
-    r6 = state.z - state.beta - state.s2
-    return _condense(state, r1, r2, r5, r6, diag)
+    return _condense(state, r1, r2, diag)
 
 
 def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
@@ -251,22 +245,16 @@ def apply_precond_inverse(first, second, diag: BarrierDiagonals):
     return out
 
 
-def apply_precond_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
-    """Apply ``P^{-1} K``; block lower-triangular with unit (2,2) block."""
-    top, bottom = apply_kkt(d_beta, d_z, diag, mask)
-    return apply_precond_inverse(top, bottom, diag)
-
-
 @dataclass(frozen=True)
 class CondensedSolution:
-    """Every block of the Newton step, recovered from the Schur solution.
+    """The Newton step on the solver's domain, recovered from ``d_beta``.
 
     The slack steps are physical: the symmetrized 6-block system above
-    carries ``-d_s1, -d_s2``.
+    carries ``-d_s1, -d_s2``.  The step in ``z`` is ``(d_s1 + d_s2)/2``,
+    and that in ``y`` is ``d_nu``.
     """
 
     d_beta: np.ndarray
-    d_z: np.ndarray
     d_s1: np.ndarray
     d_s2: np.ndarray
     d_nu1: np.ndarray
@@ -276,20 +264,17 @@ class CondensedSolution:
 def recover_eliminated(d_beta, rhs: KktRhs) -> CondensedSolution:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
-    ``d_z = (r2 - r3 - r4)/(Sig1 + Sig2) - omega1 (r5 + d_beta) - omega2 (r6 - d_beta)``
-    ``d_s1 = d_beta + d_z + r5``,  ``d_s2 = d_z - d_beta + r6``
+    ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``
+    ``d_s1 = c + 2 omega2 d_beta``,  ``d_s2 = c - 2 omega1 d_beta``
     ``d_nu1 = -Sig1 d_s1 - r3``,  ``d_nu2 = -Sig2 d_s2 - r4``
 
     The last line is the linearized complementarity
     ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
-    ``r4 = nu2 - mu/s2``; it is also the equality multipliers' step, as
-    ``y = nu``.
+    ``r4 = nu2 - mu/s2``.
     """
     diag = rhs.diag
-    d_z = (rhs.r2 - rhs.r3 - rhs.r4) / diag.lambda1
-    d_z -= diag.omega1 * (rhs.r5 + d_beta)
-    d_z -= diag.omega2 * (rhs.r6 - d_beta)
-    d_s1 = d_beta + d_z + rhs.r5
-    d_s2 = d_z - d_beta + rhs.r6
-    return CondensedSolution(d_beta, d_z, d_s1, d_s2,
+    c = (rhs.r2 - rhs.r3 - rhs.r4) / diag.lambda1
+    d_s1 = c + 2.0 * diag.omega2 * d_beta
+    d_s2 = c - 2.0 * diag.omega1 * d_beta
+    return CondensedSolution(d_beta, d_s1, d_s2,
                              -diag.sigma1 * d_s1 - rhs.r3, -diag.sigma2 * d_s2 - rhs.r4)

@@ -18,7 +18,7 @@ def dense_observation_matrix(mask: Mask) -> np.ndarray:
     return a[~mask.missing_bool, :]
 
 
-def dense_augmented_system(state: IpmState, mask: Mask):
+def dense_augmented_system(state: Iterate, mask: Mask):
     """Dense 6n x 6n symmetrized Newton matrix in the packed block order.
 
     Variables ordered (d_beta, d_z, d_s1, d_s2, d_y1, d_y2); the slack
@@ -67,13 +67,11 @@ def random_feasible_iterate(rng, n: int, mu: float = 0.05) -> Iterate:
     forms; the stationarity, dual-equality and complementarity residuals
     are arbitrary.
     """
-    s1 = rng.random(n) + 0.4
-    s2 = rng.random(n) + 0.4
-    return Iterate(beta=0.5 * (s1 - s2), z=0.5 * (s1 + s2), s1=s1, s2=s2,
+    return Iterate(s1=rng.random(n) + 0.4, s2=rng.random(n) + 0.4,
                    nu1=rng.random(n) + 0.3, nu2=rng.random(n) + 0.3, mu=mu)
 
 
-def central_path_state(xi: np.ndarray, lam: float, mu: float) -> IpmState:
+def central_path_state(xi: np.ndarray, lam: float, mu: float) -> Iterate:
     """Exact barrier-system solution for the empty-mask problem.
 
     With an orthogonal observation operator the barrier system separates
@@ -104,10 +102,7 @@ def central_path_state(xi: np.ndarray, lam: float, mu: float) -> IpmState:
     s_minus = (2.0 * mu / lam) * z / s_plus
     s1 = np.where(beta >= 0, s_plus, s_minus)
     s2 = np.where(beta >= 0, s_minus, s_plus)
-    nu1 = mu / s1
-    nu2 = mu / s2
-    return IpmState(beta=beta, z=z, s1=s1, s2=s2, y1=nu1.copy(), y2=nu2.copy(),
-                    nu1=nu1, nu2=nu2, mu=mu)
+    return Iterate(s1=s1, s2=s2, nu1=mu / s1, nu2=mu / s2, mu=mu)
 
 
 def sparse_instance(rng, n: int, n_missing: int, n_active: int,

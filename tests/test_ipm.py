@@ -1,6 +1,7 @@
 """Interior-point driver: direction oracles, closed forms, invariants."""
 
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from fftlasso import (
 from fftlasso.diagnostics import ista_solve, soft_threshold
 from fftlasso.ipm import (
     IpmConfig,
+    IpmState,
     NewtonDirection,
     check_convergence,
     fraction_to_boundary,
@@ -63,7 +65,7 @@ class TestInitialState:
         lam = 0.7
         state = initial_state(b, mask, lam)
         rhs = exact_rhs(state, b, mask, lam)
-        for block in (rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
+        for block in (rhs.r2, rhs.r3, rhs.r4):
             assert np.all(block == 0.0)
 
     def test_initial_mu_is_duality_measure(self, rng):
@@ -76,7 +78,7 @@ class TestInitialState:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
-        conv = check_convergence(state, exact_rhs(state, b, mask, 0.5), 0.5, tol=1e-8)
+        conv = check_convergence(state, exact_rhs(state, b, mask, 0.5), tol=1e-8)
         assert conv.stationarity == pytest.approx(np.max(np.abs(analyze(b, mask.shape))))
         assert conv.dual_equality == 0.0
         assert not conv.converged
@@ -95,7 +97,7 @@ class TestNewtonDirection:
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
         d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
-        for block in (d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2):
+        for block in (d.d_beta, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
 
     def test_matches_dense_six_block_solve(self, rng):
@@ -107,10 +109,12 @@ class TestNewtonDirection:
         rhs = exact_rhs(state, b, mask, lam)
         d = newton_direction(state, rhs, mask, cg_tol=1e-14)
         m6 = dense_augmented_system(state, mask)
-        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
+        zero = np.zeros(n)  # the slack equations hold on the solver's domain
+        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(m6, stacked)
         # six-block system carries slacks with the flipped sign; d_y = d_nu
-        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_nu1, d.d_nu2])
+        mine = np.concatenate([d.d_beta, (d.d_s1 + d.d_s2) / 2, -d.d_s1, -d.d_s2,
+                               d.d_nu1, d.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
     def test_matches_full_newton_solve(self, rng):
@@ -150,7 +154,8 @@ class TestNewtonDirection:
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
         d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
-        mine = [d.d_beta, d.d_z, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2, d.d_nu1, d.d_nu2]
+        mine = [d.d_beta, (d.d_s1 + d.d_s2) / 2, d.d_s1, d.d_s2,
+                d.d_nu1, d.d_nu2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
             assert np.max(np.abs(got - want)) <= 1e-8
 
@@ -170,10 +175,12 @@ class TestNewtonDirection:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.5)
         d = newton_direction(state, rhs, mask, cg_tol=1e-14)
-        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
+        zero = np.zeros(n)  # the slack equations hold on the solver's domain
+        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(dense_augmented_system(state, mask), stacked)
         # six-block system carries slacks with the flipped sign; d_y = d_nu
-        mine = np.concatenate([d.d_beta, d.d_z, -d.d_s1, -d.d_s2, d.d_nu1, d.d_nu2])
+        mine = np.concatenate([d.d_beta, (d.d_s1 + d.d_s2) / 2, -d.d_s1, -d.d_s2,
+                               d.d_nu1, d.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
         d_nu1 = (state.mu - state.s1 * state.nu1) / state.s1 - rhs.diag.sigma1 * d.d_s1
         d_nu2 = (state.mu - state.s2 * state.nu2) / state.s2 - rhs.diag.sigma2 * d.d_s2
@@ -214,7 +221,7 @@ class TestStepMechanics:
         state = initial_state(b, mask, 0.5)
 
         blocked = NewtonDirection(
-            d_beta=np.zeros(n), d_z=np.zeros(n),
+            d_beta=np.zeros(n),
             d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
             d_nu1=np.zeros(n), d_nu2=np.zeros(n), gram_d_beta=np.zeros(n),
             krylov_iters=0, pcg_residual=0.0,
@@ -278,7 +285,7 @@ class TestCheckConvergence:
         b = rng.standard_normal(n)
         lam = 0.6
         state = central_path_state(analyze(b, mask.shape), lam, mu=1e-12)
-        conv = check_convergence(state, exact_rhs(state, b, mask, lam), lam, tol=1e-8)
+        conv = check_convergence(state, exact_rhs(state, b, mask, lam), tol=1e-8)
         assert conv.converged
         assert conv.complementarity <= 1e-8
 
@@ -291,15 +298,15 @@ class TestCheckConvergence:
         mask = Mask(np.sort(rng.choice(n, 5, replace=False)), GridShape((n,)))
         state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
         rhs = exact_rhs(state, rng.standard_normal(mask.n_observed), mask, 0.5)
-        conv = check_convergence(state, rhs, 0.5, tol=1e-8)
+        conv = check_convergence(state, rhs, tol=1e-8)
         full = state.view()
-        pieces = [rhs.r1, rhs.r2, rhs.r5, rhs.r6,
+        pieces = [rhs.r1, rhs.r2,
+                  full.z + full.beta - full.s1, full.z - full.beta - full.s2,
                   full.s1 * full.nu1 - full.mu, full.s2 * full.nu2 - full.mu,
                   full.y1 - full.nu1, full.y2 - full.nu2]
         assert conv.barrier_residual == max(float(np.max(np.abs(p))) for p in pieces)
         assert conv.stationarity == float(np.max(np.abs(rhs.r1)))
-        assert conv.primal == max(float(np.max(np.abs(rhs.r5))),
-                                  float(np.max(np.abs(rhs.r6))))
+        assert conv.dual_equality == float(np.max(np.abs(rhs.r2)))
 
     def test_not_converged_at_start(self, rng):
         n = 16
@@ -307,7 +314,7 @@ class TestCheckConvergence:
         b = 10.0 * rng.standard_normal(n)
         state = initial_state(b, mask, 0.5)
         rhs = exact_rhs(state, b, mask, 0.5)
-        assert not check_convergence(state, rhs, 0.5, tol=1e-8).converged
+        assert not check_convergence(state, rhs, tol=1e-8).converged
 
     def test_soft_threshold_fixed_point(self, rng):
         """Empty-mask solutions are the soft threshold of the correlation."""
@@ -464,6 +471,22 @@ class TestSolve:
         for state, record in seen:
             assert state.mu == record.mu
 
+    def test_observer_view_of_the_iterate(self, rng):
+        """Observers see y = nu as the same arrays and z +/- beta = s to rounding."""
+        b, mask, _ = sparse_instance(rng, 64, 9, 3)
+        seen = []
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
+                             observer=lambda state, record: seen.append((state, record)))
+        assert report.converged and len(seen) == report.iterations
+        for state, record in seen:
+            assert isinstance(state, IpmState)
+            assert state.y1 is state.nu1 and state.y2 is state.nu2
+            size = state.z + np.abs(state.beta)
+            assert np.all(np.abs(state.z + state.beta - state.s1) <= 1e-13 * size)
+            assert np.all(np.abs(state.z - state.beta - state.s2) <= 1e-13 * size)
+            assert record.primal_inf == 0.0
+        np.testing.assert_array_equal(beta, seen[-1][0].beta)
+
     @pytest.mark.parametrize("error", [NumericalBreakdownError, StalledError])
     def test_inner_failure_returns_best_iterate(self, error, rng, monkeypatch):
         """A PCG failure or step collapse keeps the best iterate seen."""
@@ -587,7 +610,7 @@ class TestEvaluationCounts:
         assert counts["barrier_diagonals"] == report.iterations + 2
 
         exact = check_convergence(states[-1], exact_rhs(states[-1], b, mask, report.lam),
-                                  report.lam, report.tol)
+                                  report.tol)
         assert exact.converged
         assert abs(report.final_kkt - exact.max_residual) <= 1e-14
 
@@ -650,3 +673,24 @@ class TestEvaluationCounts:
         assert report.converged and report.total_krylov > report.iterations
         assert calls == {"inside": report.total_krylov, "outside": 0}
         assert shapes == {(n,)}
+
+
+class TestMemory:
+    def test_peak_vectors_of_a_masked_solve(self):
+        """A 32^3 masked solve never holds more than 31 n-long float64 arrays."""
+        spec = SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43)
+        noisy, mask, _ = generate_synthetic(spec)
+        b = noisy[~mask.missing_bool]
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            beta, report = solve(b, mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert report.converged
+        assert peak / (8 * mask.shape.n) <= 31.0

@@ -10,7 +10,6 @@ from fftlasso.diagnostics import dense_gram_matrix, densify
 from fftlasso.newton_system import (
     apply_kkt,
     apply_precond_inverse,
-    apply_precond_kkt,
     barrier_diagonals,
     recover_eliminated,
 )
@@ -39,16 +38,14 @@ class TestBarrierDiagonals:
         np.testing.assert_array_equal(d.sigma1, np.ones(4))
         np.testing.assert_array_equal(d.lambda1, 2 * np.ones(4))
         np.testing.assert_array_equal(d.lambda2, np.zeros(4))
-        np.testing.assert_array_equal(d.dvec, 6 * np.ones(4))
-        np.testing.assert_array_equal(d.bvec, 2 * np.ones(4))
 
     def test_scalar_case(self):
         d = scalar_diag(2.0, 1.0, 1.0, 3.0)
         assert d.sigma1[0] == 0.5 and d.sigma2[0] == 3.0
         assert d.lambda1[0] == 3.5 and d.lambda2[0] == -2.5
-        assert d.dvec[0] == pytest.approx(9.5)
-        # cross-check the product form against lambda1*(1+lambda1) - lambda2^2
-        assert d.dvec[0] == pytest.approx(3.5 * 4.5 - 2.5**2)
+        # Delta = 4 sigma1 sigma2 / (sigma1 + sigma2) = lambda1 - lambda2^2 / lambda1
+        assert d.delta[0] == pytest.approx(3.5 - 2.5**2 / 3.5)
+        assert d.precond[0] == pytest.approx(1.0 / (1.0 + 6.0 / 3.5))
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf,
                                      pytest.param(None, id="empty")])
@@ -69,12 +66,10 @@ class TestBarrierDiagonals:
         r = np.random.default_rng(seed)
         d = barrier_diagonals(*(r.random(n) * 10 + 1e-3 for _ in range(4)))
         assert np.all(d.sigma1 > 0) and np.all(d.sigma2 > 0)
-        np.testing.assert_allclose(
-            d.dvec, d.lambda1 * (1 + d.lambda1) - d.lambda2**2, rtol=1e-12
-        )
-        ratio = d.lambda1 / d.dvec
-        assert np.all(ratio > 0) and np.all(ratio < 1)
-        assert np.all(d.bvec > 0)
+        np.testing.assert_allclose(d.omega1 + d.omega2, 1.0, rtol=1e-15)
+        # no coefficient exceeds the smaller diagonal: nothing of size 1/mu cancels
+        assert np.all(d.delta <= 4.0 * np.minimum(d.sigma1, d.sigma2) * (1 + 1e-15))
+        assert np.all(d.precond > 0) and np.all(d.precond <= 1)
 
 
 class TestNewtonRhs:
@@ -86,7 +81,7 @@ class TestNewtonRhs:
         lam, mu = 0.7, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
         rhs = exact_rhs(state, b, mask, lam)
-        for block in (rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
+        for block in (rhs.r1, rhs.r2, rhs.r3, rhs.r4):
             assert np.max(np.abs(block)) <= 1e-10
 
     def test_initial_point_residuals(self, rng):
@@ -99,7 +94,7 @@ class TestNewtonRhs:
         lam = 0.5
         rhs = exact_rhs(initial_state(b, mask, lam), b, mask, lam)
         np.testing.assert_allclose(rhs.r1, analyze(b, mask.shape), atol=1e-13)
-        for block in (rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6):
+        for block in (rhs.r2, rhs.r3, rhs.r4):
             assert np.max(np.abs(block)) == 0.0
 
     def test_condensed_rhs_identities(self, rng):
@@ -109,8 +104,8 @@ class TestNewtonRhs:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-        r_beta = rhs.r1 - rhs.r3 + rhs.r4 - d.sigma1 * rhs.r5 + d.sigma2 * rhs.r6
-        r_c = rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6
+        r_beta = rhs.r1 - rhs.r3 + rhs.r4  # the slack residuals r5, r6 are zero
+        r_c = rhs.r2 - rhs.r3 - rhs.r4
         np.testing.assert_allclose(
             rhs.rho, r_beta - d.lambda2 / d.lambda1 * r_c, atol=1e-13
         )
@@ -127,7 +122,8 @@ class TestNewtonRhs:
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
         m6 = dense_augmented_system(state, mask)
-        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
+        zero = np.zeros(n)  # the slack equations hold on the solver's domain
+        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
 
         def schur(k):
             a11, a12 = m6[:k, :k], m6[:k, k:]
@@ -230,20 +226,20 @@ class TestPreconditionedOperator:
         st8 = random_interior_state(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         v = rng.standard_normal(2 * n)
-        top, bottom = apply_precond_kkt(v[:n], v[n:], d, empty_mask(n))
-        np.testing.assert_allclose(np.concatenate([top, bottom]), v, atol=1e-12)
+        out = apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, empty_mask(n)), d)
+        np.testing.assert_allclose(np.concatenate(out), v, atol=1e-12)
 
     def test_block_triangular_form(self, rng):
         n = 8
         mask = Mask(np.array([0, 4, 7]), GridShape((n,)))
         st8 = random_interior_state(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        dense = densify(
-            lambda v: np.concatenate(apply_precond_kkt(v[:n], v[n:], d, mask)), 2 * n
-        )
+        dense = densify(lambda v: np.concatenate(
+            apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
         g = dense_gram_matrix(mask)
-        expect_11 = np.eye(n) + np.diag(d.lambda1 / d.dvec) @ (g - np.eye(n))
-        expect_21 = -np.diag(d.lambda2 / d.dvec) @ (g - np.eye(n))
+        det = d.lambda1 * (1 + d.lambda1) - d.lambda2**2  # of P's 2x2 blocks
+        expect_11 = np.eye(n) + np.diag(d.lambda1 / det) @ (g - np.eye(n))
+        expect_21 = -np.diag(d.lambda2 / det) @ (g - np.eye(n))
         np.testing.assert_allclose(dense[:n, :n], expect_11, atol=1e-12)
         np.testing.assert_allclose(dense[n:, :n], expect_21, atol=1e-12)
         assert np.max(np.abs(dense[:n, n:])) <= 1e-12  # (1,2) block vanishes
@@ -254,9 +250,8 @@ class TestPreconditionedOperator:
         mask = Mask(np.sort(rng.choice(n, 3, replace=False)), GridShape((n,)))
         st16 = random_interior_state(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
-        dense = densify(
-            lambda v: np.concatenate(apply_precond_kkt(v[:n], v[n:], d, mask)), 2 * n
-        )
+        dense = densify(lambda v: np.concatenate(
+            apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
         eigs = np.linalg.eigvals(dense)
         assert np.max(np.abs(eigs.imag)) <= 1e-10
         assert np.min(eigs.real) > 0.0
@@ -270,9 +265,9 @@ class TestRecoverEliminated:
         st8 = random_feasible_iterate(rng, n)
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        zrhs = KktRhs(*(np.zeros(n) for _ in range(6)), np.zeros(n), diag=d)
+        zrhs = KktRhs(*(np.zeros(n) for _ in range(5)), diag=d)
         sol = recover_eliminated(zero, zrhs)
-        for block in (sol.d_z, sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2):
+        for block in (sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2):
             assert np.all(block == 0.0)
 
     def test_matches_dense_six_block_solve(self, rng):
@@ -295,11 +290,12 @@ class TestRecoverEliminated:
         sol = recover_eliminated(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
-        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.r5, rhs.r6])
+        zero = np.zeros(n)  # the slack equations hold on the solver's domain
+        stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(m6, stacked)
         # the six-block system carries slacks with the flipped sign; d_y = d_nu
-        mine = np.concatenate([sol.d_beta, sol.d_z, -sol.d_s1, -sol.d_s2,
-                               sol.d_nu1, sol.d_nu2])
+        mine = np.concatenate([sol.d_beta, (sol.d_s1 + sol.d_s2) / 2, -sol.d_s1,
+                               -sol.d_s2, sol.d_nu1, sol.d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
     def test_multiplier_rows_consistency(self, rng):
@@ -312,13 +308,13 @@ class TestRecoverEliminated:
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         db = rng.standard_normal(n)
         sol = recover_eliminated(db, rhs)
-        dz = sol.d_z
+        dz = (sol.d_s1 + sol.d_s2) / 2  # with d_y = d_nu and r5 = r6 = 0
         np.testing.assert_allclose(
-            -db - dz - sol.d_nu1 / d.sigma1, rhs.r5 + rhs.r3 / d.sigma1, atol=1e-12
+            -db - dz - sol.d_nu1 / d.sigma1, rhs.r3 / d.sigma1, atol=1e-12
         )
         np.testing.assert_allclose(
-            db - dz - sol.d_nu2 / d.sigma2, rhs.r6 + rhs.r4 / d.sigma2, atol=1e-12
+            db - dz - sol.d_nu2 / d.sigma2, rhs.r4 / d.sigma2, atol=1e-12
         )
         # d_z satisfies the second condensed row for any d_beta
-        r_c = rhs.r2 - rhs.r3 - rhs.r4 - d.sigma1 * rhs.r5 - d.sigma2 * rhs.r6
+        r_c = rhs.r2 - rhs.r3 - rhs.r4
         np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
