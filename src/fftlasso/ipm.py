@@ -457,7 +457,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             break
         g += alpha_p * direction.gram_d_beta
         krylov_iters, pcg_residual = direction.krylov_iters, direction.pcg_residual
-        del direction, rhs  # released before the next evaluation is built
+        del direction, rhs  # not live while the next evaluation is built: peak memory
         rhs = newton_rhs(state, xi, g, lam)
         conv = check_convergence(state, rhs, config.tol)
         if conv.converged:  # confirm on the exact product, never on the carried one
