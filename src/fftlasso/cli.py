@@ -55,18 +55,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    try:
-        values, dims = read_volume(args.input)
-        mask = read_mask(args.mask)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    values, dims = read_volume(args.input)
+    mask = read_mask(args.mask)
     if tuple(dims) != mask.shape.dims:
-        print(
-            f"error: volume dims {dims} do not match mask dims {mask.shape.dims}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        raise ValueError(f"volume dims {dims} do not match mask dims {mask.shape.dims}")
 
     b = values[~mask.missing_bool]
     config = IpmConfig(

@@ -10,7 +10,7 @@ solver (ISTA) for cross-validating solutions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -165,19 +165,7 @@ class SpectrumReport:
     duality_measure: float
 
     def to_dict(self) -> dict:
-        return {
-            "record": "spectrum",
-            "cluster_tol": self.cluster_tol,
-            "unit_cluster_size": self.unit_cluster_size,
-            "predicted_cluster_size": self.predicted_cluster_size,
-            "kappa_observed": self.kappa_observed,
-            "kappa_predicted": self.kappa_predicted,
-            "kappa_unpreconditioned": self.kappa_unpreconditioned,
-            "n_active": self.n_active,
-            "strict_complementarity": self.strict_complementarity,
-            "duality_measure": self.duality_measure,
-            "eigenvalues": self.eigenvalues.tolist(),
-        }
+        return {"record": "spectrum", **asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
 
 def preconditioned_spectrum(state: IpmState, mask: Mask,
@@ -252,20 +240,21 @@ class ScalingReport:
     in_band: bool
 
     def to_dict(self) -> dict:
-        return {
-            "record": "scaling",
-            "band": list(self.band),
-            "iterations_checked": self.iterations_checked,
-            "lambda1_times_mu": list(self.lambda1_times_mu),
-            "sigma1_over_mu_pos": list(self.sigma1_over_mu_pos),
-            "sigma2_times_mu_pos": list(self.sigma2_times_mu_pos),
-            "sigma1_times_mu_neg": list(self.sigma1_times_mu_neg),
-            "sigma2_over_mu_neg": list(self.sigma2_over_mu_neg),
-            "sigma1_times_mu_zero": list(self.sigma1_times_mu_zero),
-            "sigma2_times_mu_zero": list(self.sigma2_times_mu_zero),
-            "sigma_product_active": list(self.sigma_product_active),
-            "in_band": self.in_band,
-        }
+        return {"record": "scaling", **asdict(self)}
+
+
+# ScalingReport field -> ratio of the barrier diagonals d at duality measure
+# mu, over the index classes of the support s
+_SCALING_RATIOS = {
+    "lambda1_times_mu": lambda d, mu, s: d.lambda1 * mu,
+    "sigma1_over_mu_pos": lambda d, mu, s: d.sigma1[s.positive] / mu,
+    "sigma2_times_mu_pos": lambda d, mu, s: d.sigma2[s.positive] * mu,
+    "sigma1_times_mu_neg": lambda d, mu, s: d.sigma1[s.negative] * mu,
+    "sigma2_over_mu_neg": lambda d, mu, s: d.sigma2[s.negative] / mu,
+    "sigma1_times_mu_zero": lambda d, mu, s: d.sigma1[s.zero] * mu,
+    "sigma2_times_mu_zero": lambda d, mu, s: d.sigma2[s.zero] * mu,
+    "sigma_product_active": lambda d, mu, s: d.sigma1[s.active] * d.sigma2[s.active],
+}
 
 
 def scaling_trajectory_check(states: list[IpmState],
@@ -285,41 +274,16 @@ def scaling_trajectory_check(states: list[IpmState],
     window = states[-tail:]
     if support is None:
         support = classify_support(window[-1].beta)
-    pos, neg, zero = support.positive, support.negative, support.zero
-    active = support.active
-
-    lam_mu, s1p, s2p, s1n, s2n, s1z, s2z, prod = ([] for _ in range(8))
-    for st in window:
-        mu = st.duality_measure()
-        d = barrier_diagonals(st.s1, st.s2, st.nu1, st.nu2)
-        lam_mu.append(d.lambda1 * mu)
-        s1p.append(d.sigma1[pos] / mu)
-        s2p.append(d.sigma2[pos] * mu)
-        s1n.append(d.sigma1[neg] * mu)
-        s2n.append(d.sigma2[neg] / mu)
-        s1z.append(d.sigma1[zero] * mu)
-        s2z.append(d.sigma2[zero] * mu)
-        prod.append(d.sigma1[active] * d.sigma2[active])
-
-    ranges = [
-        _ratio_range(np.concatenate(chunk)) for chunk in
-        (lam_mu, s1p, s2p, s1n, s2n, s1z, s2z, prod)
-    ]
+    diags = [(barrier_diagonals(st.s1, st.s2, st.nu1, st.nu2), st.duality_measure())
+             for st in window]
+    ranges = {
+        name: _ratio_range(np.concatenate([ratio(d, mu, support) for d, mu in diags]))
+        for name, ratio in _SCALING_RATIOS.items()
+    }
     lo, hi = band
-    in_band = all(lo <= r[0] and r[1] <= hi for r in ranges)
-    return ScalingReport(
-        band=band,
-        iterations_checked=len(window),
-        lambda1_times_mu=ranges[0],
-        sigma1_over_mu_pos=ranges[1],
-        sigma2_times_mu_pos=ranges[2],
-        sigma1_times_mu_neg=ranges[3],
-        sigma2_over_mu_neg=ranges[4],
-        sigma1_times_mu_zero=ranges[5],
-        sigma2_times_mu_zero=ranges[6],
-        sigma_product_active=ranges[7],
-        in_band=in_band,
-    )
+    in_band = all(lo <= r[0] and r[1] <= hi for r in ranges.values())
+    return ScalingReport(band=band, iterations_checked=len(window), **ranges,
+                         in_band=in_band)
 
 
 def soft_threshold(x, t: float) -> np.ndarray:

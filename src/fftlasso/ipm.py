@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -93,10 +93,10 @@ class IpmConfig:
     def __post_init__(self):
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0.0):
             raise ValueError("lam must be positive and finite")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.cg_tol <= 0.0:
-            raise ValueError("cg_tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be positive and finite")
+        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0.0):
+            raise ValueError("cg_tol must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
 
@@ -190,27 +190,12 @@ class IterationRecord:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {
-            "record": "iteration",
-            "iteration": self.iteration,
-            "mu": self.mu,
-            "primal_inf": self.primal_inf,
-            "dual_inf": self.dual_inf,
-            "complementarity": self.complementarity,
-            "kkt_max": self.kkt_max,
-            "krylov_iters": self.krylov_iters,
-            "alpha_primal": self.alpha_primal,
-            "alpha_dual": self.alpha_dual,
-            "pcg_residual": self.pcg_residual,
-            "centrality_ok": self.centrality_ok,
-            "wall_time": self.wall_time,
-        }
+        return {"record": "iteration", **asdict(self)}
 
 
 @dataclass
 class SolveReport:
     status: str  # "converged", "max_iters" or "stalled"
-    iterations: int
     lam: float
     tol: float
     records: list[IterationRecord]
@@ -225,6 +210,10 @@ class SolveReport:
         return self.status == "converged"
 
     @property
+    def iterations(self) -> int:
+        return len(self.records)
+
+    @property
     def krylov_counts(self) -> list[int]:
         return [rec.krylov_iters for rec in self.records]
 
@@ -233,6 +222,7 @@ class SolveReport:
         return sum(self.krylov_counts)
 
     def to_dict(self) -> dict:
+        """The summary record: ``lam`` as ``lambda``, the Krylov total, no records."""
         return {
             "record": "summary",
             "status": self.status,
@@ -267,7 +257,7 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(b, mask: Mask, lam: float) -> Iterate:
+def initial_state(n: int, lam: float) -> Iterate:
     """Well-centered starting point.
 
     ``s1 = s2 = 1`` puts ``beta = 0``, ``z = 1``; ``nu = lam/2`` zeroes
@@ -277,7 +267,6 @@ def initial_state(b, mask: Mask, lam: float) -> Iterate:
     """
     if lam <= 0:
         raise ValueError("penalty must be positive")
-    n = mask.shape.n
     return Iterate(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
                    nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
@@ -431,9 +420,9 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     lam = config.lam if config.lam is not None else _penalty_of_correlation(xi)
     if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
         return np.zeros(mask.shape.n), SolveReport(
-            status="converged", iterations=0, lam=lam, tol=config.tol, records=[],
+            status="converged", lam=lam, tol=config.tol, records=[],
             final_objective=0.0, final_kkt=0.0, final_mu=0.0, wall_time=0.0)
-    state = initial_state(b, mask, lam)
+    state = initial_state(mask.shape.n, lam)
 
     t0 = time.perf_counter()
     records: list[IterationRecord] = []
@@ -490,7 +479,6 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     beta = state.beta if status == "converged" else best_beta
     report = SolveReport(
         status=status,
-        iterations=len(records),
         lam=lam,
         tol=config.tol,
         records=records,

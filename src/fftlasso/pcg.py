@@ -27,9 +27,9 @@ MAX_ITERS_CAP = 5000
 class PcgConfig:
     """Stopping control for :func:`pcg_solve`.
 
-    ``abs_tol``/``rel_tol`` bound the preconditioned residual norm; at
-    least one must be positive.  ``max_iters`` defaults to 10x the system
-    dimension, capped at 5000.
+    ``abs_tol``/``rel_tol`` bound the preconditioned residual norm; both
+    must be finite and at least one positive.  ``max_iters`` defaults to
+    10x the system dimension, capped at 5000.
     """
 
     abs_tol: float = 1e-12
@@ -38,8 +38,8 @@ class PcgConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not all(math.isfinite(t) and t >= 0 for t in (self.abs_tol, self.rel_tol)):
+            raise ValueError("tolerances must be nonnegative and finite")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
 

@@ -89,10 +89,16 @@ class TestSolve:
         assert len(iteration_records) == summary["iterations"]
         assert [r["iteration"] for r in iteration_records] == \
             list(range(1, summary["iterations"] + 1))
+        # the schema: a new key is a deliberate change to this list and the README
+        assert set(meta) == {"record", "input", "dims", "unknowns", "ipm_variables",
+                             "missing", "lambda", "lambda_source", "tol", "cg_tol"}
         for r in iteration_records:
-            for key in ("mu", "primal_inf", "dual_inf", "complementarity",
-                        "krylov_iters", "alpha_primal", "alpha_dual", "wall_time"):
-                assert key in r
+            assert set(r) == {"record", "iteration", "mu", "primal_inf", "dual_inf",
+                              "complementarity", "kkt_max", "krylov_iters", "alpha_primal",
+                              "alpha_dual", "pcg_residual", "centrality_ok", "wall_time"}
+        assert set(summary) == {"record", "status", "iterations", "lambda", "tol",
+                                "final_objective", "final_kkt", "final_mu", "total_krylov",
+                                "reason", "wall_time"}
 
         beta, dims = read_volume(out)
         imputed, _ = read_volume(impute)
@@ -149,6 +155,16 @@ class TestSolve:
         assert code == EXIT_STALLED
         assert read_report(report)[-1]["reason"] == "injected inner failure"
         assert "injected inner failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--tol", "--cg-tol"])
+    def test_nonfinite_tolerance_is_input_error(self, problem_files, capsys, flag):
+        signal, mask, tmp = problem_files
+        code = main([
+            "solve", "--input", signal, "--mask", mask, flag, "nan",
+            "--output", str(tmp / "b.f64"),
+        ])
+        assert code == EXIT_INPUT_ERROR
+        assert "finite" in capsys.readouterr().err
 
     def test_bad_thread_cap_is_input_error(self, problem_files, monkeypatch, capsys):
         signal, mask, tmp = problem_files

@@ -1,6 +1,7 @@
 """Diagnostics: dense assembly, support sets, spectrum probe, ISTA oracle."""
 
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -135,12 +136,18 @@ class TestSpectrumProbe:
 
         state = random_interior_state(rng, 8)
         probe = preconditioned_spectrum(state, empty_mask(8))
-        parsed = json.loads(json.dumps(probe.to_dict()))
-        assert parsed["record"] == "spectrum"
-        assert len(parsed["eigenvalues"]) == 16
         scaling = scaling_trajectory_check([state] * 5)
-        parsed = json.loads(json.dumps(scaling.to_dict()))
-        assert parsed["record"] == "scaling"
+        for report, kind in ((probe, "spectrum"), (scaling, "scaling")):
+            expected = {"record": kind}
+            for f in fields(report):
+                value = getattr(report, f.name)
+                if isinstance(value, np.ndarray):
+                    value = value.tolist()
+                elif isinstance(value, tuple):
+                    value = list(value)
+                expected[f.name] = value
+            assert json.loads(json.dumps(report.to_dict())) == expected
+        assert len(probe.to_dict()["eigenvalues"]) == 16
 
 
 class TestScalingTrajectory:

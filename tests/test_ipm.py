@@ -63,13 +63,13 @@ class TestInitialState:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         lam = 0.7
-        state = initial_state(b, mask, lam)
+        state = initial_state(n, lam)
         rhs = exact_rhs(state, b, mask, lam)
         for block in (rhs.r2, rhs.r3, rhs.r4):
             assert np.all(block == 0.0)
 
-    def test_initial_mu_is_duality_measure(self, rng):
-        state = initial_state(rng.standard_normal(8), empty_mask(8), 0.5)
+    def test_initial_mu_is_duality_measure(self):
+        state = initial_state(8, 0.5)
         assert state.mu == pytest.approx(0.25)
         assert state.duality_measure() == pytest.approx(state.mu)
 
@@ -77,15 +77,15 @@ class TestInitialState:
         n = 8
         mask = empty_mask(n)
         b = rng.standard_normal(n)
-        state = initial_state(b, mask, 0.5)
+        state = initial_state(n, 0.5)
         conv = check_convergence(state, exact_rhs(state, b, mask, 0.5), tol=1e-8)
         assert conv.stationarity == pytest.approx(np.max(np.abs(analyze(b, mask.shape))))
         assert conv.dual_equality == 0.0
         assert not conv.converged
 
-    def test_rejects_nonpositive_penalty(self, rng):
+    def test_rejects_nonpositive_penalty(self):
         with pytest.raises(ValueError):
-            initial_state(rng.standard_normal(4), empty_mask(4), 0.0)
+            initial_state(4, 0.0)
 
 
 class TestNewtonDirection:
@@ -207,7 +207,7 @@ class TestStepMechanics:
     def test_step_preserves_interior(self, rng):
         b, mask, _ = sparse_instance(rng, 32, 4, 3)
         lam = 0.4
-        state = initial_state(b, mask, lam)
+        state = initial_state(mask.shape.n, lam)
         for _ in range(5):
             rhs = exact_rhs(state, b, mask, lam)
             state, _, _, _ = ipm_step(state, rhs, mask, cg_tol=1e-12)
@@ -218,7 +218,7 @@ class TestStepMechanics:
         n = 8
         mask = empty_mask(n)
         b = rng.standard_normal(n)
-        state = initial_state(b, mask, 0.5)
+        state = initial_state(n, 0.5)
 
         blocked = NewtonDirection(
             d_beta=np.zeros(n),
@@ -257,6 +257,10 @@ class TestConfigValidation:
         pytest.param({"lam": -0.5}, id="lam-negative"),
         pytest.param({"lam": np.nan}, id="lam-nan"),
         pytest.param({"lam": np.inf}, id="lam-inf"),
+        pytest.param({"tol": np.nan}, id="tol-nan"),
+        pytest.param({"tol": np.inf}, id="tol-inf"),
+        pytest.param({"cg_tol": np.nan}, id="cg_tol-nan"),
+        pytest.param({"cg_tol": np.inf}, id="cg_tol-inf"),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
@@ -312,7 +316,7 @@ class TestCheckConvergence:
         n = 16
         mask = empty_mask(n)
         b = 10.0 * rng.standard_normal(n)
-        state = initial_state(b, mask, 0.5)
+        state = initial_state(n, 0.5)
         rhs = exact_rhs(state, b, mask, 0.5)
         assert not check_convergence(state, rhs, tol=1e-8).converged
 

@@ -92,7 +92,7 @@ class TestNewtonRhs:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         lam = 0.5
-        rhs = exact_rhs(initial_state(b, mask, lam), b, mask, lam)
+        rhs = exact_rhs(initial_state(n, lam), b, mask, lam)
         np.testing.assert_allclose(rhs.r1, analyze(b, mask.shape), atol=1e-13)
         for block in (rhs.r2, rhs.r3, rhs.r4):
             assert np.max(np.abs(block)) == 0.0

@@ -37,6 +37,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PcgConfig(abs_tol=-1.0)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"abs_tol": np.nan}, {"abs_tol": np.inf}, {"rel_tol": np.nan}, {"rel_tol": np.inf},
+    ], ids=["abs-nan", "abs-inf", "rel-nan", "rel-inf"])
+    def test_rejects_nonfinite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            PcgConfig(**kwargs)
+
     def test_default_iteration_limit(self):
         assert PcgConfig().iteration_limit(10) == 100
         assert PcgConfig().iteration_limit(10**6) == 5000

@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Fingerprint every report the solver writes, to check byte identity.
+
+    PYTHONPATH=src python tools/report_fingerprint.py
+
+Runs four fixed cases in a temporary directory, under fixed relative file
+names, and prints one ``sha256  name`` line per artefact:
+
+- ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
+- ``cli-256x256``: a 256^2 byte-mask volume with 30% missing, with
+  ``--impute``;
+- ``lib-32``: a 32^3 library solve with 15% missing (seeds 42/43);
+- ``probe-1d``: a 1-D masked solve, probed at every iterate with
+  ``preconditioned_spectrum`` and over its trajectory with
+  ``scaling_trajectory_check``.
+
+Reports and record dicts are hashed as sorted-key JSON lines with
+``wall_time`` removed; recovered spectra and imputed volumes as their raw
+float64 bytes.  A change that must not alter behaviour prints the same
+lines as its parent; point ``PYTHONPATH`` at the other checkout's ``src``
+and diff the two outputs.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import tempfile
+
+import numpy as np
+
+from fftlasso.cli import main
+from fftlasso.diagnostics import preconditioned_spectrum, scaling_trajectory_check
+from fftlasso.fourier import GridShape
+from fftlasso.ipm import IpmConfig, solve
+from fftlasso.masking import Mask, observe
+from fftlasso.synthetic import SyntheticSpec, generate_synthetic
+
+
+def emit(name: str, data: bytes) -> None:
+    print(f"{hashlib.sha256(data).hexdigest()}  {name}")
+
+
+def json_lines(records) -> bytes:
+    return "".join(
+        json.dumps({k: v for k, v in rec.items() if k != "wall_time"}, sort_keys=True) + "\n"
+        for rec in records
+    ).encode()
+
+
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def cli_case(name: str, generate_args: list[str], solve_args: list[str]) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(["generate", *generate_args, "--signal", "signal.f64", "--mask", "mask.bin"]):
+            raise SystemExit(f"{name}: generate failed")
+        code = main(["solve", "--input", "signal.f64", "--mask", "mask.bin",
+                     "--output", "beta.f64", "--report", "report.jsonl", *solve_args])
+    with open("report.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    emit(f"{name}/report", json_lines(records))
+    emit(f"{name}/beta", read_bytes("beta.f64"))
+    if "--impute" in solve_args:
+        emit(f"{name}/imputed", read_bytes("imputed.f64"))
+    emit(f"{name}/stdout+exit", f"{out.getvalue()}exit {code}\n".encode())
+
+
+def library_case(name: str, b, mask: Mask, config: IpmConfig, observer=None) -> None:
+    beta, report = solve(b, mask, config, observer)
+    emit(f"{name}/records", json_lines([rec.to_dict() for rec in report.records]
+                                       + [report.to_dict()]))
+    emit(f"{name}/beta", beta.tobytes())
+
+
+def probe_case(name: str) -> None:
+    # criterion 6's instance: 4 active coefficients of 48, 7 samples missing
+    rng = np.random.default_rng(6000)
+    n = 48
+    mask = Mask(np.sort(rng.choice(n, size=7, replace=False)), GridShape((n,)))
+    beta_true = np.zeros(n)
+    idx = rng.choice(n, size=4, replace=False)
+    beta_true[idx] = (1.0 + rng.random(4)) * np.sign(rng.standard_normal(4))
+    b = observe(beta_true, mask) + 0.02 * rng.standard_normal(mask.n_observed)
+
+    states, spectra = [], []
+
+    def watch(state, record):
+        states.append(state)
+        spectra.append(preconditioned_spectrum(state, mask).to_dict())
+
+    library_case(name, b, mask, IpmConfig(lam=0.4, tol=1e-8), observer=watch)
+    emit(f"{name}/spectra", json_lines(spectra))
+    emit(f"{name}/scaling", json_lines([scaling_trajectory_check(states).to_dict()]))
+
+
+def run() -> None:
+    cli_case("cli-16", ["--dims", "16,16,16", "--noise-seed", "9", "--missing-seed", "10"],
+             [])
+    cli_case("cli-256x256",
+             ["--dims", "256,256", "--noise-seed", "23", "--missing-seed", "24",
+              "--missing-fraction", "0.3", "--mask-format", "bytemask"],
+             ["--impute", "imputed.f64"])
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
+    library_case("lib-32", noisy[~mask.missing_bool], mask, IpmConfig())
+    probe_case("probe-1d")
+
+
+if __name__ == "__main__":
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            run()
+        finally:
+            os.chdir(cwd)
