@@ -30,6 +30,11 @@ and the preconditioned Schur operator is ``(I + Delta)^{-1}(I + Delta) =
 I``: one Krylov step per Newton step, and a denoising solve takes one
 ``analyze`` (of ``b``) and one ``synthesize`` (for the final objective) in
 total.
+
+The loop allocates its n-vectors once per solve, in a ``_Workspace``:
+every kernel writes into given arrays, each step writes ``x + alpha*dx``
+over its direction, and the freed old iterate holds the next direction.
+Observers therefore get copies.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ import numpy as np
 from .errors import NumericalBreakdownError, StalledError
 from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
+    BarrierDiagonals,
     CondensedSolution,
     KktRhs,
     apply_kkt,
@@ -117,7 +123,8 @@ class _Complementarity:
 class IpmState(_Complementarity):
     """All primal-dual variables plus the current barrier parameter.
 
-    Observers get this :meth:`Iterate.view`: ``y1``/``y2`` are the arrays
+    Observers get this :meth:`Iterate.view` of a copy of the solver's
+    iterate, whose arrays the solver reuses: ``y1``/``y2`` are the arrays
     ``nu1``/``nu2``, and ``z +/- beta`` gives ``s1``/``s2`` to rounding.
     """
 
@@ -154,8 +161,17 @@ class Iterate(_Complementarity):
         """``(s1 - s2)/2``, a new array on every access."""
         return 0.5 * (self.s1 - self.s2)
 
+    def copy(self) -> "Iterate":
+        """The same iterate in new arrays."""
+        return Iterate(self.s1.copy(), self.s2.copy(), self.nu1.copy(), self.nu2.copy(),
+                       self.mu)
+
     def view(self) -> IpmState:
-        """The full primal-dual state, sharing this iterate's arrays."""
+        """The full primal-dual state, sharing this iterate's arrays.
+
+        :func:`solve` hands observers the view of a :meth:`copy`, since
+        its own iterates' arrays are reused by later steps.
+        """
         return IpmState(beta=self.beta, z=0.5 * (self.s1 + self.s2),
                         s1=self.s1, s2=self.s2, y1=self.nu1, y2=self.nu2,
                         nu1=self.nu1, nu2=self.nu2, mu=self.mu)
@@ -271,18 +287,23 @@ def initial_state(n: int, lam: float) -> Iterate:
                    nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
-def check_convergence(state: Iterate, rhs: KktRhs, tol: float) -> ConvergenceReport:
+def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
+                      scratch=None) -> ConvergenceReport:
     """Exact KKT residuals, the barrier residual at ``state.mu`` and the
-    centrality monitor; ``rhs`` = ``newton_rhs``.  The slack equations and
-    ``y = nu`` hold exactly, so their residuals are not checked."""
-    prod1 = state.s1 * state.nu1
-    prod2 = state.s2 * state.nu2
+    centrality monitor; ``rhs`` = ``newton_rhs``, of which only ``r1`` and
+    ``r2`` are read.  The slack equations and ``y = nu`` hold exactly, so
+    their residuals are not checked.  ``scratch`` is an n-long temporary,
+    allocated when not given."""
+    prod = np.multiply(state.s1, state.nu1, out=scratch)
+    max1, min1 = float(prod.max()), float(prod.min())
+    prod = np.multiply(state.s2, state.nu2, out=prod)
+    max2, min2 = float(prod.max()), float(prod.min())
 
     stat = _inf_norm(rhs.r1)
     dual = _inf_norm(rhs.r2)
-    comp = max(float(prod1.max()), float(prod2.max()))
+    comp = max(max1, max2)
     worst = max(stat, dual, comp)
-    comp_min = min(float(prod1.min()), float(prod2.min()))
+    comp_min = min(min1, min2)
     # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
     return ConvergenceReport(
@@ -305,74 +326,122 @@ class NewtonDirection(CondensedSolution):
     pcg_residual: float
 
 
-def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask,
-                     cg_tol: float) -> NewtonDirection:
+class _Workspace:
+    """The n-vectors of one solve's Newton steps, allocated once.
+
+    ``rhs`` receives each evaluation, and its arrays are lent out while
+    idle.  ``rho`` is formed by :meth:`KktRhs.condense` just before a
+    direction, and PCG reduces it in place to its residual; outside that
+    span it is the temporary of the convergence check and the step-length
+    rule.  ``r1`` is last read by condensation, so PCG accumulates
+    ``G d_beta`` there until the next evaluation.  ``spare`` holds four
+    arrays that no iterate uses: a step recovers its direction into them
+    and adds the iterate there, so they become the new iterate's, and the
+    old iterate's arrays become the spare ones.  Until recovery they are
+    free, and condensation and PCG work in them.
+    """
+
+    def __init__(self, n: int):
+        # One block: as 16 separate arrays on the heap they left the transforms'
+        # temporaries on top of it, where free() trims them and every call
+        # page-faults them anew (43K minor faults per 256^2 solve against none).
+        rows = np.empty((16, n))
+        self.rhs = KktRhs(*rows[:5], BarrierDiagonals(*rows[5:11]))
+        self.d_beta = rows[11]
+        self.spare = tuple(rows[12:])
+
+
+def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
+                     work: _Workspace | None = None) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
     ``rhs`` is ``newton_rhs`` at this iterate and barrier.  PCG solves the
     Schur complement ``S d_beta = rho`` matrix-free and also accumulates
     ``G d_beta``; :func:`recover_eliminated` back-substitutes the slack
     steps and the multiplier step from the linearized complementarity
-    ``d_nu = (mu - s*nu)/s - sigma * d_s``.
+    ``d_nu = (mu - s*nu)/s - sigma * d_s``.  The direction is built in the
+    arrays of ``work``, :func:`solve`'s per-solve buffers, or in new ones;
+    ``rhs`` is left intact unless it is ``work.rhs``, whose ``rho`` PCG
+    reduces to its residual and whose ``r1`` receives ``G d_beta``.
     """
     diag = rhs.diag
+    work = _Workspace(state.n) if work is None else work
+    search, product, temp = work.spare[:3]  # free until recovery writes the direction
 
     def op(v):
-        return apply_kkt(v, None, diag, mask)
+        return apply_kkt(v, None, diag, mask, out=product)
 
     def prec(v):
-        return apply_precond_inverse(v, None, diag)
+        return apply_precond_inverse(v, None, diag, out=product)
 
-    gram_d_beta = np.empty(state.n)
-    result = pcg_solve(op, prec, rhs.rho, PcgConfig(abs_tol=cg_tol), image=gram_d_beta)
+    result = pcg_solve(op, prec, rhs.rho, PcgConfig(abs_tol=cg_tol),
+                       image=work.rhs.r1,
+                       work=(work.d_beta, work.rhs.rho, search, temp))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
-    sol = recover_eliminated(result.solution, rhs)
+    sol = recover_eliminated(result.solution, rhs, out=work.spare)
     return NewtonDirection(
         **vars(sol),
-        gram_d_beta=gram_d_beta,
+        gram_d_beta=work.rhs.r1,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
     )
 
 
-def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float) -> float:
-    """Largest step in (0, 1] keeping ``v + alpha*dv >= (1 - tau) * v``."""
-    # max of v/dv over the shrinking entries is minus the min of v/(-dv)
-    ratios = np.divide(v, dv, out=np.full(v.shape, -np.inf), where=dv < 0.0)
-    return min(1.0, tau * -float(ratios.max()))
+def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
+                         scratch=None) -> float:
+    """Largest step in (0, 1] keeping ``v + alpha*dv >= (1 - tau) * v``, for
+    ``v > 0``; ``scratch`` is an n-long temporary, allocated when not given."""
+    with np.errstate(all="ignore"):  # zeros, overflows and NaNs are sorted out below
+        ratios = np.divide(v, dv, out=scratch)
+    # Read as int64, a double with the sign bit set is negative and grows
+    # with its magnitude, so the integer min is the negative ratio nearest
+    # zero: the shrinking entry (dv < 0) that sets the step.  dv = -0 gives
+    # -inf and a NaN in dv may give a negative NaN; both lie beyond every
+    # finite ratio, and alone they give a step of 1 (min(1, nan) is 1).
+    nearest = ratios.view(np.int64).min()
+    if nearest >= 0:
+        return 1.0
+    return min(1.0, tau * -float(nearest.view(np.float64)))
 
 
-def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask,
-             cg_tol: float) -> tuple[Iterate, NewtonDirection, float, float]:
+def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
+             work: _Workspace | None = None) -> tuple[Iterate, NewtonDirection, float, float]:
     """Take one damped Newton step from ``state``, with ``rhs = newton_rhs``
-    at it; returns the new iterate, the direction and both step lengths."""
-    direction = newton_direction(state, rhs, mask, cg_tol)
+    at it; returns the new iterate, the direction and both step lengths.
+
+    ``x + alpha*dx`` is written into the direction's arrays: the new
+    iterate owns the four step arrays, while ``d_beta``, ``gram_d_beta``
+    and the PCG diagnostics stay the direction's.  ``state`` is not
+    modified; with ``work``, its arrays become the spare ones.
+    """
+    work = _Workspace(state.n) if work is None else work
+    direction = newton_direction(state, rhs, mask, cg_tol, work)
     tau = max(FTB_TAU, 1.0 - state.mu)
+    scratch = work.rhs.rho  # PCG's residual, spent
     alpha_p = min(
-        fraction_to_boundary(state.s1, direction.d_s1, tau),
-        fraction_to_boundary(state.s2, direction.d_s2, tau),
+        fraction_to_boundary(state.s1, direction.d_s1, tau, scratch),
+        fraction_to_boundary(state.s2, direction.d_s2, tau, scratch),
     )
     alpha_d = min(
-        fraction_to_boundary(state.nu1, direction.d_nu1, tau),
-        fraction_to_boundary(state.nu2, direction.d_nu2, tau),
+        fraction_to_boundary(state.nu1, direction.d_nu1, tau, scratch),
+        fraction_to_boundary(state.nu2, direction.d_nu2, tau, scratch),
     )
     if min(alpha_p, alpha_d) < 1e-12:
         raise StalledError(
             f"fraction-to-boundary step collapsed (alpha_p={alpha_p:.2e}, "
             f"alpha_d={alpha_d:.2e})"
         )
-    new_state = Iterate(
-        s1=state.s1 + alpha_p * direction.d_s1,
-        s2=state.s2 + alpha_p * direction.d_s2,
-        nu1=state.nu1 + alpha_d * direction.d_nu1,
-        nu2=state.nu2 + alpha_d * direction.d_nu2,
-        mu=state.mu,
-    )
-    return new_state, direction, alpha_p, alpha_d
+    steps = (direction.d_s1, direction.d_s2, direction.d_nu1, direction.d_nu2)
+    olds = (state.s1, state.s2, state.nu1, state.nu2)
+    for step, old, alpha in zip(steps, olds, (alpha_p, alpha_p, alpha_d, alpha_d)):
+        step *= alpha
+        step += old
+    work.spare = olds
+    return Iterate(*steps, mu=state.mu), direction, alpha_p, alpha_d
 
 
 def next_barrier(mu: float, tol: float) -> float:
@@ -395,8 +464,11 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     observer : callable, optional
         Called as ``observer(state, record)`` after every iteration;
         used by the spectral diagnostics to record trajectories.  Each
-        state is a new :class:`IpmState` view whose ``mu`` equals
-        ``record.mu``; the solver never modifies its arrays.
+        state is a new :class:`IpmState` view of a copy of the iterate,
+        whose ``mu`` equals ``record.mu``; the solver never modifies its
+        arrays.  The copy is made only when an observer is given: the
+        solve allocates its n-vectors once and reuses them every
+        iteration.
 
     Returns
     -------
@@ -422,14 +494,39 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         return np.zeros(mask.shape.n), SolveReport(
             status="converged", lam=lam, tol=config.tol, records=[],
             final_objective=0.0, final_kkt=0.0, final_mu=0.0, wall_time=0.0)
-    state = initial_state(mask.shape.n, lam)
-
     t0 = time.perf_counter()
+    beta, records, status, final_kkt, final_mu, reason = _iterate(xi, lam, mask, config,
+                                                                  observer)
+    report = SolveReport(
+        status=status,
+        lam=lam,
+        tol=config.tol,
+        records=records,
+        final_objective=lasso_objective(beta, b, mask, lam),
+        final_kkt=final_kkt,
+        final_mu=final_mu,
+        wall_time=time.perf_counter() - t0,
+        reason=reason,
+    )
+    return beta, report
+
+
+def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
+    """The interior-point loop of :func:`solve`.
+
+    Returns the solution, the iteration records, the status, the final KKT
+    residual, the final barrier and the failure reason.  The n-vectors of
+    the loop live in one :class:`_Workspace` and are released on return.
+    """
+    n = mask.shape.n
+    state = initial_state(n, lam)
+    work = _Workspace(n)
     records: list[IterationRecord] = []
-    g = np.zeros(mask.shape.n)  # gram(beta), exact at beta = 0
-    rhs = newton_rhs(state, xi, g, lam)
-    conv = check_convergence(state, rhs, config.tol)
-    best_beta, best_kkt = state.beta, conv.max_residual
+    g = np.zeros(n)  # gram(beta), exact at beta = 0
+    rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
+    conv = check_convergence(state, rhs, config.tol, rhs.rho)  # rho is free until condensed
+    # the best iterate's beta, or None while the best is the current iterate
+    best_beta, best_kkt = None, conv.max_residual
     stalled, reason = False, ""
 
     for iteration in range(1, config.max_iters + 1):
@@ -438,22 +535,26 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             break
         if conv.barrier_residual <= INNER_SLACK * state.mu:
             state = replace(state, mu=next_barrier(state.mu, config.tol))
-            rhs = rhs.at_barrier(state)
+        rhs.condense(state, work.spare[3])
+        previous = state
         try:
-            state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol)
+            state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol,
+                                                           work)
         except (NumericalBreakdownError, StalledError) as exc:
             stalled, reason = True, str(exc)
             break
-        g += alpha_p * direction.gram_d_beta
-        krylov_iters, pcg_residual = direction.krylov_iters, direction.pcg_residual
-        del direction, rhs  # not live while the next evaluation is built: peak memory
-        rhs = newton_rhs(state, xi, g, lam)
-        conv = check_convergence(state, rhs, config.tol)
+        g_step = direction.gram_d_beta  # g += alpha_p * G d_beta, scaled in place
+        g_step *= alpha_p
+        g += g_step
+        rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
+        conv = check_convergence(state, rhs, config.tol, rhs.rho)
         if conv.converged:  # confirm on the exact product, never on the carried one
-            del rhs
-            g = gram(state.beta, mask)
-            rhs = newton_rhs(state, xi, g, lam)
-            conv = check_convergence(state, rhs, config.tol)
+            del g  # not live during the transform pair: peak memory
+            beta = np.subtract(state.s1, state.s2, out=rhs.rho)
+            beta *= 0.5
+            g = gram(beta, mask)
+            rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
+            conv = check_convergence(state, rhs, config.tol, rhs.rho)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
@@ -461,31 +562,22 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
             dual_inf=max(conv.dual_equality, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
-            krylov_iters=krylov_iters,
+            krylov_iters=direction.krylov_iters,
             alpha_primal=alpha_p,
             alpha_dual=alpha_d,
-            pcg_residual=pcg_residual,
+            pcg_residual=direction.pcg_residual,
             centrality_ok=conv.centrality_ok,
             wall_time=time.perf_counter() - t_iter,
         )
         records.append(record)
         if conv.max_residual < best_kkt:
-            best_kkt = conv.max_residual
-            best_beta = state.beta
-        if observer is not None:
-            observer(state.view(), record)
+            best_beta, best_kkt = None, conv.max_residual
+        elif best_beta is None:  # the best is `previous`, whose arrays the next step reuses
+            best_beta = previous.beta
+        if observer is not None:  # a copy: the solver reuses the iterate's arrays
+            observer(state.copy().view(), record)
 
     status = "converged" if conv.converged else "stalled" if stalled else "max_iters"
-    beta = state.beta if status == "converged" else best_beta
-    report = SolveReport(
-        status=status,
-        lam=lam,
-        tol=config.tol,
-        records=records,
-        final_objective=lasso_objective(beta, b, mask, lam),
-        final_kkt=conv.max_residual if status == "converged" else best_kkt,
-        final_mu=state.mu,
-        wall_time=time.perf_counter() - t0,
-        reason=reason,
-    )
-    return beta, report
+    if status == "converged" or best_beta is None:
+        best_beta, best_kkt = state.beta, conv.max_residual
+    return best_beta, records, status, best_kkt, state.mu, reason

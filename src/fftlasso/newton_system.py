@@ -124,12 +124,12 @@ class BarrierDiagonals:
         return self.sigma1 - self.sigma2
 
 
-def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
+def barrier_diagonals(s1, s2, nu1, nu2, out: BarrierDiagonals | None = None) -> BarrierDiagonals:
     """Build the barrier scaling diagonals from slacks and multipliers.
 
     All four inputs must be strictly positive and finite; otherwise the
     iterate has left the interior and the condensed system loses
-    definiteness.
+    definiteness.  With ``out``, the diagonals are written into its arrays.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in (s1, s2, nu1, nu2)]
     for name, arr in zip(("s1", "s2", "nu1", "nu2"), arrays):
@@ -137,13 +137,18 @@ def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
         if arr.size == 0 or not (arr.min() > 0.0 and arr.max() < np.inf):
             raise InteriorViolationError(f"{name} must be strictly positive and finite")
     s1, s2, nu1, nu2 = arrays
-    sigma1 = nu1 / s1
-    sigma2 = nu2 / s2
-    lambda1 = sigma1 + sigma2
-    omega1 = sigma1 / lambda1
-    omega2 = sigma2 / lambda1
-    delta = 4.0 * sigma1 * omega2
-    return BarrierDiagonals(sigma1, sigma2, omega1, omega2, delta, 1.0 / (1.0 + delta))
+    if out is None:
+        out = BarrierDiagonals(*(np.empty(s1.shape) for _ in range(6)))
+    np.divide(nu1, s1, out=out.sigma1)
+    np.divide(nu2, s2, out=out.sigma2)
+    lambda1 = np.add(out.sigma1, out.sigma2, out=out.precond)  # precond is written last
+    np.divide(out.sigma1, lambda1, out=out.omega1)
+    np.divide(out.sigma2, lambda1, out=out.omega2)
+    delta = np.multiply(out.sigma1, 4.0, out=out.delta)
+    delta *= out.omega2
+    precond = np.add(delta, 1.0, out=out.precond)
+    np.divide(1.0, precond, out=precond)
+    return out
 
 
 @dataclass(frozen=True)
@@ -163,19 +168,25 @@ class KktRhs:
     rho: np.ndarray
     diag: BarrierDiagonals
 
-    def at_barrier(self, state) -> "KktRhs":
-        """The same residuals at ``state.mu``: only r3, r4 and rho change."""
-        return _condense(state, self.r1, self.r2, self.diag)
+    def condense(self, state, scratch=None) -> None:
+        """Form r3, r4 and rho in place at ``state.mu``; ``scratch`` is an
+        n-long temporary, allocated when not given."""
+        r3 = np.divide(state.mu, state.s1, out=self.r3)
+        np.subtract(state.nu1, r3, out=r3)
+        r4 = np.divide(state.mu, state.s2, out=self.r4)
+        np.subtract(state.nu2, r4, out=r4)
+        # rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3), in that rounding order
+        rho = np.multiply(r4, 2.0, out=self.rho)
+        rho -= self.r2
+        rho *= self.diag.omega1
+        rho += self.r1
+        term = np.multiply(r3, 2.0, out=scratch)
+        np.subtract(self.r2, term, out=term)
+        term *= self.diag.omega2
+        rho += term
 
 
-def _condense(state, r1, r2, diag: BarrierDiagonals) -> KktRhs:
-    r3 = state.nu1 - state.mu / state.s1
-    r4 = state.nu2 - state.mu / state.s2
-    rho = r1 + diag.omega1 * (2.0 * r4 - r2) + diag.omega2 * (r2 - 2.0 * r3)
-    return KktRhs(r1, r2, r3, r4, rho, diag)
-
-
-def newton_rhs(state, xi, g, lam: float) -> KktRhs:
+def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     """Residuals of the barrier KKT system at a strictly interior iterate.
 
     Vector algebra only: the data enter through ``xi`` and ``g``.
@@ -191,6 +202,11 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
         Gram product ``gram(beta, mask)`` at ``beta = (s1 - s2)/2``.
     lam : float
         L1 penalty weight.
+    out : KktRhs, optional
+        Arrays to write the evaluation into: ``r1``, ``r2`` and ``diag``.
+        Its ``r3``, ``r4`` and ``rho`` are left to :meth:`KktRhs.condense`,
+        which the solver runs once per direction, at the barrier the step
+        uses; the convergence check needs only ``r1`` and ``r2``.
 
     Returns
     -------
@@ -198,15 +214,24 @@ def newton_rhs(state, xi, g, lam: float) -> KktRhs:
         The four nonzero block residuals, the barrier diagonals and the
         Schur right-hand side
 
-        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3)``.
+        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3)``,
+
+        all at ``state.mu`` unless ``out`` is given.
     """
-    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-    r1 = xi - g + state.nu1 - state.nu2
-    r2 = state.nu1 + state.nu2 - lam
-    return _condense(state, r1, r2, diag)
+    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2,
+                             None if out is None else out.diag)
+    rhs = out if out is not None else KktRhs(*(np.empty_like(diag.sigma1) for _ in range(5)), diag)
+    r1 = np.subtract(xi, g, out=rhs.r1)
+    r1 += state.nu1
+    r1 -= state.nu2
+    r2 = np.add(state.nu1, state.nu2, out=rhs.r2)
+    r2 -= lam
+    if out is None:
+        rhs.condense(state)
+    return rhs
 
 
-def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
+def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None):
     """Apply the condensed operator.
 
     With a pair ``(d_beta, d_z)`` the result is ``K (d_beta, d_z)``, a
@@ -214,11 +239,12 @@ def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
     and the Gram product inside it, ``(S d_beta, G d_beta)``; PCG
     accumulates the second.  PCG calls this function rather than a private
     kernel so that each Krylov step is one call of ``apply_kkt``, the unit
-    in which Krylov work is counted.
+    in which Krylov work is counted.  With ``d_z=None``, ``out`` (when
+    given) receives ``S d_beta``.
     """
     gram_d_beta = gram(d_beta, mask)
     if d_z is None:
-        product = diag.delta * d_beta
+        product = np.multiply(diag.delta, d_beta, out=out)
         product += gram_d_beta
         return product, gram_d_beta
     lambda1, lambda2 = diag.lambda1, diag.lambda2
@@ -228,16 +254,16 @@ def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask):
     return out
 
 
-def apply_precond_inverse(first, second, diag: BarrierDiagonals):
+def apply_precond_inverse(first, second, diag: BarrierDiagonals, out=None):
     """Apply the closed-form inverse of the preconditioner.
 
     With a pair ``(first, second)`` the result is ``P^{-1}`` times it, a
     (2, n) array, by block elimination through ``Delta`` and ``omega``.
     With ``second=None`` it is the Schur preconditioner's
-    ``(I + Delta)^{-1} first``.
+    ``(I + Delta)^{-1} first``, written into ``out`` when it is given.
     """
     if second is None:
-        return diag.precond * first
+        return np.multiply(diag.precond, first, out=out)
     tilt = diag.omega1 - diag.omega2  # Lam2 / Lam1
     out = np.empty((2, np.size(first)))
     out[0] = diag.precond * (first - tilt * second)
@@ -261,7 +287,7 @@ class CondensedSolution:
     d_nu2: np.ndarray
 
 
-def recover_eliminated(d_beta, rhs: KktRhs) -> CondensedSolution:
+def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> CondensedSolution:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
     ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``
@@ -270,11 +296,27 @@ def recover_eliminated(d_beta, rhs: KktRhs) -> CondensedSolution:
 
     The last line is the linearized complementarity
     ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
-    ``r4 = nu2 - mu/s2``.
+    ``r4 = nu2 - mu/s2``.  ``out``, four arrays, receives
+    ``(d_s1, d_s2, d_nu1, d_nu2)``; ``d_beta`` is not modified.
     """
     diag = rhs.diag
-    c = (rhs.r2 - rhs.r3 - rhs.r4) / diag.lambda1
-    d_s1 = c + 2.0 * diag.omega2 * d_beta
-    d_s2 = c - 2.0 * diag.omega1 * d_beta
-    return CondensedSolution(d_beta, d_s1, d_s2,
-                             -diag.sigma1 * d_s1 - rhs.r3, -diag.sigma2 * d_s2 - rhs.r4)
+    if out is None:
+        out = [np.empty_like(d_beta) for _ in range(4)]
+    d_s1, d_s2, d_nu1, d_nu2 = out
+    # c waits in d_nu2 and Sig1 + Sig2 in d_nu1 until the slack steps are formed
+    c = np.subtract(rhs.r2, rhs.r3, out=d_nu2)
+    c -= rhs.r4
+    c /= np.add(diag.sigma1, diag.sigma2, out=d_nu1)
+    # (2 omega) d_beta == omega (2 d_beta) exactly: the doubling is shared
+    twice = np.multiply(d_beta, 2.0, out=d_s1)
+    np.multiply(diag.omega1, twice, out=d_s2)
+    np.subtract(c, d_s2, out=d_s2)
+    twice *= diag.omega2
+    twice += c
+    np.negative(diag.sigma1, out=d_nu1)
+    d_nu1 *= d_s1
+    d_nu1 -= rhs.r3
+    np.negative(diag.sigma2, out=d_nu2)
+    d_nu2 *= d_s2
+    d_nu2 -= rhs.r4
+    return CondensedSolution(d_beta, d_s1, d_s2, d_nu1, d_nu2)

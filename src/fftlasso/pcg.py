@@ -59,7 +59,7 @@ class PcgResult:
 
 
 def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
-              image=None) -> PcgResult:
+              image=None, work=None) -> PcgResult:
     """Solve ``K x = rhs`` with preconditioned CG from a zero initial guess.
 
     Parameters
@@ -76,6 +76,12 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
     image : numpy.ndarray, optional
         Overwritten with ``L x`` for the returned ``x``, accumulated with
         CG's own step lengths, so ``L`` is never applied to ``x`` itself.
+    work : sequence of numpy.ndarray, optional
+        Four arrays of ``rhs``'s shape to iterate in instead of new ones:
+        the solution ``x`` (returned), the residual, the search direction
+        and a temporary.  The residual array may be ``rhs`` itself, which
+        is then overwritten.  The operator and the preconditioner may
+        return the same array on every call.
 
     Returns
     -------
@@ -94,10 +100,12 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
     dim = rhs.size
     limit = config.iteration_limit(dim)
 
-    x = np.zeros_like(rhs)
+    x, r, p, scaled = work if work is not None else [np.empty_like(rhs) for _ in range(4)]
+    x.fill(0.0)
     if image is not None:
         image.fill(0.0)
-    r = rhs.copy()
+    if r is not rhs:
+        np.copyto(r, rhs)
     z = apply_prec(r)
     rho = float(np.vdot(r, z))
     if not math.isfinite(rho) or rho < 0:
@@ -109,7 +117,7 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
     if norm0 <= threshold:
         return PcgResult(x, 0, True, norm0, history)
 
-    p = z.copy()
+    np.copyto(p, z)
     norm = norm0
     for k in range(1, limit + 1):
         kp = apply_op(p)
@@ -121,10 +129,11 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
                 f"nonpositive curvature p'Kp = {curvature} at iteration {k}"
             )
         alpha = rho / curvature
-        x += alpha * p
+        # x += alpha * p and the like, through one temporary
+        x += np.multiply(p, alpha, out=scaled)
         if image is not None:
-            image += alpha * lp
-        r -= alpha * kp
+            image += np.multiply(lp, alpha, out=scaled)
+        r -= np.multiply(kp, alpha, out=scaled)
         z = apply_prec(r)
         rho_next = float(np.vdot(r, z))
         if not math.isfinite(rho_next) or rho_next < 0:

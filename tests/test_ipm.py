@@ -1,5 +1,6 @@
 """Interior-point driver: direction oracles, closed forms, invariants."""
 
+import copy
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -195,14 +196,47 @@ class TestStepMechanics:
         alpha = fraction_to_boundary(v, np.array([-2.0, -1.0]), 0.995)
         assert alpha == pytest.approx(0.995 * 0.5)
 
-    @pytest.mark.parametrize("shift", [-2.0, 0.0, 2.0])
-    def test_fraction_to_boundary_matches_gathered_ratios(self, rng, shift):
-        """Bit-identical to the minimum over the gathered shrinking entries."""
-        v = rng.random(1000) + 1e-3
-        dv = np.round(rng.standard_normal(1000) + shift, 1)  # some exact zeros
+    @pytest.mark.parametrize("case", [-2.0, 0.0, 2.0, "nonshrinking", "signed-zeros",
+                                      "signed-zeros-only", "nan", "nan-only", "underflow",
+                                      "overflow"])
+    def test_fraction_to_boundary_matches_gathered_ratios(self, rng, case):
+        """Bit-identical to the minimum over the gathered shrinking entries.
+
+        A float case shifts rounded normal steps (some exact zeros of either
+        sign); the named cases probe the edges of the ratio's bit order."""
+        size = 1000
+        v = rng.random(size) + 1e-3
+        dv = np.round(rng.standard_normal(size) + (case if isinstance(case, float) else 0.0), 1)
+        some = rng.choice(size, 100, replace=False)
+        if case == "nonshrinking":
+            dv = np.abs(dv)  # abs(-0.0) = +0.0
+        elif case == "signed-zeros":
+            dv[some[:50]], dv[some[50:]] = 0.0, -0.0
+        elif case == "signed-zeros-only":
+            dv = np.where(rng.random(size) < 0.5, 0.0, -0.0)
+            dv[some] = rng.random(100)
+        elif case == "nan":
+            dv[some[:50]], dv[some[50:]] = np.nan, -np.nan
+        elif case == "nan-only":
+            dv = np.where(rng.random(size) < 0.5, np.nan, -np.nan)
+            dv[some[:50]], dv[some[50:]] = -0.0, rng.random(50)
+        elif case == "underflow":  # v/dv rounds to +0 or -0
+            v *= 1e-300
+            dv = np.copysign(1e300 * (1.0 + rng.random(size)), dv)
+        elif case == "overflow":  # v/dv rounds to +inf or -inf
+            v *= 1e300
+            dv = np.copysign(1e-300 * (1.0 + rng.random(size)), dv)
         shrinking = dv < 0.0
-        ratio = np.min(v[shrinking] / -dv[shrinking]) if shrinking.any() else np.inf
-        assert fraction_to_boundary(v, dv, 0.995) == min(1.0, 0.995 * float(ratio))
+        with np.errstate(over="ignore"):
+            ratio = np.min(v[shrinking] / -dv[shrinking]) if shrinking.any() else np.inf
+        expect = min(1.0, 0.995 * float(ratio))
+        alpha = fraction_to_boundary(v, dv, 0.995)
+        assert np.float64(alpha).tobytes() == np.float64(expect).tobytes()
+        assert fraction_to_boundary(v, dv, 0.995, np.empty(size)) == alpha
+        if case in ("nonshrinking", "signed-zeros-only", "nan-only", "overflow"):
+            assert alpha == 1.0
+        if case == "underflow":
+            assert alpha == 0.0
 
     def test_step_preserves_interior(self, rng):
         b, mask, _ = sparse_instance(rng, 32, 4, 3)
@@ -491,6 +525,20 @@ class TestSolve:
             assert record.primal_inf == 0.0
         np.testing.assert_array_equal(beta, seen[-1][0].beta)
 
+    @pytest.mark.parametrize("n_missing", [9, 0])
+    def test_observed_states_are_never_written(self, rng, n_missing):
+        """The solver reuses its arrays, but never those it hands to observers."""
+        b, mask, _ = sparse_instance(rng, 64, n_missing, 3)
+        kept = []
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
+                             observer=lambda state, record: kept.append(
+                                 (state, copy.deepcopy(state))))
+        assert report.converged and len(kept) == report.iterations > 3
+        for state, at_call in kept:
+            for field in fields(IpmState):
+                got, want = getattr(state, field.name), getattr(at_call, field.name)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field.name
+
     @pytest.mark.parametrize("error", [NumericalBreakdownError, StalledError])
     def test_inner_failure_returns_best_iterate(self, error, rng, monkeypatch):
         """A PCG failure or step collapse keeps the best iterate seen."""
@@ -507,6 +555,26 @@ class TestSolve:
         np.testing.assert_array_equal(beta, best_state.beta)
         assert report.final_kkt == best_record.kkt_max
         assert report.final_objective == lasso_objective(beta, b, mask, 0.4)
+
+    def test_best_iterate_outlives_the_reuse_of_its_arrays(self, rng, monkeypatch):
+        """When later iterates are worse, the first step's beta is returned,
+        although the steps after it reuse that iterate's arrays."""
+        b, mask, _ = sparse_instance(rng, 64, 9, 3)
+        check = fftlasso.ipm.check_convergence
+        calls = []
+
+        def worse_after_first_step(*args, **kw):
+            conv = check(*args, **kw)
+            calls.append(None)
+            return conv if len(calls) <= 2 else replace(conv, max_residual=1e3)
+
+        monkeypatch.setattr(fftlasso.ipm, "check_convergence", worse_after_first_step)
+        seen = []
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8, max_iters=5),
+                             observer=lambda state, record: seen.append((state, record)))
+        assert report.status == "max_iters" and len(seen) == 5
+        np.testing.assert_array_equal(beta, seen[0][0].beta)
+        assert report.final_kkt == seen[0][1].kkt_max < 1e3
 
     def test_failure_on_first_step_returns_start(self, rng, monkeypatch):
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
@@ -625,9 +693,9 @@ class TestEvaluationCounts:
         evaluate = fftlasso.ipm.newton_rhs
         drift = []
 
-        def spy(state, xi, g, lam):
+        def spy(state, xi, g, lam, **kw):
             drift.append(np.max(np.abs(g - gram(state.beta, mask))))
-            return evaluate(state, xi, g, lam)
+            return evaluate(state, xi, g, lam, **kw)
 
         monkeypatch.setattr(fftlasso.ipm, "newton_rhs", spy)
         beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
@@ -679,22 +747,38 @@ class TestEvaluationCounts:
         assert shapes == {(n,)}
 
 
+def peak_vectors_of_solve(spec: SyntheticSpec):
+    """Converged status and tracemalloc peak, in n-long float64 arrays, of a solve."""
+    noisy, mask, _ = generate_synthetic(spec)
+    b = noisy[~mask.missing_bool]
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        beta, report = solve(b, mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return report.converged, peak / (8 * mask.shape.n)
+
+
 class TestMemory:
     def test_peak_vectors_of_a_masked_solve(self):
         """A 32^3 masked solve never holds more than 31 n-long float64 arrays."""
-        spec = SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43)
-        noisy, mask, _ = generate_synthetic(spec)
-        b = noisy[~mask.missing_bool]
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        try:
-            beta, report = solve(b, mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        assert report.converged
-        assert peak / (8 * mask.shape.n) <= 31.0
+        converged, peak = peak_vectors_of_solve(
+            SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
+        assert converged
+        assert peak <= 31.0
+
+    def test_peak_vectors_of_a_denoising_solve(self):
+        """A 32^3 solve with an empty mask never holds more than 29.5 n-long
+        float64 arrays: the 28.05 measured before the loop stopped
+        allocating, plus the masked bound's headroom."""
+        converged, peak = peak_vectors_of_solve(
+            SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0,
+                          missing_seed=43))
+        assert converged
+        assert peak <= 29.5

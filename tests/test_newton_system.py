@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from fftlasso import GridShape, InteriorViolationError, Mask, analyze
 from fftlasso.diagnostics import dense_gram_matrix, densify
+from fftlasso.ipm import Iterate
 from fftlasso.newton_system import (
+    BarrierDiagonals,
+    KktRhs,
     apply_kkt,
     apply_precond_inverse,
     barrier_diagonals,
+    newton_rhs,
     recover_eliminated,
 )
 
@@ -318,3 +322,83 @@ class TestRecoverEliminated:
         # d_z satisfies the second condensed row for any d_beta
         r_c = rhs.r2 - rhs.r3 - rhs.r4
         np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
+
+
+def spread_iterate(rng, n, mu):
+    """Interior iterate with entries spread over 16 decades, as near convergence."""
+    s1, s2, nu1, nu2 = (10.0 ** rng.uniform(-8, 8, n) for _ in range(4))
+    return Iterate(s1=s1, s2=s2, nu1=nu1, nu2=nu2, mu=mu)
+
+
+def nan_buffers(n):
+    """KktRhs-shaped arrays full of NaN, so any entry left unwritten shows."""
+    return KktRhs(*(np.full(n, np.nan) for _ in range(5)),
+                  BarrierDiagonals(*(np.full(n, np.nan) for _ in range(6))))
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestInPlaceKernels:
+    """The kernels writing into given arrays round as the plain expressions do."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_evaluation_and_condensation(self, seed):
+        rng = np.random.default_rng(seed)
+        n, lam = 4096, 0.5
+        state = spread_iterate(rng, n, mu=1e-3)
+        xi, g = rng.standard_normal(n), rng.standard_normal(n)
+        s1, s2, nu1, nu2, mu = state.s1, state.s2, state.nu1, state.nu2, state.mu
+        sigma1, sigma2 = nu1 / s1, nu2 / s2
+        lambda1 = sigma1 + sigma2
+        omega1, omega2 = sigma1 / lambda1, sigma2 / lambda1
+        delta = 4.0 * sigma1 * omega2
+        expect_diag = (sigma1, sigma2, omega1, omega2, delta, 1.0 / (1.0 + delta))
+        r1, r2 = xi - g + nu1 - nu2, nu1 + nu2 - lam
+        r3, r4 = nu1 - mu / s1, nu2 - mu / s2
+        rho = r1 + omega1 * (2.0 * r4 - r2) + omega2 * (r2 - 2.0 * r3)
+
+        fresh = newton_rhs(state, xi, g, lam)
+        buffers = nan_buffers(n)
+        assert newton_rhs(state, xi, g, lam, out=buffers) is buffers
+        buffers.condense(state, np.full(n, np.nan))
+        for rhs in (fresh, buffers):
+            for got, want in zip((rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.rho),
+                                 (r1, r2, r3, r4, rho)):
+                assert same_bits(got, want)
+            for got, want in zip(vars(rhs.diag).values(), expect_diag):
+                assert same_bits(got, want)
+
+    def test_condensation_at_a_new_barrier(self, rng):
+        """Condensing in place at another barrier gives that barrier's evaluation."""
+        n = 512
+        state = spread_iterate(rng, n, mu=1e-2)
+        xi, g = rng.standard_normal(n), rng.standard_normal(n)
+        rhs = newton_rhs(state, xi, g, 0.5)
+        lower = Iterate(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
+        rhs.condense(lower)
+        fresh = newton_rhs(lower, xi, g, 0.5)
+        for name in ("r1", "r2", "r3", "r4", "rho"):
+            assert same_bits(getattr(rhs, name), getattr(fresh, name))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_recovery(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 4096
+        state = spread_iterate(rng, n, mu=1e-3)
+        rhs = newton_rhs(state, rng.standard_normal(n), rng.standard_normal(n), 0.5)
+        d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        keep = d_beta.copy()
+        d = rhs.diag
+        c = (rhs.r2 - rhs.r3 - rhs.r4) / d.lambda1
+        d_s1 = c + 2.0 * d.omega2 * d_beta
+        d_s2 = c - 2.0 * d.omega1 * d_beta
+        expect = (d_s1, d_s2, -d.sigma1 * d_s1 - rhs.r3, -d.sigma2 * d_s2 - rhs.r4)
+        out = [np.full(n, np.nan) for _ in range(4)]
+        for sol in (recover_eliminated(d_beta, rhs), recover_eliminated(d_beta, rhs, out=out)):
+            assert sol.d_beta is d_beta
+            for got, want in zip((sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2), expect):
+                assert same_bits(got, want)
+        assert all(a is b for a, b in zip(out, (sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2)))
+        assert same_bits(d_beta, keep)

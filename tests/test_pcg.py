@@ -164,6 +164,40 @@ class TestFailureModes:
         assert res.residual_history[-1] == pytest.approx(res.residual_norm)
 
 
+def test_work_arrays_give_the_same_iterates(rng):
+    """In given arrays, with the residual in the right-hand side and one
+    output array for the operator and the preconditioner, PCG rounds alike."""
+    n = 40
+    m = random_spd(rng, n, cond=1e4)
+    scale = np.geomspace(1.0, 1e3, n)
+    image_map = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    config = PcgConfig(abs_tol=1e-10, record_history=True)
+
+    def op(v):
+        return m @ v, image_map @ v
+
+    ref_image = np.empty(n)
+    ref = pcg_solve(op, lambda v: v / scale, b, config, image=ref_image)
+
+    shared = np.empty(n)
+
+    def op_into(v):
+        np.matmul(m, v, out=shared)
+        return shared, image_map @ v
+
+    rhs = b.copy()
+    work = (np.full(n, np.nan), rhs, np.full(n, np.nan), np.full(n, np.nan))
+    image = np.full(n, np.nan)
+    res = pcg_solve(op_into, lambda v: np.divide(v, scale, out=shared), rhs, config,
+                    image=image, work=work)
+    assert res.solution is work[0]
+    assert (res.iterations, res.residual_history) == (ref.iterations, ref.residual_history)
+    assert res.solution.tobytes() == ref.solution.tobytes()
+    assert image.tobytes() == ref_image.tobytes()
+    np.testing.assert_allclose(rhs, b - m @ res.solution, atol=1e-8)  # now the residual
+
+
 def test_preconditioned_stopping_quantity(rng):
     """Stopping is on sqrt(r' P^{-1} r), not the plain residual norm."""
     n = 16

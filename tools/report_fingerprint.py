@@ -3,13 +3,15 @@
 
     PYTHONPATH=src python tools/report_fingerprint.py
 
-Runs four fixed cases in a temporary directory, under fixed relative file
+Runs five fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
 
 - ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
 - ``cli-256x256``: a 256^2 byte-mask volume with 30% missing, with
   ``--impute``;
 - ``lib-32``: a 32^3 library solve with 15% missing (seeds 42/43);
+- ``lib-32-denoise``: the same grid and seeds with an empty mask, where
+  ``G = I`` and no iteration makes a transform;
 - ``probe-1d``: a 1-D masked solve, probed at every iterate with
   ``preconditioned_spectrum`` and over its trajectory with
   ``scaling_trajectory_check``.
@@ -110,6 +112,9 @@ def run() -> None:
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
     library_case("lib-32", noisy[~mask.missing_bool], mask, IpmConfig())
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0, missing_seed=43))
+    library_case("lib-32-denoise", noisy, mask, IpmConfig())
     probe_case("probe-1d")
 
 
