@@ -16,19 +16,30 @@ DFT.  With ``J`` reversing frequency indices along one axis,
 ``Q(conj(J v)) == conj(Q v)``, because ``Q`` combines ``v[k]`` and ``v[m-k]``
 with weights that ``J`` and conjugation swap.  Packing the leading axes thus
 keeps the spectrum conjugate-symmetric along the last one, where ``Q`` is a
-Re/Im split of the half spectrum: :func:`analyze` is one ``rfftn``, ``Q`` on
-the leading axes and that split, and :func:`synthesize` is its exact inverse
-through one ``irfftn``.  Arrays are linearized row-major (C order).
+Re/Im split of the half spectrum: :func:`analyze` is one unitary real FFT
+over the whole grid, ``Q`` on the leading axes and that split, and
+:func:`synthesize` is its exact inverse.  Arrays are linearized row-major
+(C order).
+
+The unitary real FFT (:func:`_rfftn`, :func:`_irfftn`) is built from
+unnormalised one-axis ``numpy.fft`` passes: the real transform along the
+last axis, then the complex ones along the leading axes in increasing
+order, in place.  The whole-grid factor ``1/sqrt(n)`` is applied once,
+where pocketfft's multi-axis ``rfftn`` and ``irfftn`` (``norm="ortho"``)
+apply it: to the last-axis real transform's output going forward, and to
+the final complex-to-real output coming back.  numpy and scipy share the
+pocketfft kernels, so with the factor formed as pocketfft forms it
+(:func:`_ortho_scale`) both maps equal ``scipy.fft.rfftn``/``irfftn`` bit
+for bit.  Per-axis ``norm="ortho"`` would round differently whenever
+``sqrt(m)`` is inexact.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import MalformedSpectrumError, UnsupportedShapeError
 
@@ -47,14 +58,9 @@ _SQRT2 = math.sqrt(2.0)
 _RSQRT2 = 1.0 / _SQRT2
 
 
-def _fft_workers() -> int:
-    """Worker count for scipy.fft: the FFTLASSO_THREADS cap, else all cores."""
-    cap = os.environ.get("FFTLASSO_THREADS")
-    if cap is None:
-        return os.cpu_count() or 1
-    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
-        raise ValueError(f"FFTLASSO_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
+def _ortho_scale(n: int) -> float:
+    """``1/sqrt(n)`` as pocketfft forms it: in long double, rounded once."""
+    return float(np.longdouble(1) / np.sqrt(np.longdouble(n)))
 
 
 @dataclass(frozen=True)
@@ -136,12 +142,48 @@ def _unpack_axis(b: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _along(kernel, w: np.ndarray, axes) -> np.ndarray:
-    """Apply a per-axis kernel along each of ``axes``, overwriting ``w``."""
-    spare = np.empty_like(w)
+def _along(kernel, w: np.ndarray, spare: np.ndarray, axes) -> np.ndarray:
+    """Apply a per-axis kernel along each of ``axes``, overwriting ``w`` and
+    ``spare``; returns the one holding the result."""
     for axis in axes:
         w, spare = kernel(w, axis, spare), w
     return w
+
+
+def _half_spectra(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Two half-spectrum arrays, for a transform and its packing, in one block.
+
+    glibc returns the free memory at the top of the heap to the system once
+    it exceeds twice the largest block it has unmapped.  As two 2.2 MB
+    arrays at 64^3, the transforms of a Gram product freed more than that
+    on every call and page-faulted it anew on the next: 144K minor faults
+    per masked 64^3 solve, against 6K with one block.
+    """
+    pair = np.empty((2,) + dims[:-1] + (dims[-1] // 2 + 1,), dtype=np.complex128)
+    return pair[0], pair[1]
+
+
+def _rfftn(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half spectrum of a real grid into ``out``,
+    ``scipy.fft.rfftn(grid, norm="ortho")``."""
+    half = np.fft.rfft(grid, out=out)
+    parts = half.view(np.float64)  # scaled as real numbers, as pocketfft scales them
+    parts *= _ortho_scale(grid.size)
+    for axis in range(grid.ndim - 1):
+        np.fft.fft(half, axis=axis, out=half)
+    return half
+
+
+def _irfftn(half: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Real grid of a half spectrum, ``scipy.fft.irfftn(half, dims, norm="ortho")``.
+
+    Overwrites ``half``.
+    """
+    for axis in range(half.ndim - 1):
+        np.fft.ifft(half, axis=axis, norm="forward", out=half)  # unnormalised
+    x = np.fft.irfft(half, n=dims[-1], norm="forward")
+    x *= _ortho_scale(x.size)
+    return x
 
 
 def pack(v, shape: GridShape) -> np.ndarray:
@@ -167,7 +209,7 @@ def pack(v, shape: GridShape) -> np.ndarray:
     """
     w = _as_grid(v, shape, np.complex128).copy()  # _along overwrites it
     scale = np.max(np.abs(w)) if w.size else 0.0
-    w = _along(_pack_axis, w, range(shape.ndim))
+    w = _along(_pack_axis, w, np.empty_like(w), range(shape.ndim))
     residue = np.max(np.abs(w.imag)) if w.size else 0.0
     if residue > SYMMETRY_RTOL * max(scale, 1e-300):
         raise MalformedSpectrumError(
@@ -184,7 +226,7 @@ def unpack(beta, shape: GridShape) -> np.ndarray:
     floating-point commutativity of the sqrt(2) scaling.
     """
     w = _as_grid(beta, shape, np.float64).astype(np.complex128)
-    return _along(_unpack_axis, w, range(shape.ndim)).reshape(-1)
+    return _along(_unpack_axis, w, np.empty_like(w), range(shape.ndim)).reshape(-1)
 
 
 def synthesize(beta, shape: GridShape) -> np.ndarray:
@@ -206,29 +248,33 @@ def synthesize(beta, shape: GridShape) -> np.ndarray:
     """
     b = _as_grid(beta, shape, np.float64)
     h = shape.dims[-1] // 2
-    half = np.empty(shape.dims[:-1] + (h + 1,), dtype=np.complex128)
+    half, spare = _half_spectra(shape.dims)
     half[..., 0] = b[..., 0]
     half[..., h] = b[..., 1]
     np.multiply(b[..., 2 : h + 1], _RSQRT2, out=half[..., 1:h].real)
     np.multiply(b[..., h + 1 :], _RSQRT2, out=half[..., 1:h].imag)
-    half = _along(_unpack_axis, half, range(shape.ndim - 1))
-    x = scipy.fft.irfftn(half, s=shape.dims, norm="ortho", workers=_fft_workers())
-    return x.reshape(-1)
+    half = _along(_unpack_axis, half, spare, range(shape.ndim - 1))
+    return _irfftn(half, shape.dims).reshape(-1)
 
 
-def analyze(x, shape: GridShape) -> np.ndarray:
+def analyze(x, shape: GridShape, out=None) -> np.ndarray:
     """Map a real signal to packed spectral coefficients (transpose map).
 
     ``analyze(synthesize(beta)) == beta`` to machine precision because the
-    underlying matrix is orthogonal.
+    underlying matrix is orthogonal.  ``out``, when given, is a contiguous
+    float64 vector of ``shape.n`` values that receives the result.
     """
-    half = scipy.fft.rfftn(_as_grid(x, shape, np.float64), norm="ortho",
-                           workers=_fft_workers())
-    half = _along(_pack_axis, half, range(shape.ndim - 1))
+    if out is not None and not (out.shape == (shape.n,) and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out must be a contiguous float64 vector of {shape.n} values")
+    half, spare = _half_spectra(shape.dims)
+    half = _rfftn(_as_grid(x, shape, np.float64), half)
+    half = _along(_pack_axis, half, spare, range(shape.ndim - 1))
     h = shape.dims[-1] // 2
-    out = np.empty(shape.dims)
-    out[..., 0] = half[..., 0].real
-    out[..., 1] = half[..., h].real
-    np.multiply(half[..., 1:h].real, _SQRT2, out=out[..., 2 : h + 1])
-    np.multiply(half[..., 1:h].imag, _SQRT2, out=out[..., h + 1 :])
-    return out.reshape(-1)
+    out = np.empty(shape.n) if out is None else out
+    grid = out.reshape(shape.dims)
+    grid[..., 0] = half[..., 0].real
+    grid[..., 1] = half[..., h].real
+    np.multiply(half[..., 1:h].real, _SQRT2, out=grid[..., 2 : h + 1])
+    np.multiply(half[..., 1:h].imag, _SQRT2, out=grid[..., h + 1 :])
+    return out

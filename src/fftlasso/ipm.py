@@ -366,10 +366,10 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
     """
     diag = rhs.diag
     work = _Workspace(state.n) if work is None else work
-    search, product, temp = work.spare[:3]  # free until recovery writes the direction
+    search, product, temp, image = work.spare  # free until recovery writes the direction
 
     def op(v):
-        return apply_kkt(v, None, diag, mask, out=product)
+        return apply_kkt(v, None, diag, mask, out=product, gram_out=image)
 
     def prec(v):
         return apply_precond_inverse(v, None, diag, out=product)

@@ -104,18 +104,22 @@ def observe_adjoint(values, mask: Mask) -> np.ndarray:
     return analyze(embed(values, mask), mask.shape)
 
 
-def gram(beta, mask: Mask) -> np.ndarray:
+def gram(beta, mask: Mask, out=None) -> np.ndarray:
     """Apply the Gram operator of the observed rows in one pass.
 
     Equivalent to ``observe_adjoint(observe(beta, mask), mask)`` but zeroes
     the missing samples in place on the full grid instead of materializing
     the shorter observed vector.  With an empty mask the synthesis map is
     orthogonal, so the Gram operator is the identity and this returns a
-    copy of ``beta`` without a transform.
+    copy of ``beta`` without a transform.  ``out``, when given, is a
+    contiguous float64 vector of ``n`` values that receives the result.
     """
     beta = _check_spectrum(beta, mask)
     if not mask.n_missing:
-        return beta.copy()
+        if out is None:
+            return beta.copy()
+        np.copyto(out, beta)
+        return out
     x = synthesize(beta, mask.shape)
     x[mask.missing] = 0.0
-    return analyze(x, mask.shape)
+    return analyze(x, mask.shape, out=out)

@@ -231,7 +231,8 @@ def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     return rhs
 
 
-def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None):
+def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
+              gram_out=None):
     """Apply the condensed operator.
 
     With a pair ``(d_beta, d_z)`` the result is ``K (d_beta, d_z)``, a
@@ -240,9 +241,10 @@ def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None):
     accumulates the second.  PCG calls this function rather than a private
     kernel so that each Krylov step is one call of ``apply_kkt``, the unit
     in which Krylov work is counted.  With ``d_z=None``, ``out`` (when
-    given) receives ``S d_beta``.
+    given) receives ``S d_beta``.  ``gram_out`` (when given) receives
+    ``G d_beta``, as in :func:`~fftlasso.masking.gram`.
     """
-    gram_d_beta = gram(d_beta, mask)
+    gram_d_beta = gram(d_beta, mask, out=gram_out)
     if d_z is None:
         product = np.multiply(diag.delta, d_beta, out=out)
         product += gram_d_beta

@@ -166,15 +166,6 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "finite" in capsys.readouterr().err
 
-    def test_bad_thread_cap_is_input_error(self, problem_files, monkeypatch, capsys):
-        signal, mask, tmp = problem_files
-        monkeypatch.setenv("FFTLASSO_THREADS", "0")
-        code = main([
-            "solve", "--input", signal, "--mask", mask, "--output", str(tmp / "b.f64"),
-        ])
-        assert code == EXIT_INPUT_ERROR
-        assert "FFTLASSO_THREADS" in capsys.readouterr().err
-
     def test_missing_input_is_input_error(self, tmp_path, capsys):
         code = main([
             "solve", "--input", str(tmp_path / "nope.f64"),

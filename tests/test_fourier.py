@@ -1,8 +1,10 @@
 """Packing transform: hand values, dense equivalence, orthogonality."""
 
-import re
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,18 +12,19 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fftlasso
 from fftlasso import (
     GridShape,
     MalformedSpectrumError,
     Mask,
     UnsupportedShapeError,
     analyze,
+    fourier,
     pack,
     synthesize,
     unpack,
 )
 from fftlasso.diagnostics import dense_synthesis_matrix, densify
-from fftlasso.fourier import _fft_workers
 from fftlasso.masking import gram
 
 SQRT2 = np.sqrt(2.0)
@@ -184,25 +187,55 @@ def test_roundtrip_property(axes, seed):
     assert np.max(np.abs(back - beta)) <= 1e-12 * max(1.0, np.max(np.abs(beta)))
 
 
-def test_thread_cap_env_var(monkeypatch, rng):
-    monkeypatch.setenv("FFTLASSO_THREADS", "1")
-    assert _fft_workers() == 1
-    # transforms are identical regardless of the worker count
-    g = GridShape((16, 12, 8))
+def _bits(values):
+    return np.asarray(values).view(np.uint64)  # equal bits, the sign of zero included
+
+
+@pytest.mark.parametrize("dims", [(8,), (48,), (6, 10), (16, 8), (30, 32),
+                                  (32, 32, 32), (64, 64, 64), (256, 256)])
+def test_bit_identical_to_scipy_transform(dims, rng, monkeypatch):
+    """The numpy.fft passes reproduce the scipy.fft ``rfftn``/``irfftn``
+    (``norm="ortho"``) packed transform byte for byte, on grids whose
+    ``sqrt`` factors are inexact too; the reference runs the package's
+    packing around scipy's transform."""
+    g = GridShape(dims)
     beta = rng.standard_normal(g.n)
-    single = synthesize(beta, g), analyze(beta, g)
-    monkeypatch.delenv("FFTLASSO_THREADS")
-    assert _fft_workers() >= 1
-    np.testing.assert_array_equal(single[0], synthesize(beta, g))
-    np.testing.assert_array_equal(single[1], analyze(beta, g))
+    beta[rng.integers(0, g.n, 3)] = 0.0
+    got = synthesize(beta, g), analyze(beta, g)
+
+    def scipy_rfftn(grid, out):
+        out[...] = scipy.fft.rfftn(grid, norm="ortho", workers=1)
+        return out
+
+    monkeypatch.setattr(fourier, "_rfftn", scipy_rfftn)
+    monkeypatch.setattr(fourier, "_irfftn", lambda half, s: scipy.fft.irfftn(
+        half, s=s, norm="ortho", workers=1))
+    want = synthesize(beta, g), analyze(beta, g)
+    np.testing.assert_array_equal(_bits(got[0]), _bits(want[0]))
+    np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
 
 
-@pytest.mark.parametrize("value", ["", "abc", "0", "-3", "1.5"])
-def test_thread_cap_rejects_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("FFTLASSO_THREADS", value)
-    message = f"FFTLASSO_THREADS must be a positive integer, got {value!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        synthesize(np.zeros(4), GridShape((4,)))
+def test_analyze_into_given_vector(rng):
+    g = GridShape((6, 10))
+    x = rng.standard_normal(g.n)
+    out = np.empty(g.n)
+    assert analyze(x, g, out=out) is out
+    np.testing.assert_array_equal(_bits(out), _bits(analyze(x, g)))
+    for bad in (np.empty(g.n + 1), np.empty(2 * g.n)[::2], np.empty(g.n, np.float32)):
+        with pytest.raises(ValueError, match="contiguous float64 vector of 60"):
+            analyze(x, g, out=bad)
+
+
+def test_package_import_loads_no_scipy():
+    """``import fftlasso, fftlasso.cli`` runs on numpy alone: scipy serves
+    only ``fftlasso.diagnostics`` and the tests."""
+    src = str(Path(fftlasso.__file__).resolve().parent.parent)
+    code = ("import sys, fftlasso, fftlasso.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, cwd=src,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.stdout.strip() == "[]"
 
 
 def test_concurrent_gram_matches_serial(rng):

@@ -128,6 +128,14 @@ class TestGram:
         fast = densify(lambda v: gram(v, m), 8)
         assert np.max(np.abs(dense - fast)) <= 1e-12
 
+    @pytest.mark.parametrize("missing", [[], [0, 5, 11]])
+    def test_into_given_vector(self, rng, missing):
+        m = Mask(np.array(missing, dtype=np.int64), GridShape((4, 4)))
+        beta = rng.standard_normal(16)
+        out = np.full(16, np.nan)
+        assert gram(beta, m, out=out) is out
+        assert out.tobytes() == gram(beta, m).tobytes()
+
     def test_spectrum_in_unit_interval(self, rng):
         for n, k in [(16, 3), (32, 8)]:
             m = Mask(np.sort(rng.choice(n, k, replace=False)), GridShape((n,)))

@@ -370,6 +370,18 @@ class TestInPlaceKernels:
             for got, want in zip(vars(rhs.diag).values(), expect_diag):
                 assert same_bits(got, want)
 
+    @pytest.mark.parametrize("missing", [[], [1, 6, 7, 30]])
+    def test_schur_product_into_given_vectors(self, rng, missing):
+        mask = Mask(np.array(missing, dtype=np.int64), GridShape((8, 4)))
+        state = spread_iterate(rng, 32, mu=1e-3)
+        d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
+        d_beta = rng.standard_normal(32)
+        product, image = np.full(32, np.nan), np.full(32, np.nan)
+        got = apply_kkt(d_beta, None, d, mask, out=product, gram_out=image)
+        assert got[0] is product and got[1] is image
+        for a, b in zip(got, apply_kkt(d_beta, None, d, mask)):
+            assert same_bits(a, b)
+
     def test_condensation_at_a_new_barrier(self, rng):
         """Condensing in place at another barrier gives that barrier's evaluation."""
         n = 512
