@@ -20,13 +20,11 @@ _EXIT_BY_STATUS = {"converged": EXIT_OK, "max_iters": EXIT_MAX_ITERS, "stalled":
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
+    """Integers separated by ``,`` or ``x``; an empty part is an error."""
     try:
-        dims = tuple(int(part) for part in text.replace("x", ",").split(",") if part)
+        return tuple(int(part) for part in text.replace("x", ",").split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse dims {text!r}") from exc
-    if not dims:
-        raise ValueError(f"cannot parse dims {text!r}")
-    return dims
 
 
 def _write_report(path: str, records: list[dict]) -> None:
@@ -99,10 +97,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
     records = []
     worst = EXIT_OK
-    for size in sizes:
+    for size in _parse_dims(args.sizes):
         dims = (size, size, size)
         spec = SyntheticSpec(
             dims=dims,

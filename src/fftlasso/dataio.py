@@ -45,7 +45,23 @@ def _load_sidecar(path: str) -> dict:
         raise ValueError(f"malformed header {header_file}: {exc}") from exc
     if not isinstance(header, dict) or "dims" not in header:
         raise ValueError(f"malformed header {header_file}: missing 'dims'")
+    dims = header["dims"]
+    if not (isinstance(dims, list) and dims
+            and all(type(d) is int and d > 0 for d in dims)):
+        raise ValueError(f"malformed header {header_file}: 'dims' must be a non-empty "
+                         f"list of positive integers, got {dims!r}")
+    header["dims"] = tuple(dims)
     return header
+
+
+def _read_payload(path: str, dtype: str) -> np.ndarray:
+    """The raw values at ``path``; a trailing partial value is an error."""
+    itemsize = np.dtype(dtype).itemsize
+    size = os.path.getsize(path)
+    if size % itemsize:
+        raise ValueError(f"{path} holds {size} bytes, not a whole number of "
+                         f"{itemsize}-byte values")
+    return np.fromfile(path, dtype=dtype)
 
 
 def write_volume(path: str, values, dims) -> None:
@@ -64,12 +80,12 @@ def write_volume(path: str, values, dims) -> None:
 def read_volume(path: str) -> tuple[np.ndarray, tuple[int, ...]]:
     """Read a volume; returns (flat float64 samples, dims)."""
     header = _load_sidecar(path)
-    dims = tuple(int(d) for d in header["dims"])
+    dims = header["dims"]
     if header.get("dtype", VOLUME_DTYPE) != VOLUME_DTYPE:
         raise ValueError(f"unsupported dtype {header.get('dtype')!r} in {path}")
     if header.get("order", VOLUME_ORDER) != VOLUME_ORDER:
         raise ValueError(f"unsupported order {header.get('order')!r} in {path}")
-    payload = np.fromfile(path, dtype="<f8")
+    payload = _read_payload(path, "<f8")
     expected = int(np.prod(dims))
     if payload.size != expected:
         raise ValueError(
@@ -94,13 +110,13 @@ def write_mask(path: str, mask: Mask, fmt: str = "indices") -> None:
 
 def read_mask(path: str) -> Mask:
     header = _load_sidecar(path)
-    shape = GridShape(tuple(int(d) for d in header["dims"]))
+    shape = GridShape(header["dims"])
     fmt = header.get("format")
     if fmt == "indices":
-        idx = np.fromfile(path, dtype="<u8").astype(np.int64)
+        idx = _read_payload(path, "<u8").astype(np.int64)
         return Mask(idx, shape)
     if fmt == "bytemask":
-        flags = np.fromfile(path, dtype=np.uint8)
+        flags = _read_payload(path, "u1")
         if flags.size != shape.n:
             raise ValueError(
                 f"byte mask {path} has {flags.size} entries, grid expects {shape.n}"

@@ -49,7 +49,6 @@ from .errors import NumericalBreakdownError, StalledError
 from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
     BarrierDiagonals,
-    CondensedSolution,
     KktRhs,
     apply_kkt,
     apply_precond_inverse,
@@ -89,6 +88,9 @@ class IpmConfig:
 
     ``lam`` may be None, in which case the standard LASSO scaling
     ``0.1 * max|observe_adjoint(b)|`` is used and recorded in the report.
+    ``tol`` (KKT residuals) and ``cg_tol`` (PCG's residual) are absolute, in
+    the units of ``b``, not scaled with it: ``b`` times 1e-100 reports
+    ``"converged"`` after 0 iterations with ``beta = 0``.
     """
 
     lam: float | None = None
@@ -318,9 +320,14 @@ def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
 
 
 @dataclass(frozen=True)
-class NewtonDirection(CondensedSolution):
+class NewtonDirection:
     """Physical step of the iterate, plus ``G d_beta`` and solve diagnostics."""
 
+    d_beta: np.ndarray
+    d_s1: np.ndarray
+    d_s2: np.ndarray
+    d_nu1: np.ndarray
+    d_nu2: np.ndarray
     gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
     pcg_residual: float
@@ -382,9 +389,9 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
-    sol = recover_eliminated(result.solution, rhs, out=work.spare)
     return NewtonDirection(
-        **vars(sol),
+        result.solution,
+        *recover_eliminated(result.solution, rhs, out=work.spare),
         gram_d_beta=work.rhs.r1,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,

@@ -72,6 +72,10 @@ cancel.  The condensed right-hand side is
 
     rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3).
 
+Evaluation and condensation are separate phases: :func:`newton_rhs` forms
+``r1``, ``r2`` and the diagonals; :meth:`KktRhs.condense` alone forms
+``r3``, ``r4`` and ``rho``, at the barrier the direction uses.
+
 Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
 with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
 ``d_z +/- d_beta`` are ``c + 2 omega2 d_beta`` and ``c - 2 omega1 d_beta``,
@@ -95,7 +99,6 @@ from .masking import Mask, gram
 __all__ = [
     "BarrierDiagonals",
     "KktRhs",
-    "CondensedSolution",
     "barrier_diagonals",
     "newton_rhs",
     "apply_kkt",
@@ -155,10 +158,11 @@ def barrier_diagonals(s1, s2, nu1, nu2, out: BarrierDiagonals | None = None) -> 
 class KktRhs:
     """Nonzero residual blocks of the 6-block system plus its Schur-reduced form.
 
+    :func:`newton_rhs` writes ``r1``, ``r2`` and ``diag``, the barrier
+    diagonals of the iterate; :meth:`condense` alone writes the rest.
     ``r3``/``r4`` are the barrier-shifted residuals ``nu - mu/s``, which
-    make the condensed solve a Newton step on the barrier system.  ``rho``
-    is the right-hand side of ``S d_beta = rho``; ``diag`` holds the
-    barrier diagonals of the same iterate.
+    make the condensed solve a Newton step on the barrier system, and
+    ``rho`` is the right-hand side of ``S d_beta = rho``.
     """
 
     r1: np.ndarray
@@ -194,7 +198,7 @@ def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     Parameters
     ----------
     state : object
-        Iterate with attributes ``s1, s2, nu1, nu2, mu``, on the solver's
+        Iterate with attributes ``s1, s2, nu1, nu2``, on the solver's
         domain: the slack equations hold and ``y = nu``.
     xi : numpy.ndarray
         Data correlation ``observe_adjoint(b, mask)``.
@@ -203,20 +207,14 @@ def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     lam : float
         L1 penalty weight.
     out : KktRhs, optional
-        Arrays to write the evaluation into: ``r1``, ``r2`` and ``diag``.
-        Its ``r3``, ``r4`` and ``rho`` are left to :meth:`KktRhs.condense`,
-        which the solver runs once per direction, at the barrier the step
-        uses; the convergence check needs only ``r1`` and ``r2``.
+        Arrays to write into; new ones are allocated when not given.
 
     Returns
     -------
     KktRhs
-        The four nonzero block residuals, the barrier diagonals and the
-        Schur right-hand side
-
-        ``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3)``,
-
-        all at ``state.mu`` unless ``out`` is given.
+        ``r1``, ``r2`` and the barrier diagonals of ``state``; ``r3``, ``r4``
+        and ``rho`` are left to :meth:`KktRhs.condense`, at the barrier a
+        direction uses.  The convergence check reads only ``r1`` and ``r2``.
     """
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2,
                              None if out is None else out.diag)
@@ -226,8 +224,6 @@ def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     r1 -= state.nu2
     r2 = np.add(state.nu1, state.nu2, out=rhs.r2)
     r2 -= lam
-    if out is None:
-        rhs.condense(state)
     return rhs
 
 
@@ -273,23 +269,7 @@ def apply_precond_inverse(first, second, diag: BarrierDiagonals, out=None):
     return out
 
 
-@dataclass(frozen=True)
-class CondensedSolution:
-    """The Newton step on the solver's domain, recovered from ``d_beta``.
-
-    The slack steps are physical: the symmetrized 6-block system above
-    carries ``-d_s1, -d_s2``.  The step in ``z`` is ``(d_s1 + d_s2)/2``,
-    and that in ``y`` is ``d_nu``.
-    """
-
-    d_beta: np.ndarray
-    d_s1: np.ndarray
-    d_s2: np.ndarray
-    d_nu1: np.ndarray
-    d_nu2: np.ndarray
-
-
-def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> CondensedSolution:
+def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> tuple[np.ndarray, ...]:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
     ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``
@@ -298,8 +278,9 @@ def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> CondensedSolution:
 
     The last line is the linearized complementarity
     ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
-    ``r4 = nu2 - mu/s2``.  ``out``, four arrays, receives
-    ``(d_s1, d_s2, d_nu1, d_nu2)``; ``d_beta`` is not modified.
+    ``r4 = nu2 - mu/s2``.  Returns the physical steps
+    ``(d_s1, d_s2, d_nu1, d_nu2)``, in the four arrays of ``out`` when
+    given; ``d_beta`` is not modified.
     """
     diag = rhs.diag
     if out is None:
@@ -321,4 +302,4 @@ def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> CondensedSolution:
     np.negative(diag.sigma2, out=d_nu2)
     d_nu2 *= d_s2
     d_nu2 -= rhs.r4
-    return CondensedSolution(d_beta, d_s1, d_s2, d_nu1, d_nu2)
+    return d_s1, d_s2, d_nu1, d_nu2

@@ -41,8 +41,11 @@ def dense_augmented_system(state: Iterate, mask: Mask):
 
 
 def exact_rhs(state, b, mask: Mask, lam: float):
-    """``newton_rhs`` from the samples, with ``xi`` and ``g`` evaluated exactly."""
-    return newton_rhs(state, observe_adjoint(b, mask), gram(state.beta, mask), lam)
+    """``newton_rhs`` from the samples, with ``xi`` and ``g`` evaluated exactly,
+    condensed at ``state.mu``."""
+    rhs = newton_rhs(state, observe_adjoint(b, mask), gram(state.beta, mask), lam)
+    rhs.condense(state)
+    return rhs
 
 
 def random_interior_state(rng, n: int, mu: float = 0.05) -> IpmState:

@@ -54,6 +54,14 @@ class TestGenerate:
         values, _ = read_volume(truth)
         assert values[0] == pytest.approx(1.0)
 
+    def test_empty_dims_part(self, tmp_path, capsys):
+        code = main([
+            "generate", "--dims", "4,,x", "--signal", str(tmp_path / "s"),
+            "--mask", str(tmp_path / "m"),
+        ])
+        assert_input_error(code, capsys)
+        assert not (tmp_path / "s").exists()
+
     def test_bad_dims(self, tmp_path, capsys):
         code = main([
             "generate", "--dims", "banana", "--signal", str(tmp_path / "s"),
@@ -61,6 +69,14 @@ class TestGenerate:
         ])
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
+
+
+def assert_input_error(code, capsys):
+    """Exit 1 with an ``error:`` line and no traceback."""
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestSolve:
@@ -205,6 +221,23 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload, header", [
+        (b"\x01\x00\x00", {"format": "indices", "dims": [8, 8, 8]}),  # not one index
+        (b"", {"format": "indices", "dims": 5}),
+        (b"", {"format": "indices", "dims": None}),
+    ], ids=["partial-index", "scalar-dims", "null-dims"])
+    def test_broken_mask_file_is_input_error(self, problem_files, capsys, payload, header):
+        signal, _, tmp = problem_files
+        mask = tmp / "broken.mask"
+        mask.write_bytes(payload)
+        (tmp / "broken.mask.json").write_text(json.dumps(header))
+        code = main([
+            "solve", "--input", signal, "--mask", str(mask),
+            "--output", str(tmp / "b.f64"),
+        ])
+        assert_input_error(code, capsys)
+        assert not (tmp / "b.f64").exists()
+
     def test_nonfinite_volume_is_input_error(self, problem_files, capsys):
         signal, mask, tmp = problem_files
         values, dims = read_volume(signal)
@@ -261,3 +294,10 @@ class TestBench:
         kry_a = [r["krylov_per_iteration"] for r in reports[0]]
         kry_b = [r["krylov_per_iteration"] for r in reports[1]]
         assert kry_a == kry_b
+
+    @pytest.mark.parametrize("sizes", [",", "4,,8"])
+    def test_empty_size_is_input_error(self, tmp_path, capsys, sizes):
+        report = tmp_path / "bench.jsonl"
+        code = main(["bench", "--sizes", sizes, "--report", str(report)])
+        assert_input_error(code, capsys)
+        assert not report.exists()

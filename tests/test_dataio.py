@@ -10,6 +10,10 @@ from fftlasso.dataio import read_mask, read_volume, sidecar_path, write_mask, wr
 from fftlasso.synthetic import SyntheticSpec, generate_synthetic
 
 
+# each would be read as some grid, or fail with a TypeError, without the check
+BAD_DIMS = [5, None, [4.5, 4], [4.0, 4], ["4", 4]]
+
+
 class TestVolumeFile:
     def test_round_trip_bit_exact(self, tmp_path, rng):
         values = rng.standard_normal(4 * 6 * 2)
@@ -45,6 +49,25 @@ class TestVolumeFile:
         with pytest.raises(ValueError, match="samples"):
             read_volume(str(path))
 
+    def test_trailing_partial_sample(self, tmp_path):
+        path = tmp_path / "long.f64"
+        path.write_bytes(np.zeros(4).tobytes() + b"\x00" * 3)
+        (tmp_path / "long.f64.json").write_text(
+            json.dumps({"dims": [4], "order": "row-major", "dtype": "f64-le"})
+        )
+        with pytest.raises(ValueError, match="whole number"):
+            read_volume(str(path))
+
+    @pytest.mark.parametrize("dims", BAD_DIMS)
+    def test_bad_dims_in_sidecar(self, tmp_path, dims):
+        path = tmp_path / "v.f64"
+        np.zeros(16).tofile(path)
+        (tmp_path / "v.f64.json").write_text(
+            json.dumps({"dims": dims, "order": "row-major", "dtype": "f64-le"})
+        )
+        with pytest.raises(ValueError, match="dims"):
+            read_volume(str(path))
+
     def test_unknown_dtype(self, tmp_path):
         path = tmp_path / "odd.f64"
         np.zeros(4).tofile(path)
@@ -77,6 +100,22 @@ class TestMaskFile:
         np.zeros(1, dtype="<u8").tofile(path)
         (tmp_path / "m.json").write_text(json.dumps({"format": "bitmap", "dims": [4]}))
         with pytest.raises(ValueError, match="format"):
+            read_mask(str(path))
+
+    def test_trailing_partial_index(self, tmp_path):
+        """Three bytes are no index at all, not an empty mask."""
+        path = tmp_path / "m"
+        path.write_bytes(b"\x01\x00\x00")
+        (tmp_path / "m.json").write_text(json.dumps({"format": "indices", "dims": [4]}))
+        with pytest.raises(ValueError, match="whole number"):
+            read_mask(str(path))
+
+    @pytest.mark.parametrize("dims", BAD_DIMS)
+    def test_bad_dims_in_sidecar(self, tmp_path, dims):
+        path = tmp_path / "m"
+        np.array([1], dtype="<u8").tofile(path)
+        (tmp_path / "m.json").write_text(json.dumps({"format": "indices", "dims": dims}))
+        with pytest.raises(ValueError, match="dims"):
             read_mask(str(path))
 
     def test_bytemask_size_checked(self, tmp_path):

@@ -270,8 +270,7 @@ class TestRecoverEliminated:
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         zrhs = KktRhs(*(np.zeros(n) for _ in range(5)), diag=d)
-        sol = recover_eliminated(zero, zrhs)
-        for block in (sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2):
+        for block in recover_eliminated(zero, zrhs):
             assert np.all(block == 0.0)
 
     def test_matches_dense_six_block_solve(self, rng):
@@ -291,15 +290,15 @@ class TestRecoverEliminated:
             rhs.rho,
             PcgConfig(abs_tol=1e-13),
         )
-        sol = recover_eliminated(res.solution, rhs)
+        d_s1, d_s2, d_nu1, d_nu2 = recover_eliminated(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(m6, stacked)
         # the six-block system carries slacks with the flipped sign; d_y = d_nu
-        mine = np.concatenate([sol.d_beta, (sol.d_s1 + sol.d_s2) / 2, -sol.d_s1,
-                               -sol.d_s2, sol.d_nu1, sol.d_nu2])
+        mine = np.concatenate([res.solution, (d_s1 + d_s2) / 2, -d_s1, -d_s2,
+                               d_nu1, d_nu2])
         assert np.max(np.abs(mine - dense)) <= 1e-8
 
     def test_multiplier_rows_consistency(self, rng):
@@ -311,13 +310,13 @@ class TestRecoverEliminated:
         rhs = exact_rhs(st8, b, mask, 0.4)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         db = rng.standard_normal(n)
-        sol = recover_eliminated(db, rhs)
-        dz = (sol.d_s1 + sol.d_s2) / 2  # with d_y = d_nu and r5 = r6 = 0
+        d_s1, d_s2, d_nu1, d_nu2 = recover_eliminated(db, rhs)
+        dz = (d_s1 + d_s2) / 2  # with d_y = d_nu and r5 = r6 = 0
         np.testing.assert_allclose(
-            -db - dz - sol.d_nu1 / d.sigma1, rhs.r3 / d.sigma1, atol=1e-12
+            -db - dz - d_nu1 / d.sigma1, rhs.r3 / d.sigma1, atol=1e-12
         )
         np.testing.assert_allclose(
-            db - dz - sol.d_nu2 / d.sigma2, rhs.r4 / d.sigma2, atol=1e-12
+            db - dz - d_nu2 / d.sigma2, rhs.r4 / d.sigma2, atol=1e-12
         )
         # d_z satisfies the second condensed row for any d_beta
         r_c = rhs.r2 - rhs.r3 - rhs.r4
@@ -360,8 +359,10 @@ class TestInPlaceKernels:
         rho = r1 + omega1 * (2.0 * r4 - r2) + omega2 * (r2 - 2.0 * r3)
 
         fresh = newton_rhs(state, xi, g, lam)
+        fresh.condense(state)
         buffers = nan_buffers(n)
         assert newton_rhs(state, xi, g, lam, out=buffers) is buffers
+        assert all(np.isnan(a).all() for a in (buffers.r3, buffers.r4, buffers.rho))
         buffers.condense(state, np.full(n, np.nan))
         for rhs in (fresh, buffers):
             for got, want in zip((rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.rho),
@@ -388,9 +389,11 @@ class TestInPlaceKernels:
         state = spread_iterate(rng, n, mu=1e-2)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
         rhs = newton_rhs(state, xi, g, 0.5)
+        rhs.condense(state)
         lower = Iterate(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
         rhs.condense(lower)
         fresh = newton_rhs(lower, xi, g, 0.5)
+        fresh.condense(lower)
         for name in ("r1", "r2", "r3", "r4", "rho"):
             assert same_bits(getattr(rhs, name), getattr(fresh, name))
 
@@ -400,6 +403,7 @@ class TestInPlaceKernels:
         n = 4096
         state = spread_iterate(rng, n, mu=1e-3)
         rhs = newton_rhs(state, rng.standard_normal(n), rng.standard_normal(n), 0.5)
+        rhs.condense(state)
         d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
         keep = d_beta.copy()
         d = rhs.diag
@@ -409,8 +413,8 @@ class TestInPlaceKernels:
         expect = (d_s1, d_s2, -d.sigma1 * d_s1 - rhs.r3, -d.sigma2 * d_s2 - rhs.r4)
         out = [np.full(n, np.nan) for _ in range(4)]
         for sol in (recover_eliminated(d_beta, rhs), recover_eliminated(d_beta, rhs, out=out)):
-            assert sol.d_beta is d_beta
-            for got, want in zip((sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2), expect):
+            assert len(sol) == 4
+            for got, want in zip(sol, expect):
                 assert same_bits(got, want)
-        assert all(a is b for a, b in zip(out, (sol.d_s1, sol.d_s2, sol.d_nu1, sol.d_nu2)))
+        assert all(a is b for a, b in zip(out, sol))
         assert same_bits(d_beta, keep)
