@@ -11,6 +11,7 @@ tag and the grid dims.  Write-then-read round trips are bit exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -67,9 +68,9 @@ def _read_payload(path: str, dtype: str) -> np.ndarray:
 def write_volume(path: str, values, dims) -> None:
     dims = [int(d) for d in dims]
     values = np.asarray(values, dtype="<f8").reshape(-1)
-    if values.size != int(np.prod(dims)):
+    if values.size != math.prod(dims):
         raise ValueError(
-            f"payload has {values.size} samples, dims {dims} expect {int(np.prod(dims))}"
+            f"payload has {values.size} samples, dims {dims} expect {math.prod(dims)}"
         )
     values.tofile(path)
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
@@ -86,7 +87,7 @@ def read_volume(path: str) -> tuple[np.ndarray, tuple[int, ...]]:
     if header.get("order", VOLUME_ORDER) != VOLUME_ORDER:
         raise ValueError(f"unsupported order {header.get('order')!r} in {path}")
     payload = _read_payload(path, "<f8")
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)  # exact, where np.prod would wrap in int64
     if payload.size != expected:
         raise ValueError(
             f"volume {path} has {payload.size} samples, header dims {dims} "

@@ -84,7 +84,7 @@ class GridShape:
             if d < 2 or d % 2 != 0:
                 raise UnsupportedShapeError(f"every axis must be even and >= 2, got {d}")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "n", int(np.prod(dims)))
+        object.__setattr__(self, "n", math.prod(dims))
 
     @property
     def ndim(self) -> int:
@@ -174,14 +174,15 @@ def _rfftn(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
     return half
 
 
-def _irfftn(half: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Real grid of a half spectrum, ``scipy.fft.irfftn(half, dims, norm="ortho")``.
+def _irfftn(half: np.ndarray, dims: tuple[int, ...], out: np.ndarray) -> np.ndarray:
+    """Real grid of a half spectrum into ``out`` (of shape ``dims``),
+    ``scipy.fft.irfftn(half, dims, norm="ortho")``.
 
     Overwrites ``half``.
     """
     for axis in range(half.ndim - 1):
         np.fft.ifft(half, axis=axis, norm="forward", out=half)  # unnormalised
-    x = np.fft.irfft(half, n=dims[-1], norm="forward")
+    x = np.fft.irfft(half, n=dims[-1], norm="forward", out=out)
     x *= _ortho_scale(x.size)
     return x
 
@@ -229,7 +230,13 @@ def unpack(beta, shape: GridShape) -> np.ndarray:
     return _along(_unpack_axis, w, np.empty_like(w), range(shape.ndim)).reshape(-1)
 
 
-def synthesize(beta, shape: GridShape) -> np.ndarray:
+def _check_out(out, shape: GridShape) -> None:
+    if out is not None and not (out.shape == (shape.n,) and out.dtype == np.float64
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out must be a contiguous float64 vector of {shape.n} values")
+
+
+def synthesize(beta, shape: GridShape, out=None) -> np.ndarray:
     """Map packed spectral coefficients to the real signal.
 
     The half-spectrum inverse real FFT makes the output real by
@@ -240,12 +247,18 @@ def synthesize(beta, shape: GridShape) -> np.ndarray:
     ----------
     beta : array_like
         Flat (or grid-shaped) real coefficient vector, ``shape.n`` values.
+    out : numpy.ndarray, optional
+        Contiguous float64 vector of ``shape.n`` values that receives the
+        signal; the inverse real FFT writes into it directly.  It may be
+        ``beta`` itself, which is read before it is overwritten.
 
     Returns
     -------
     numpy.ndarray
-        Flat real signal of length ``shape.n`` (row-major).
+        Flat real signal of length ``shape.n`` (row-major), in ``out`` when
+        given.
     """
+    _check_out(out, shape)
     b = _as_grid(beta, shape, np.float64)
     h = shape.dims[-1] // 2
     half, spare = _half_spectra(shape.dims)
@@ -254,7 +267,9 @@ def synthesize(beta, shape: GridShape) -> np.ndarray:
     np.multiply(b[..., 2 : h + 1], _RSQRT2, out=half[..., 1:h].real)
     np.multiply(b[..., h + 1 :], _RSQRT2, out=half[..., 1:h].imag)
     half = _along(_unpack_axis, half, spare, range(shape.ndim - 1))
-    return _irfftn(half, shape.dims).reshape(-1)
+    out = np.empty(shape.n) if out is None else out
+    _irfftn(half, shape.dims, out.reshape(shape.dims))
+    return out
 
 
 def analyze(x, shape: GridShape, out=None) -> np.ndarray:
@@ -262,11 +277,11 @@ def analyze(x, shape: GridShape, out=None) -> np.ndarray:
 
     ``analyze(synthesize(beta)) == beta`` to machine precision because the
     underlying matrix is orthogonal.  ``out``, when given, is a contiguous
-    float64 vector of ``shape.n`` values that receives the result.
+    float64 vector of ``shape.n`` values that receives the result; it may
+    be ``x`` itself, which the transform reads in full before the result is
+    written.
     """
-    if out is not None and not (out.shape == (shape.n,) and out.dtype == np.float64
-                                and out.flags.c_contiguous):
-        raise ValueError(f"out must be a contiguous float64 vector of {shape.n} values")
+    _check_out(out, shape)
     half, spare = _half_spectra(shape.dims)
     half = _rfftn(_as_grid(x, shape, np.float64), half)
     half = _along(_pack_axis, half, spare, range(shape.ndim - 1))

@@ -341,18 +341,23 @@ class _Workspace:
     direction, and PCG reduces it in place to its residual; outside that
     span it is the temporary of the convergence check and the step-length
     rule.  ``r1`` is last read by condensation, so PCG accumulates
-    ``G d_beta`` there until the next evaluation.  ``spare`` holds four
-    arrays that no iterate uses: a step recovers its direction into them
-    and adds the iterate there, so they become the new iterate's, and the
-    old iterate's arrays become the spare ones.  Until recovery they are
-    free, and condensation and PCG work in them.
+    ``G d_beta`` there until the next evaluation.  ``spare`` holds three
+    arrays that no iterate uses.  Until recovery they are free, and
+    condensation and PCG work in them: the search direction, the
+    operator's product (also PCG's temporary) and ``G p``.  A step
+    recovers its direction into them and into ``diag.precond``, idle from
+    the end of PCG until the next evaluation, and adds the iterate there,
+    so those four arrays become the new iterate's.  The old iterate's
+    arrays take their places: its first three become the spare ones and
+    its fourth the next ``precond`` row, so that row rotates through the
+    iterate's ``nu2``.  15 rows in all.
     """
 
     def __init__(self, n: int):
-        # One block: as 16 separate arrays on the heap they left the transforms'
+        # One block: as 15 separate arrays on the heap they left the transforms'
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
-        rows = np.empty((16, n))
+        rows = np.empty((15, n))
         self.rhs = KktRhs(*rows[:5], BarrierDiagonals(*rows[5:11]))
         self.d_beta = rows[11]
         self.spare = tuple(rows[12:])
@@ -369,11 +374,12 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
     ``d_nu = (mu - s*nu)/s - sigma * d_s``.  The direction is built in the
     arrays of ``work``, :func:`solve`'s per-solve buffers, or in new ones;
     ``rhs`` is left intact unless it is ``work.rhs``, whose ``rho`` PCG
-    reduces to its residual and whose ``r1`` receives ``G d_beta``.
+    reduces to its residual, whose ``r1`` receives ``G d_beta`` and whose
+    ``diag.precond``, read last by PCG, receives ``d_nu2``.
     """
     diag = rhs.diag
     work = _Workspace(state.n) if work is None else work
-    search, product, temp, image = work.spare  # free until recovery writes the direction
+    search, product, image = work.spare  # free until recovery writes the direction
 
     def op(v):
         return apply_kkt(v, None, diag, mask, out=product, gram_out=image)
@@ -383,7 +389,7 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
 
     result = pcg_solve(op, prec, rhs.rho, PcgConfig(abs_tol=cg_tol),
                        image=work.rhs.r1,
-                       work=(work.d_beta, work.rhs.rho, search, temp))
+                       work=(work.d_beta, work.rhs.rho, search, product))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -391,7 +397,8 @@ def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
         )
     return NewtonDirection(
         result.solution,
-        *recover_eliminated(result.solution, rhs, out=work.spare),
+        *recover_eliminated(result.solution, rhs,
+                            out=(*work.spare, work.rhs.diag.precond)),
         gram_d_beta=work.rhs.r1,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
@@ -423,7 +430,8 @@ def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
     ``x + alpha*dx`` is written into the direction's arrays: the new
     iterate owns the four step arrays, while ``d_beta``, ``gram_d_beta``
     and the PCG diagnostics stay the direction's.  ``state`` is not
-    modified; with ``work``, its arrays become the spare ones.
+    modified; with ``work``, its arrays become the spare ones and the
+    ``precond`` row of ``work.rhs``.
     """
     work = _Workspace(state.n) if work is None else work
     direction = newton_direction(state, rhs, mask, cg_tol, work)
@@ -447,7 +455,8 @@ def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
     for step, old, alpha in zip(steps, olds, (alpha_p, alpha_p, alpha_d, alpha_d)):
         step *= alpha
         step += old
-    work.spare = olds
+    work.spare = olds[:3]
+    work.rhs = replace(work.rhs, diag=replace(work.rhs.diag, precond=olds[3]))
     return Iterate(*steps, mu=state.mu), direction, alpha_p, alpha_d
 
 
@@ -542,7 +551,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
             break
         if conv.barrier_residual <= INNER_SLACK * state.mu:
             state = replace(state, mu=next_barrier(state.mu, config.tol))
-        rhs.condense(state, work.spare[3])
+        rhs.condense(state, work.spare[2])
         previous = state
         try:
             state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol,

@@ -109,10 +109,13 @@ def gram(beta, mask: Mask, out=None) -> np.ndarray:
 
     Equivalent to ``observe_adjoint(observe(beta, mask), mask)`` but zeroes
     the missing samples in place on the full grid instead of materializing
-    the shorter observed vector.  With an empty mask the synthesis map is
-    orthogonal, so the Gram operator is the identity and this returns a
-    copy of ``beta`` without a transform.  ``out``, when given, is a
-    contiguous float64 vector of ``n`` values that receives the result.
+    the shorter observed vector.  The signal is synthesized into the
+    output vector and analyzed back over itself, so the product needs no
+    n-vector beyond its result and the transforms' half spectra.  With an
+    empty mask the synthesis map is orthogonal, so the Gram operator is
+    the identity and this returns a copy of ``beta`` without a transform.
+    ``out``, when given, is a contiguous float64 vector of ``n`` values
+    that receives the result.
     """
     beta = _check_spectrum(beta, mask)
     if not mask.n_missing:
@@ -120,6 +123,6 @@ def gram(beta, mask: Mask, out=None) -> np.ndarray:
             return beta.copy()
         np.copyto(out, beta)
         return out
-    x = synthesize(beta, mask.shape)
+    x = synthesize(beta, mask.shape, out=out)
     x[mask.missing] = 0.0
-    return analyze(x, mask.shape, out=out)
+    return analyze(x, mask.shape, out=x)

@@ -81,7 +81,9 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
         the solution ``x`` (returned), the residual, the search direction
         and a temporary.  The residual array may be ``rhs`` itself, which
         is then overwritten.  The operator and the preconditioner may
-        return the same array on every call.
+        return the same array on every call, and that array may be the
+        temporary: ``K p`` is last read when it is scaled into the
+        temporary in place, and ``L p`` must be a different array.
 
     Returns
     -------
@@ -129,11 +131,11 @@ def pcg_solve(apply_op, apply_prec, rhs, config: PcgConfig = PcgConfig(),
                 f"nonpositive curvature p'Kp = {curvature} at iteration {k}"
             )
         alpha = rho / curvature
-        # x += alpha * p and the like, through one temporary
+        # r -= alpha * Kp and the like, through one temporary, which may be Kp
+        r -= np.multiply(kp, alpha, out=scaled)
         x += np.multiply(p, alpha, out=scaled)
         if image is not None:
             image += np.multiply(lp, alpha, out=scaled)
-        r -= np.multiply(kp, alpha, out=scaled)
         z = apply_prec(r)
         rho_next = float(np.vdot(r, z))
         if not math.isfinite(rho_next) or rho_next < 0:

@@ -202,6 +202,23 @@ class TestSolve:
         assert code == EXIT_INPUT_ERROR
         assert "error" in capsys.readouterr().err
 
+    def test_huge_dims_are_input_error(self, problem_files, capsys):
+        """A sidecar whose dims overflow int64 is refused at the volume."""
+        _, mask, tmp = problem_files
+        vol = tmp / "huge.f64"
+        vol.write_bytes(b"")
+        (tmp / "huge.f64.json").write_text(
+            json.dumps({"dims": [2**32, 2**32], "order": "row-major", "dtype": "f64-le"})
+        )
+        code = main([
+            "solve", "--input", str(vol), "--mask", mask,
+            "--output", str(tmp / "b.f64"),
+        ])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT_ERROR
+        assert err.startswith("error: ") and f"expect {2**64}" in err
+        assert "Traceback" not in err
+
     def test_odd_dims_rejected(self, tmp_path, capsys):
         # solver input requires even grid extents; caught at mask load
         vol = tmp_path / "odd.f64"

@@ -49,6 +49,19 @@ class TestVolumeFile:
         with pytest.raises(ValueError, match="samples"):
             read_volume(str(path))
 
+    def test_huge_dims_do_not_wrap(self, tmp_path):
+        """2^32 x 2^32 expects 2^64 samples, not the 0 that int64 wraps to."""
+        path = tmp_path / "huge.f64"
+        path.write_bytes(b"")
+        (tmp_path / "huge.f64.json").write_text(
+            json.dumps({"dims": [2**32, 2**32], "order": "row-major", "dtype": "f64-le"})
+        )
+        with pytest.raises(ValueError, match=f"expect {2**64}"):
+            read_volume(str(path))
+        with pytest.raises(ValueError, match=f"expect {2**64}"):
+            write_volume(str(tmp_path / "w.f64"), np.zeros(0), (2**32, 2**32))
+        assert not (tmp_path / "w.f64").exists()
+
     def test_trailing_partial_sample(self, tmp_path):
         path = tmp_path / "long.f64"
         path.write_bytes(np.zeros(4).tobytes() + b"\x00" * 3)

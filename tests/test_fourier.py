@@ -36,6 +36,10 @@ class TestGridShape:
         assert g.n == 192
         assert g.ndim == 3
 
+    def test_size_does_not_wrap(self):
+        """2^32 x 2^32 has 2^64 samples, which int64 would wrap to 0."""
+        assert GridShape((2**32, 2**32)).n == 2**64
+
     @pytest.mark.parametrize("dims", [(5,), (4, 7), (3, 3, 3), (0,), (2, 2, 2, 2), ()])
     def test_rejects_bad_dims(self, dims):
         with pytest.raises(UnsupportedShapeError):
@@ -207,9 +211,12 @@ def test_bit_identical_to_scipy_transform(dims, rng, monkeypatch):
         out[...] = scipy.fft.rfftn(grid, norm="ortho", workers=1)
         return out
 
+    def scipy_irfftn(half, s, out):
+        out[...] = scipy.fft.irfftn(half, s=s, norm="ortho", workers=1)
+        return out
+
     monkeypatch.setattr(fourier, "_rfftn", scipy_rfftn)
-    monkeypatch.setattr(fourier, "_irfftn", lambda half, s: scipy.fft.irfftn(
-        half, s=s, norm="ortho", workers=1))
+    monkeypatch.setattr(fourier, "_irfftn", scipy_irfftn)
     want = synthesize(beta, g), analyze(beta, g)
     np.testing.assert_array_equal(_bits(got[0]), _bits(want[0]))
     np.testing.assert_array_equal(_bits(got[1]), _bits(want[1]))
@@ -224,6 +231,22 @@ def test_analyze_into_given_vector(rng):
     for bad in (np.empty(g.n + 1), np.empty(2 * g.n)[::2], np.empty(g.n, np.float32)):
         with pytest.raises(ValueError, match="contiguous float64 vector of 60"):
             analyze(x, g, out=bad)
+
+
+@pytest.mark.parametrize("dims", [(8,), (6, 10), (4, 6, 8)])
+def test_synthesize_into_given_vector(dims, rng):
+    g = GridShape(dims)
+    beta = rng.standard_normal(g.n)
+    want = synthesize(beta, g)
+    out = np.full(g.n, np.nan)
+    assert synthesize(beta, g, out=out) is out
+    np.testing.assert_array_equal(_bits(out), _bits(want))
+    over = beta.copy()  # the coefficients are read before the signal is written
+    assert synthesize(over, g, out=over) is over
+    np.testing.assert_array_equal(_bits(over), _bits(want))
+    for bad in (np.empty(g.n + 1), np.empty(2 * g.n)[::2], np.empty(g.n, np.float32)):
+        with pytest.raises(ValueError, match=f"contiguous float64 vector of {g.n}"):
+            synthesize(beta, g, out=bad)
 
 
 def test_package_import_loads_no_scipy():

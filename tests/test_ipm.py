@@ -767,18 +767,20 @@ def peak_vectors_of_solve(spec: SyntheticSpec):
 
 class TestMemory:
     def test_peak_vectors_of_a_masked_solve(self):
-        """A 32^3 masked solve never holds more than 31 n-long float64 arrays."""
+        """A 32^3 masked solve never holds more than 25.5 n-long float64
+        arrays: 24.7 measured once Gram products stopped taking a grid of
+        their own and PCG's temporary stopped taking a row, 26.7 before."""
         converged, peak = peak_vectors_of_solve(
             SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
         assert converged
-        assert peak <= 31.0
+        assert peak <= 25.5
 
     def test_peak_vectors_of_a_denoising_solve(self):
-        """A 32^3 solve with an empty mask never holds more than 29.5 n-long
-        float64 arrays: the 28.05 measured before the loop stopped
-        allocating, plus the masked bound's headroom."""
+        """A 32^3 solve with an empty mask never holds more than 22.75 n-long
+        float64 arrays: 22.04 measured once PCG's temporary stopped taking a
+        workspace row, 23.04 before."""
         converged, peak = peak_vectors_of_solve(
             SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0,
                           missing_seed=43))
         assert converged
-        assert peak <= 29.5
+        assert peak <= 22.75

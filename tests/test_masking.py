@@ -1,5 +1,7 @@
 """Observation operators: dense oracle equivalence, adjointness, spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fftlasso import (
     GridShape,
     Mask,
     UnsupportedShapeError,
+    analyze,
     embed,
     gram,
     observe,
@@ -135,6 +138,43 @@ class TestGram:
         out = np.full(16, np.nan)
         assert gram(beta, m, out=out) is out
         assert out.tobytes() == gram(beta, m).tobytes()
+
+    def test_matches_a_fresh_grid_bit_for_bit(self, rng):
+        """Synthesizing into the output and analyzing it over itself rounds
+        as the transforms do on a separate grid."""
+        g = GridShape((8, 6, 4))
+        m = Mask.from_bool(rng.random(g.n) < 0.3, g)
+        beta = rng.standard_normal(g.n)
+        x = synthesize(beta, g)
+        x[m.missing] = 0.0
+        assert gram(beta, m).tobytes() == analyze(x, g).tobytes()
+
+    def test_peak_memory(self, rng):
+        """Into a given vector, a 64^3 Gram product holds no n-vector beyond
+        the transforms' half spectra (2.06 n-vectors at 64^3); without one,
+        only its result besides.  numpy's ufunc buffers add a fixed 0.4 MB,
+        which at 32^3 would be 1.5 n-vectors and hide the grids counted."""
+        g = GridShape((64, 64, 64))
+        m = Mask.from_bool(rng.random(g.n) < 0.15, g)
+        beta = rng.standard_normal(g.n)
+        out = np.empty(g.n)
+        gram(beta, m, out=out)  # first-call allocations of numpy.fft stay out of the peak
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            peaks = []
+            for given in (out, None):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                result = gram(beta, m, out=given)
+                peaks.append((tracemalloc.get_traced_memory()[1] - before) / (8 * g.n))
+                del result
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peaks[0] <= 2.5
+        assert peaks[1] <= 3.5
 
     def test_spectrum_in_unit_interval(self, rng):
         for n, k in [(16, 3), (32, 8)]:

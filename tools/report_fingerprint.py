@@ -21,6 +21,16 @@ Reports and record dicts are hashed as sorted-key JSON lines with
 float64 bytes.  A change that must not alter behaviour prints the same
 lines as its parent; point ``PYTHONPATH`` at the other checkout's ``src``
 and diff the two outputs.
+
+The lines compare only between runs with the same BLAS thread count.  The
+inner products of PCG (``np.vdot``) and of the duality measure and the
+objective (``@``) run on OpenBLAS, which splits a dot product over its
+threads and so rounds differently with another count.  With
+``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 7 of
+the 15 lines differ (``cli-256x256`` but its stdout, ``lib-32`` and
+``lib-32-denoise``), with the same iteration counts.  The tool prints
+``os.cpu_count()`` and ``OPENBLAS_NUM_THREADS`` to stderr, so that two
+outputs can be checked to be comparable.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -119,6 +130,9 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    print(f"cpu_count={os.cpu_count()} "
+          f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
+          file=sys.stderr)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
