@@ -9,9 +9,10 @@ variable ``z`` (|beta| <= z elementwise), slacks ``s1 = z + beta``,
 ``s2 = z - beta``, equality multipliers ``y1, y2`` and bound multipliers
 ``nu1, nu2``.  The solver carries four of them, an :class:`Iterate`
 ``(s1, s2, nu1, nu2)`` with ``beta`` and ``z`` derived and ``y = nu``;
-observers get an :class:`IpmState` view.  :func:`check_convergence`,
-:func:`newton_direction` and :func:`ipm_step` take an ``Iterate`` and the
-:func:`newton_rhs` evaluation of it at its barrier.  Each iteration takes
+observers get an :class:`IpmState` view.  :func:`check_convergence` takes
+an ``Iterate`` and its ``newton_rhs`` evaluation; :func:`newton_direction`
+and :func:`ipm_step` take an ``Iterate`` and the data that evaluation reads,
+``xi``, ``g`` and ``lam``.  Each iteration takes
 one Newton step on the barrier KKT system (no predictor-corrector),
 solving the Schur complement of the condensed 2x2 system, an n x n system
 in ``d_beta``, with preconditioned CG; the other blocks follow by
@@ -23,7 +24,7 @@ An iteration costs one transform pair per Krylov iteration and none
 outside PCG, and every vector PCG touches has length n.  The solve
 computes ``xi = observe_adjoint(b)`` once and carries ``g = gram(beta)``:
 PCG accumulates ``G d_beta`` from the products it forms anyway, so
-:func:`newton_rhs`, the convergence check, the barrier test and the Newton
+the residuals, the convergence check, the barrier test and the Newton
 step are vector algebra.  Before a solve is declared converged, ``g`` is
 recomputed exactly and the check repeated.  With an empty mask ``G = I``
 and the preconditioned Schur operator is ``(I + Delta)^{-1}(I + Delta) =
@@ -32,9 +33,16 @@ I``: one Krylov step per Newton step, and a denoising solve takes one
 total.
 
 The loop allocates its n-vectors once per solve, in a ``_Workspace``:
-every kernel writes into given arrays, each step writes ``x + alpha*dx``
-over its direction, and the freed old iterate holds the next direction.
-Observers therefore get copies.
+each step writes ``x + alpha*dx`` over its direction, and the freed old
+iterate holds the next direction.  Observers therefore get copies.  The
+O(n) phases (evaluation with the convergence extremes, condensation,
+recovery with the fraction-to-boundary ratios, and the step, fused into
+the next evaluation) run as sweeps over blocks of ``BLOCK`` entries.
+They recompute the barrier diagonals and the residuals per block instead
+of storing them, with the formulas of the full-vector kernels
+(:func:`~fftlasso.newton_system.newton_rhs`, :func:`check_convergence`
+and the like), which stay the reference they match bit for bit.  Of the
+solve's n-vectors 14 persist: the iterate, ``xi``, ``g`` and eight rows.
 """
 
 from __future__ import annotations
@@ -52,10 +60,16 @@ from .newton_system import (
     KktRhs,
     apply_kkt,
     apply_precond_inverse,
-    newton_rhs,
+    barrier_residuals,
+    barrier_scaling,
+    check_interior,
+    dual_residual,
+    exterior,
     recover_eliminated,
+    schur_coefficients,
+    stationarity,
 )
-from .pcg import PcgConfig, pcg_solve
+from .pcg import PcgConfig, is_iteration_count, pcg_solve
 
 __all__ = [
     "IpmConfig",
@@ -80,6 +94,7 @@ MU_POWER = 1.5  # superlinear tail of the barrier schedule
 FTB_TAU = 0.995  # fraction-to-boundary damping
 GAMMA_CENTRALITY = 1e-4  # centrality monitor only, never enforced
 INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
+BLOCK = 16384  # entries per block of the O(n) sweeps: seven scratch rows of this length fit L2
 
 
 @dataclass(frozen=True)
@@ -105,8 +120,8 @@ class IpmConfig:
             raise ValueError("tol must be positive and finite")
         if not (math.isfinite(self.cg_tol) and self.cg_tol > 0.0):
             raise ValueError("cg_tol must be positive and finite")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        if not is_iteration_count(self.max_iters):
+            raise ValueError("max_iters must be a nonnegative integer")
 
 
 class _Complementarity:
@@ -149,7 +164,7 @@ class Iterate(_Complementarity):
     equations hold by construction; ``y = nu``, as the start sets it and
     every step moves both by ``d_nu``.  The slacks are stored because on
     the support one of them tends to ``mu/nu``, which ``z - |beta|`` would
-    lose to cancellation.  ``barrier_diagonals`` checks their positivity.
+    lose to cancellation.  Every evaluation checks their positivity.
     """
 
     s1: np.ndarray
@@ -256,11 +271,6 @@ class SolveReport:
         }
 
 
-def _inf_norm(v: np.ndarray) -> float:
-    # max|v| without the |v| temporary; abs() turns an all -0.0 max into +0.0
-    return abs(float(max(v.max(), -v.min()))) if v.size else 0.0
-
-
 def default_penalty(b, mask: Mask) -> float:
     """Standard LASSO heuristic: one tenth of the max correlation."""
     return _penalty_of_correlation(observe_adjoint(b, mask))
@@ -296,16 +306,31 @@ def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
     ``r2`` are read.  The slack equations and ``y = nu`` hold exactly, so
     their residuals are not checked.  ``scratch`` is an n-long temporary,
     allocated when not given."""
-    prod = np.multiply(state.s1, state.nu1, out=scratch)
-    max1, min1 = float(prod.max()), float(prod.min())
-    prod = np.multiply(state.s2, state.nu2, out=prod)
-    max2, min2 = float(prod.max()), float(prod.min())
+    return _convergence_report(state, _extremes(state, rhs.r1, rhs.r2, scratch), tol)
 
-    stat = _inf_norm(rhs.r1)
-    dual = _inf_norm(rhs.r2)
-    comp = max(max1, max2)
+
+def _extremes(state, r1, r2, scratch, out=None) -> np.ndarray:
+    """Maxima (row 0) and minima (row 1) of ``r1``, ``r2``, ``s1 nu1`` and
+    ``s2 nu2``, the products formed in ``scratch``."""
+    out = np.empty((2, 4)) if out is None else out
+    out[:, 0] = r1.max(), r1.min()
+    out[:, 1] = r2.max(), r2.min()
+    prod = np.multiply(state.s1, state.nu1, out=scratch)
+    out[:, 2] = prod.max(), prod.min()
+    prod = np.multiply(state.s2, state.nu2, out=prod)
+    out[:, 3] = prod.max(), prod.min()
+    return out
+
+
+def _convergence_report(state: Iterate, extremes: np.ndarray, tol: float) -> ConvergenceReport:
+    """:func:`check_convergence` from the :func:`_extremes` of ``state``."""
+    (r1_max, r2_max, p1_max, p2_max), (r1_min, r2_min, p1_min, p2_min) = extremes
+    # max|r| from the extremes; abs() turns an all -0.0 max into +0.0
+    stat = abs(float(max(r1_max, -r1_min)))
+    dual = abs(float(max(r2_max, -r2_min)))
+    comp = max(float(p1_max), float(p2_max))
     worst = max(stat, dual, comp)
-    comp_min = min(min1, min2)
+    comp_min = min(float(p1_min), float(p2_min))
     # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
     return ConvergenceReport(
@@ -321,7 +346,8 @@ def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
 
 @dataclass(frozen=True)
 class NewtonDirection:
-    """Physical step of the iterate, plus ``G d_beta`` and solve diagnostics."""
+    """Physical step of the iterate, plus ``G d_beta``, the fraction-to-boundary
+    step lengths and solve diagnostics."""
 
     d_beta: np.ndarray
     d_s1: np.ndarray
@@ -331,77 +357,195 @@ class NewtonDirection:
     gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
     pcg_residual: float
+    alpha_primal: float  # step lengths keeping the slacks and the multipliers interior
+    alpha_dual: float
 
 
 class _Workspace:
-    """The n-vectors of one solve's Newton steps, allocated once.
+    """The n-vectors of one solve's Newton steps, allocated once, and the
+    sweeps that run the O(n) phases over them.
 
-    ``rhs`` receives each evaluation, and its arrays are lent out while
-    idle.  ``rho`` is formed by :meth:`KktRhs.condense` just before a
-    direction, and PCG reduces it in place to its residual; outside that
-    span it is the temporary of the convergence check and the step-length
-    rule.  ``r1`` is last read by condensation, so PCG accumulates
-    ``G d_beta`` there until the next evaluation.  ``spare`` holds three
-    arrays that no iterate uses.  Until recovery they are free, and
-    condensation and PCG work in them: the search direction, the
-    operator's product (also PCG's temporary) and ``G p``.  A step
-    recovers its direction into them and into ``diag.precond``, idle from
-    the end of PCG until the next evaluation, and adds the iterate there,
-    so those four arrays become the new iterate's.  The old iterate's
-    arrays take their places: its first three become the spare ones and
-    its fourth the next ``precond`` row, so that row rotates through the
-    iterate's ``nu2``.  15 rows in all.
+    Eight rows persist.  ``delta`` and ``precond`` are written by the
+    evaluation and read by PCG.  ``d_beta`` and ``image`` are PCG's solution
+    and its ``G d_beta``; from the evaluation until PCG starts they carry
+    ``omega1`` and ``omega2`` to the condensation.  Until recovery the four
+    ``spare`` rows are PCG's residual (condensation forms ``rho`` in the
+    first), search direction, product (also its temporary) and ``G p``.
+    Recovery writes the direction into them and the step adds the iterate
+    there, so they become the new iterate's arrays while the old iterate's
+    become spare.
+
+    ``sigma`` and ``r1``-``r4`` are never stored.  Each sweep runs over
+    blocks of ``BLOCK`` entries and recomputes per block what it needs, in
+    seven block-length ``scratch`` rows, with the formulas of
+    :func:`~fftlasso.newton_system.barrier_diagonals`,
+    :func:`~fftlasso.newton_system.newton_rhs`, :meth:`KktRhs.condense`,
+    :func:`recover_eliminated`, :func:`check_convergence` and
+    :func:`fraction_to_boundary`.  Elementwise work gives the same bits on
+    a slice, and the extremes and step lengths combine exactly across
+    blocks.  The dot products of the duality measure and of PCG run over
+    whole vectors.
     """
 
     def __init__(self, n: int):
-        # One block: as 15 separate arrays on the heap they left the transforms'
+        # One allocation: as separate arrays on the heap they left the transforms'
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
-        rows = np.empty((15, n))
-        self.rhs = KktRhs(*rows[:5], BarrierDiagonals(*rows[5:11]))
-        self.d_beta = rows[11]
-        self.spare = tuple(rows[12:])
+        block = min(BLOCK, n)
+        flat = np.empty(8 * n + 7 * block)
+        rows = flat[:8 * n].reshape(8, n)
+        self.delta, self.precond, self.d_beta, self.image = rows[:4]
+        self.spare = tuple(rows[4:])
+        scratch = flat[8 * n:].reshape(7, block)
+        self.blocks = [(slice(start, min(start + block, n)),
+                        [row[:min(block, n - start)] for row in scratch])
+                       for start in range(0, n, block)]
+        self.extremes = np.empty((len(self.blocks), 2, 4))
+
+    def _omega(self, cut: slice) -> tuple:
+        return self.d_beta[cut], self.image[cut]
+
+    def evaluate(self, state: Iterate, xi, g, lam: float,
+                 step: NewtonDirection | None = None) -> Iterate:
+        """Evaluate ``state`` in one sweep: check that it is interior, write
+        ``delta``, ``precond`` and (for :meth:`condense`) ``omega``, and
+        keep the extremes for :meth:`report`.
+
+        With ``step``, a direction from ``state``, the sweep first writes
+        ``x + alpha*dx`` over the direction's arrays and advances ``g`` by
+        ``alpha_primal * G d_beta``, and evaluates that new iterate.
+        Returns the iterate evaluated.
+        """
+        new = state
+        if step is not None:
+            new = Iterate(step.d_s1, step.d_s2, step.d_nu1, step.d_nu2, mu=state.mu)
+            moves = list(zip(_arrays(new), _arrays(state),
+                             (step.alpha_primal, step.alpha_primal,
+                              step.alpha_dual, step.alpha_dual)))
+        violated = False
+        for (cut, scratch), extremes in zip(self.blocks, self.extremes):
+            if step is not None:
+                for x, old, alpha in moves:
+                    x = x[cut]
+                    x *= alpha
+                    x += old[cut]
+                taken = step.gram_d_beta[cut]
+                taken *= step.alpha_primal
+                g[cut] += taken
+            block = _block(new, cut)
+            if violated or exterior(*_arrays(block)) is not None:
+                violated = True  # the blocks left still take their step
+                continue
+            sigma1, sigma2, prod = scratch[:3]
+            diag = BarrierDiagonals(sigma1, sigma2, *self._omega(cut),
+                                    self.delta[cut], self.precond[cut])
+            barrier_scaling(*_arrays(block), diag, lambda1=diag.precond)
+            schur_coefficients(diag)
+            r1, r2 = sigma1, sigma2  # spent once delta is formed
+            stationarity(block, xi[cut], g[cut], r1)
+            dual_residual(block, lam, r2)
+            _extremes(block, r1, r2, prod, out=extremes)
+        if violated:  # raises, naming the first offending array over whole vectors
+            check_interior(*_arrays(new))
+        return new
+
+    def report(self, state: Iterate, tol: float) -> ConvergenceReport:
+        """:func:`check_convergence` of the iterate :meth:`evaluate` last saw."""
+        return _convergence_report(
+            state, np.stack((self.extremes[:, 0].max(axis=0),
+                             self.extremes[:, 1].min(axis=0))), tol)
+
+    def condense(self, state: Iterate, xi, g, lam: float) -> None:
+        """Form the condensed right-hand side ``rho`` at ``state.mu`` in ``spare[0]``."""
+        rho = self.spare[0]
+        for cut, scratch in self.blocks:
+            block = _block(state, cut)
+            r1, r2, r3, r4, term = scratch[:5]
+            # condense reads only omega of the diagonals
+            rhs = KktRhs(r1, r2, r3, r4, rho[cut],
+                         BarrierDiagonals(None, None, *self._omega(cut), None, None))
+            stationarity(block, xi[cut], g[cut], r1)
+            dual_residual(block, lam, r2)
+            rhs.condense(block, scratch=term)
+
+    def recover(self, state: Iterate, lam: float, d_beta) -> tuple:
+        """Back-substitute the direction from ``d_beta`` into the spare rows;
+        returns ``(d_s1, d_s2, d_nu1, d_nu2, alpha_primal, alpha_dual)``."""
+        tau = max(FTB_TAU, 1.0 - state.mu)
+        alphas = [1.0] * 4
+        for cut, scratch in self.blocks:
+            block = _block(state, cut)
+            sigma1, sigma2, omega1, omega2, lambda1, r3, r4 = scratch
+            diag = BarrierDiagonals(sigma1, sigma2, omega1, omega2, None, None)
+            barrier_scaling(*_arrays(block), diag, lambda1)
+            r2 = lambda1  # recover_eliminated forms its own sum
+            dual_residual(block, lam, r2)
+            barrier_residuals(block, r3, r4)
+            steps = recover_eliminated(d_beta[cut], KktRhs(None, r2, r3, r4, None, diag),
+                                       out=[row[cut] for row in self.spare])
+            # alpha is monotone in the nearest ratio, so the least over the
+            # blocks is the whole vector's
+            alphas = [min(alpha, fraction_to_boundary(v, dv, tau, sigma1))
+                      for alpha, v, dv in zip(alphas, _arrays(block), steps)]
+        return (*self.spare, min(alphas[:2]), min(alphas[2:]))
 
 
-def newton_direction(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
+def _arrays(state) -> tuple:
+    return state.s1, state.s2, state.nu1, state.nu2
+
+
+def _block(state: Iterate, cut: slice) -> Iterate:
+    return Iterate(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
+
+
+def _evaluated(state: Iterate, xi, g, lam: float) -> _Workspace:
+    """A new workspace holding the evaluation of ``state``."""
+    work = _Workspace(state.n)
+    work.evaluate(state, xi, g, lam)
+    return work
+
+
+def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
                      work: _Workspace | None = None) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
-    ``rhs`` is ``newton_rhs`` at this iterate and barrier.  PCG solves the
-    Schur complement ``S d_beta = rho`` matrix-free and also accumulates
-    ``G d_beta``; :func:`recover_eliminated` back-substitutes the slack
-    steps and the multiplier step from the linearized complementarity
-    ``d_nu = (mu - s*nu)/s - sigma * d_s``.  The direction is built in the
-    arrays of ``work``, :func:`solve`'s per-solve buffers, or in new ones;
-    ``rhs`` is left intact unless it is ``work.rhs``, whose ``rho`` PCG
-    reduces to its residual, whose ``r1`` receives ``G d_beta`` and whose
-    ``diag.precond``, read last by PCG, receives ``d_nu2``.
+    ``xi = observe_adjoint(b)``, ``g = gram(beta)`` and ``lam`` are the data
+    of :func:`~fftlasso.newton_system.newton_rhs`.  Condensation forms
+    ``rho``; PCG solves the Schur complement ``S d_beta = rho``
+    matrix-free and also accumulates ``G d_beta``; recovery
+    back-substitutes the slack steps and the multiplier step from the
+    linearized complementarity ``d_nu = (mu - s*nu)/s - sigma * d_s`` and
+    measures the fraction-to-boundary step lengths in the same sweep.  The
+    direction is built in the arrays of ``work``, whose ``delta`` and
+    ``precond`` must hold the evaluation of ``state``, as :func:`solve`'s
+    sweeps leave them; without it, ``state`` is evaluated into a new one.
     """
-    diag = rhs.diag
-    work = _Workspace(state.n) if work is None else work
-    search, product, image = work.spare  # free until recovery writes the direction
+    work = _evaluated(state, xi, g, lam) if work is None else work
+    rho, search, product, gram_p = work.spare  # free until recovery writes the direction
+    work.condense(state, xi, g, lam)
+    schur = BarrierDiagonals(None, None, None, None, work.delta, work.precond)
 
     def op(v):
-        return apply_kkt(v, None, diag, mask, out=product, gram_out=image)
+        return apply_kkt(v, None, schur, mask, out=product, gram_out=gram_p)
 
     def prec(v):
-        return apply_precond_inverse(v, None, diag, out=product)
+        return apply_precond_inverse(v, None, schur, out=product)
 
-    result = pcg_solve(op, prec, rhs.rho, PcgConfig(abs_tol=cg_tol),
-                       image=work.rhs.r1,
-                       work=(work.d_beta, work.rhs.rho, search, product))
+    result = pcg_solve(op, prec, rho, PcgConfig(abs_tol=cg_tol), image=work.image,
+                       work=(work.d_beta, rho, search, product))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
+    *steps, alpha_p, alpha_d = work.recover(state, lam, result.solution)
     return NewtonDirection(
-        result.solution,
-        *recover_eliminated(result.solution, rhs,
-                            out=(*work.spare, work.rhs.diag.precond)),
-        gram_d_beta=work.rhs.r1,
+        result.solution, *steps,
+        gram_d_beta=work.image,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
+        alpha_primal=alpha_p,
+        alpha_dual=alpha_d,
     )
 
 
@@ -422,42 +566,31 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
     return min(1.0, tau * -float(nearest.view(np.float64)))
 
 
-def ipm_step(state: Iterate, rhs: KktRhs, mask: Mask, cg_tol: float,
-             work: _Workspace | None = None) -> tuple[Iterate, NewtonDirection, float, float]:
-    """Take one damped Newton step from ``state``, with ``rhs = newton_rhs``
-    at it; returns the new iterate, the direction and both step lengths.
+def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
+             work: _Workspace | None = None) -> tuple[Iterate, NewtonDirection]:
+    """Take one damped Newton step from ``state`` and evaluate the new iterate;
+    returns it and the direction, which holds both step lengths.
 
     ``x + alpha*dx`` is written into the direction's arrays: the new
-    iterate owns the four step arrays, while ``d_beta``, ``gram_d_beta``
-    and the PCG diagnostics stay the direction's.  ``state`` is not
-    modified; with ``work``, its arrays become the spare ones and the
-    ``precond`` row of ``work.rhs``.
+    iterate owns the four step arrays.  ``g`` is advanced in place to the
+    new iterate's Gram product by ``alpha_primal * G d_beta``, and the
+    evaluation of the new iterate then reuses the direction's ``d_beta``
+    and ``gram_d_beta`` arrays; its diagnostics stay valid.  ``state`` is
+    not modified; with ``work``, as in :func:`newton_direction`, its arrays
+    become the spare ones and ``work.report`` gives the new iterate's
+    :class:`ConvergenceReport`.
     """
-    work = _Workspace(state.n) if work is None else work
-    direction = newton_direction(state, rhs, mask, cg_tol, work)
-    tau = max(FTB_TAU, 1.0 - state.mu)
-    scratch = work.rhs.rho  # PCG's residual, spent
-    alpha_p = min(
-        fraction_to_boundary(state.s1, direction.d_s1, tau, scratch),
-        fraction_to_boundary(state.s2, direction.d_s2, tau, scratch),
-    )
-    alpha_d = min(
-        fraction_to_boundary(state.nu1, direction.d_nu1, tau, scratch),
-        fraction_to_boundary(state.nu2, direction.d_nu2, tau, scratch),
-    )
+    work = _evaluated(state, xi, g, lam) if work is None else work
+    direction = newton_direction(state, xi, g, lam, mask, cg_tol, work)
+    alpha_p, alpha_d = direction.alpha_primal, direction.alpha_dual
     if min(alpha_p, alpha_d) < 1e-12:
         raise StalledError(
             f"fraction-to-boundary step collapsed (alpha_p={alpha_p:.2e}, "
             f"alpha_d={alpha_d:.2e})"
         )
-    steps = (direction.d_s1, direction.d_s2, direction.d_nu1, direction.d_nu2)
-    olds = (state.s1, state.s2, state.nu1, state.nu2)
-    for step, old, alpha in zip(steps, olds, (alpha_p, alpha_p, alpha_d, alpha_d)):
-        step *= alpha
-        step += old
-    work.spare = olds[:3]
-    work.rhs = replace(work.rhs, diag=replace(work.rhs.diag, precond=olds[3]))
-    return Iterate(*steps, mu=state.mu), direction, alpha_p, alpha_d
+    new = work.evaluate(state, xi, g, lam, step=direction)
+    work.spare = _arrays(state)
+    return new, direction
 
 
 def next_barrier(mu: float, tol: float) -> float:
@@ -535,12 +668,11 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
     the loop live in one :class:`_Workspace` and are released on return.
     """
     n = mask.shape.n
-    state = initial_state(n, lam)
     work = _Workspace(n)
     records: list[IterationRecord] = []
     g = np.zeros(n)  # gram(beta), exact at beta = 0
-    rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
-    conv = check_convergence(state, rhs, config.tol, rhs.rho)  # rho is free until condensed
+    state = work.evaluate(initial_state(n, lam), xi, g, lam)
+    conv = work.report(state, config.tol)
     # the best iterate's beta, or None while the best is the current iterate
     best_beta, best_kkt = None, conv.max_residual
     stalled, reason = False, ""
@@ -551,26 +683,19 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
             break
         if conv.barrier_residual <= INNER_SLACK * state.mu:
             state = replace(state, mu=next_barrier(state.mu, config.tol))
-        rhs.condense(state, work.spare[2])
         previous = state
         try:
-            state, direction, alpha_p, alpha_d = ipm_step(state, rhs, mask, config.cg_tol,
-                                                           work)
+            state, direction = ipm_step(state, xi, g, lam, mask, config.cg_tol, work)
         except (NumericalBreakdownError, StalledError) as exc:
             stalled, reason = True, str(exc)
             break
-        g_step = direction.gram_d_beta  # g += alpha_p * G d_beta, scaled in place
-        g_step *= alpha_p
-        g += g_step
-        rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
-        conv = check_convergence(state, rhs, config.tol, rhs.rho)
+        conv = work.report(state, config.tol)
         if conv.converged:  # confirm on the exact product, never on the carried one
-            del g  # not live during the transform pair: peak memory
-            beta = np.subtract(state.s1, state.s2, out=rhs.rho)
+            beta = np.subtract(state.s1, state.s2, out=work.delta)  # re-evaluated below
             beta *= 0.5
-            g = gram(beta, mask)
-            rhs = newton_rhs(state, xi, g, lam, out=work.rhs)
-            conv = check_convergence(state, rhs, config.tol, rhs.rho)
+            gram(beta, mask, out=g)
+            work.evaluate(state, xi, g, lam)
+            conv = work.report(state, config.tol)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
@@ -579,8 +704,8 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
             krylov_iters=direction.krylov_iters,
-            alpha_primal=alpha_p,
-            alpha_dual=alpha_d,
+            alpha_primal=direction.alpha_primal,
+            alpha_dual=direction.alpha_dual,
             pcg_residual=direction.pcg_residual,
             centrality_ok=conv.centrality_ok,
             wall_time=time.perf_counter() - t_iter,

@@ -74,7 +74,12 @@ cancel.  The condensed right-hand side is
 
 Evaluation and condensation are separate phases: :func:`newton_rhs` forms
 ``r1``, ``r2`` and the diagonals; :meth:`KktRhs.condense` alone forms
-``r3``, ``r4`` and ``rho``, at the barrier the direction uses.
+``r3``, ``r4`` and ``rho``, at the barrier the direction uses.  The
+kernels are built from formula helpers outside ``__all__``
+(:func:`barrier_scaling`, :func:`schur_coefficients`,
+:func:`stationarity`, :func:`dual_residual`, :func:`barrier_residuals`,
+:func:`exterior`), which the solver's block sweeps call on slices, so each
+formula has one implementation.
 
 Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
 with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
@@ -135,23 +140,47 @@ def barrier_diagonals(s1, s2, nu1, nu2, out: BarrierDiagonals | None = None) -> 
     definiteness.  With ``out``, the diagonals are written into its arrays.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in (s1, s2, nu1, nu2)]
-    for name, arr in zip(("s1", "s2", "nu1", "nu2"), arrays):
+    check_interior(*arrays)
+    if out is None:
+        out = BarrierDiagonals(*(np.empty(arrays[0].shape) for _ in range(6)))
+    barrier_scaling(*arrays, out, lambda1=out.precond)  # precond is written last
+    schur_coefficients(out)
+    return out
+
+
+def exterior(s1, s2, nu1, nu2) -> str | None:
+    """Name of the first of the four arrays that is empty or holds an entry
+    that is not strictly positive and finite; None when there is none."""
+    for name, arr in zip(("s1", "s2", "nu1", "nu2"), (s1, s2, nu1, nu2)):
         # one reduction each way; NaN fails both comparisons
         if arr.size == 0 or not (arr.min() > 0.0 and arr.max() < np.inf):
-            raise InteriorViolationError(f"{name} must be strictly positive and finite")
-    s1, s2, nu1, nu2 = arrays
-    if out is None:
-        out = BarrierDiagonals(*(np.empty(s1.shape) for _ in range(6)))
-    np.divide(nu1, s1, out=out.sigma1)
-    np.divide(nu2, s2, out=out.sigma2)
-    lambda1 = np.add(out.sigma1, out.sigma2, out=out.precond)  # precond is written last
-    np.divide(out.sigma1, lambda1, out=out.omega1)
-    np.divide(out.sigma2, lambda1, out=out.omega2)
-    delta = np.multiply(out.sigma1, 4.0, out=out.delta)
-    delta *= out.omega2
-    precond = np.add(delta, 1.0, out=out.precond)
+            return name
+    return None
+
+
+def check_interior(s1, s2, nu1, nu2) -> None:
+    """Raise ``InteriorViolationError`` naming the first array :func:`exterior` finds."""
+    name = exterior(s1, s2, nu1, nu2)
+    if name is not None:
+        raise InteriorViolationError(f"{name} must be strictly positive and finite")
+
+
+def barrier_scaling(s1, s2, nu1, nu2, diag: BarrierDiagonals, lambda1) -> None:
+    """Write ``sigma`` and ``omega`` into ``diag``; ``lambda1`` receives
+    ``sigma1 + sigma2``.  ``delta`` and ``precond`` are not touched."""
+    np.divide(nu1, s1, out=diag.sigma1)
+    np.divide(nu2, s2, out=diag.sigma2)
+    np.add(diag.sigma1, diag.sigma2, out=lambda1)
+    np.divide(diag.sigma1, lambda1, out=diag.omega1)
+    np.divide(diag.sigma2, lambda1, out=diag.omega2)
+
+
+def schur_coefficients(diag: BarrierDiagonals) -> None:
+    """Write ``delta`` and ``precond`` from ``diag``'s ``sigma1`` and ``omega2``."""
+    delta = np.multiply(diag.sigma1, 4.0, out=diag.delta)
+    delta *= diag.omega2
+    precond = np.add(delta, 1.0, out=diag.precond)
     np.divide(1.0, precond, out=precond)
-    return out
 
 
 @dataclass(frozen=True)
@@ -175,16 +204,13 @@ class KktRhs:
     def condense(self, state, scratch=None) -> None:
         """Form r3, r4 and rho in place at ``state.mu``; ``scratch`` is an
         n-long temporary, allocated when not given."""
-        r3 = np.divide(state.mu, state.s1, out=self.r3)
-        np.subtract(state.nu1, r3, out=r3)
-        r4 = np.divide(state.mu, state.s2, out=self.r4)
-        np.subtract(state.nu2, r4, out=r4)
+        barrier_residuals(state, self.r3, self.r4)
         # rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3), in that rounding order
-        rho = np.multiply(r4, 2.0, out=self.rho)
+        rho = np.multiply(self.r4, 2.0, out=self.rho)
         rho -= self.r2
         rho *= self.diag.omega1
         rho += self.r1
-        term = np.multiply(r3, 2.0, out=scratch)
+        term = np.multiply(self.r3, 2.0, out=scratch)
         np.subtract(self.r2, term, out=term)
         term *= self.diag.omega2
         rho += term
@@ -219,12 +245,30 @@ def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2,
                              None if out is None else out.diag)
     rhs = out if out is not None else KktRhs(*(np.empty_like(diag.sigma1) for _ in range(5)), diag)
-    r1 = np.subtract(xi, g, out=rhs.r1)
+    stationarity(state, xi, g, rhs.r1)
+    dual_residual(state, lam, rhs.r2)
+    return rhs
+
+
+def stationarity(state, xi, g, out) -> None:
+    """``r1 = xi - g + nu1 - nu2`` into ``out``."""
+    r1 = np.subtract(xi, g, out=out)
     r1 += state.nu1
     r1 -= state.nu2
-    r2 = np.add(state.nu1, state.nu2, out=rhs.r2)
+
+
+def dual_residual(state, lam: float, out) -> None:
+    """``r2 = nu1 + nu2 - lam`` into ``out``."""
+    r2 = np.add(state.nu1, state.nu2, out=out)
     r2 -= lam
-    return rhs
+
+
+def barrier_residuals(state, r3, r4) -> None:
+    """``r3 = nu1 - mu/s1`` and ``r4 = nu2 - mu/s2`` into the given arrays."""
+    np.divide(state.mu, state.s1, out=r3)
+    np.subtract(state.nu1, r3, out=r3)
+    np.divide(state.mu, state.s2, out=r4)
+    np.subtract(state.nu2, r4, out=r4)
 
 
 def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,

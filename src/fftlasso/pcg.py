@@ -12,6 +12,7 @@ recurrence (Hestenes-Stiefel): when the operator returns ``L p`` next to
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,13 +24,18 @@ __all__ = ["PcgConfig", "PcgResult", "pcg_solve"]
 MAX_ITERS_CAP = 5000
 
 
+def is_iteration_count(value) -> bool:
+    """True for an integer >= 0, numpy integers included; False for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass(frozen=True)
 class PcgConfig:
     """Stopping control for :func:`pcg_solve`.
 
     ``abs_tol``/``rel_tol`` bound the preconditioned residual norm; both
-    must be finite and at least one positive.  ``max_iters`` defaults to
-    10x the system dimension, capped at 5000.
+    must be finite and at least one positive.  ``max_iters``, an integer
+    >= 0, defaults to 10x the system dimension, capped at 5000.
     """
 
     abs_tol: float = 1e-12
@@ -42,6 +48,8 @@ class PcgConfig:
             raise ValueError("tolerances must be nonnegative and finite")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("abs_tol and rel_tol cannot both be zero")
+        if self.max_iters is not None and not is_iteration_count(self.max_iters):
+            raise ValueError("max_iters must be a nonnegative integer")
 
     def iteration_limit(self, dim: int) -> int:
         if self.max_iters is not None:

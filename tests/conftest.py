@@ -40,10 +40,15 @@ def dense_augmented_system(state: Iterate, mask: Mask):
     ])
 
 
+def exact_data(state, b, mask: Mask):
+    """``(xi, g)``: the data correlation and the exact Gram product at ``state``."""
+    return observe_adjoint(b, mask), gram(state.beta, mask)
+
+
 def exact_rhs(state, b, mask: Mask, lam: float):
     """``newton_rhs`` from the samples, with ``xi`` and ``g`` evaluated exactly,
     condensed at ``state.mu``."""
-    rhs = newton_rhs(state, observe_adjoint(b, mask), gram(state.beta, mask), lam)
+    rhs = newton_rhs(state, *exact_data(state, b, mask), lam)
     rhs.condense(state)
     return rhs
 
@@ -72,6 +77,16 @@ def random_feasible_iterate(rng, n: int, mu: float = 0.05) -> Iterate:
     """
     return Iterate(s1=rng.random(n) + 0.4, s2=rng.random(n) + 0.4,
                    nu1=rng.random(n) + 0.3, nu2=rng.random(n) + 0.3, mu=mu)
+
+
+def spread_iterate(rng, n, mu):
+    """Interior iterate with entries spread over 16 decades, as near convergence."""
+    s1, s2, nu1, nu2 = (10.0 ** rng.uniform(-8, 8, n) for _ in range(4))
+    return Iterate(s1=s1, s2=s2, nu1=nu1, nu2=nu2, mu=mu)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 def central_path_state(xi: np.ndarray, lam: float, mu: float) -> Iterate:

@@ -27,6 +27,7 @@ from fftlasso import (
 )
 from fftlasso.diagnostics import ista_solve, soft_threshold
 from fftlasso.ipm import (
+    BLOCK,
     IpmConfig,
     IpmState,
     NewtonDirection,
@@ -37,6 +38,7 @@ from fftlasso.ipm import (
     newton_direction,
     next_barrier,
 )
+from fftlasso.newton_system import newton_rhs, recover_eliminated
 
 import fftlasso.fourier
 import fftlasso.ipm
@@ -47,10 +49,13 @@ from conftest import (
     central_path_state,
     dense_augmented_system,
     dense_observation_matrix,
+    exact_data,
     exact_rhs,
     fail_on_call,
     random_feasible_iterate,
+    same_bits,
     sparse_instance,
+    spread_iterate,
 )
 
 
@@ -97,7 +102,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(n)
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
-        d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-12)
+        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-12)
         for block in (d.d_beta, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
 
@@ -108,7 +113,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(mask.n_observed)
         lam = 0.5
         rhs = exact_rhs(state, b, mask, lam)
-        d = newton_direction(state, rhs, mask, cg_tol=1e-14)
+        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-14)
         m6 = dense_augmented_system(state, mask)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
@@ -154,7 +159,7 @@ class TestNewtonDirection:
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
-        d = newton_direction(state, exact_rhs(state, b, mask, lam), mask, cg_tol=1e-14)
+        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-14)
         mine = [d.d_beta, (d.d_s1 + d.d_s2) / 2, d.d_s1, d.d_s2,
                 d.d_nu1, d.d_nu2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
@@ -175,7 +180,7 @@ class TestNewtonDirection:
         state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.5)
-        d = newton_direction(state, rhs, mask, cg_tol=1e-14)
+        d = newton_direction(state, *exact_data(state, b, mask), 0.5, mask, cg_tol=1e-14)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(dense_augmented_system(state, mask), stacked)
@@ -187,6 +192,81 @@ class TestNewtonDirection:
         d_nu2 = (state.mu - state.s2 * state.nu2) / state.s2 - rhs.diag.sigma2 * d.d_s2
         assert np.max(np.abs(d.d_nu1 - d_nu1)) <= 1e-12
         assert np.max(np.abs(d.d_nu2 - d_nu2)) <= 1e-12
+
+
+class TestBlockedSweeps:
+    """The workspace's sweeps over blocks of ``BLOCK`` entries give the bits
+    of the full-vector kernels."""
+
+    SIZES = pytest.mark.parametrize("n", [BLOCK // 4 + 3, 2 * BLOCK, 64000],
+                                    ids=["below-one-block", "exact-multiple", "ragged-tail"])
+
+    @SIZES
+    def test_phases_match_full_vector_kernels(self, n):
+        rng = np.random.default_rng(n)
+        lam, tol = 0.5, 1e-8
+        state = spread_iterate(rng, n, mu=1e-3)
+        xi, g = rng.standard_normal(n), rng.standard_normal(n)
+        work = fftlasso.ipm._Workspace(n)
+
+        assert work.evaluate(state, xi, g, lam) is state
+        rhs = newton_rhs(state, xi, g, lam)
+        assert same_bits(work.delta, rhs.diag.delta)
+        assert same_bits(work.precond, rhs.diag.precond)
+        assert work.report(state, tol) == check_convergence(state, rhs, tol)
+
+        rhs.condense(state)
+        work.condense(state, xi, g, lam)
+        assert same_bits(work.spare[0], rhs.rho)
+
+        d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        *steps, alpha_p, alpha_d = work.recover(state, lam, d_beta)
+        expect = recover_eliminated(d_beta, rhs)
+        assert all(same_bits(got, want) for got, want in zip(steps, expect))
+        tau = max(0.995, 1.0 - state.mu)
+        ratios = [fraction_to_boundary(v, dv, tau)
+                  for v, dv in zip((state.s1, state.s2, state.nu1, state.nu2), expect)]
+        assert (alpha_p, alpha_d) == (min(ratios[:2]), min(ratios[2:]))
+
+        image = rng.standard_normal(n)
+        moved = [old + alpha * dx for old, dx, alpha in
+                 zip((state.s1, state.s2, state.nu1, state.nu2), expect,
+                     (alpha_p, alpha_p, alpha_d, alpha_d))]
+        g_moved = g + alpha_p * image
+        direction = NewtonDirection(d_beta, *steps, gram_d_beta=image, krylov_iters=1,
+                                    pcg_residual=0.0, alpha_primal=alpha_p, alpha_dual=alpha_d)
+        new = work.evaluate(state, xi, g, lam, step=direction)
+        assert [a is b for a, b in zip((new.s1, new.s2, new.nu1, new.nu2), steps)] == [True] * 4
+        assert all(same_bits(got, want) for got, want in
+                   zip((new.s1, new.s2, new.nu1, new.nu2), moved))
+        assert same_bits(g, g_moved)
+        rhs = newton_rhs(new, xi, g, lam)
+        assert same_bits(work.delta, rhs.diag.delta)
+        assert same_bits(work.precond, rhs.diag.precond)
+        assert work.report(new, tol) == check_convergence(new, rhs, tol)
+
+    @pytest.mark.parametrize("poison", [{"nu1": -1}, {"s2": -1, "nu1": 0}, {"nu2": -1, "s1": 5}],
+                             ids=["last-block-only", "later-array-first", "earlier-array-last"])
+    @pytest.mark.parametrize("stepped", [False, True])
+    def test_interior_violation_names_the_first_array(self, poison, stepped):
+        """A violation anywhere raises, naming the first offending array in
+        ``s1, s2, nu1, nu2`` order over whole vectors, as ``barrier_diagonals``
+        does; with a step, the violation comes from the direction."""
+        n = 64000
+        rng = np.random.default_rng(1)
+        state = random_feasible_iterate(rng, n)
+        xi, g = rng.standard_normal(n), rng.standard_normal(n)
+        work = fftlasso.ipm._Workspace(n)
+        zero = np.zeros(n)
+        direction = NewtonDirection(zero, *(np.zeros(n) for _ in range(4)), gram_d_beta=zero,
+                                    krylov_iters=1, pcg_residual=0.0,
+                                    alpha_primal=1.0, alpha_dual=1.0)
+        target = direction if stepped else state
+        for name, index in poison.items():
+            getattr(target, "d_" + name if stepped else name)[index] = np.nan
+        first = min(poison, key=("s1", "s2", "nu1", "nu2").index)
+        with pytest.raises(InteriorViolationError, match=f"^{first} "):
+            work.evaluate(state, xi, g, 0.5, step=direction if stepped else None)
 
 
 class TestStepMechanics:
@@ -243,8 +323,7 @@ class TestStepMechanics:
         lam = 0.4
         state = initial_state(mask.shape.n, lam)
         for _ in range(5):
-            rhs = exact_rhs(state, b, mask, lam)
-            state, _, _, _ = ipm_step(state, rhs, mask, cg_tol=1e-12)
+            state, _ = ipm_step(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-12)
             assert min(state.s1.min(), state.s2.min()) > 0.0
             assert min(state.nu1.min(), state.nu2.min()) > 0.0
 
@@ -259,11 +338,13 @@ class TestStepMechanics:
             d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
             d_nu1=np.zeros(n), d_nu2=np.zeros(n), gram_d_beta=np.zeros(n),
             krylov_iters=0, pcg_residual=0.0,
+            alpha_primal=fraction_to_boundary(state.s1, -1e18 * state.s1, 0.995),
+            alpha_dual=1.0,
         )
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
                             lambda *args, **kw: blocked)
         with pytest.raises(StalledError):
-            ipm_step(state, exact_rhs(state, b, mask, 0.5), mask, cg_tol=1e-12)
+            ipm_step(state, *exact_data(state, b, mask), 0.5, mask, cg_tol=1e-12)
 
     def test_nan_slack_step_leaves_interior(self, rng, monkeypatch):
         """A step that poisons a slack is caught by the next evaluation."""
@@ -287,6 +368,12 @@ class TestConfigValidation:
         pytest.param({"cg_tol": 0.0}, id="cg_tol-zero"),
         pytest.param({"cg_tol": -1e-12}, id="cg_tol-negative"),
         pytest.param({"max_iters": -1}, id="max_iters-negative"),
+        pytest.param({"max_iters": 2.5}, id="max_iters-float"),
+        pytest.param({"max_iters": 3.0}, id="max_iters-integral-float"),
+        pytest.param({"max_iters": True}, id="max_iters-bool"),
+        pytest.param({"max_iters": np.int64(-1)}, id="max_iters-numpy-negative"),
+        pytest.param({"max_iters": "5"}, id="max_iters-str"),
+        pytest.param({"max_iters": None}, id="max_iters-none"),
         pytest.param({"lam": 0.0}, id="lam-zero"),
         pytest.param({"lam": -0.5}, id="lam-negative"),
         pytest.param({"lam": np.nan}, id="lam-nan"),
@@ -299,6 +386,10 @@ class TestConfigValidation:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             IpmConfig(**kwargs)
+
+    @pytest.mark.parametrize("count", [0, 7, np.int64(7), np.uint8(7)])
+    def test_accepts_integer_max_iters(self, count):
+        assert IpmConfig(max_iters=count).max_iters == count
 
     def test_settable_fields(self):
         names = [f.name for f in fields(IpmConfig)]
@@ -560,15 +651,15 @@ class TestSolve:
         """When later iterates are worse, the first step's beta is returned,
         although the steps after it reuse that iterate's arrays."""
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
-        check = fftlasso.ipm.check_convergence
+        report = fftlasso.ipm._Workspace.report
         calls = []
 
         def worse_after_first_step(*args, **kw):
-            conv = check(*args, **kw)
+            conv = report(*args, **kw)
             calls.append(None)
             return conv if len(calls) <= 2 else replace(conv, max_residual=1e3)
 
-        monkeypatch.setattr(fftlasso.ipm, "check_convergence", worse_after_first_step)
+        monkeypatch.setattr(fftlasso.ipm._Workspace, "report", worse_after_first_step)
         seen = []
         beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8, max_iters=5),
                              observer=lambda state, record: seen.append((state, record)))
@@ -618,25 +709,31 @@ def _bindings(fn, name):
             and getattr(module, name, None) is fn]
 
 
+def _owners(owner, name):
+    """Where to replace ``owner.name``: the class itself, or every package
+    module binding the module function."""
+    return [owner] if isinstance(owner, type) else _bindings(getattr(owner, name), name)
+
+
 def count_calls(monkeypatch, targets):
-    """Count calls of each ``module.name`` through every package module binding it."""
+    """Count calls of each ``owner.name``, a module function or a method."""
     counts = {}
-    for module, name in targets:
-        original = getattr(module, name)
+    for owner, name in targets:
+        original = getattr(owner, name)
         counts[name] = 0
 
         def counted(*args, _fn=original, _name=name, **kw):
             counts[_name] += 1
             return _fn(*args, **kw)
 
-        for other in _bindings(original, name):
+        for other in _owners(owner, name):
             monkeypatch.setattr(other, name, counted)
     return counts
 
 
-def without_transforms(monkeypatch, module, name):
-    """Make either transform fail while ``module.name`` runs."""
-    original = getattr(module, name)
+def without_transforms(monkeypatch, owner, name):
+    """Make either transform fail while ``owner.name`` runs."""
+    original = getattr(owner, name)
 
     def guarded(*args, **kw):
         with pytest.MonkeyPatch.context() as inner:
@@ -647,7 +744,7 @@ def without_transforms(monkeypatch, module, name):
                                   fail_on_call(1, AssertionError, current))
             return original(*args, **kw)
 
-    for other in _bindings(original, name):
+    for other in _owners(owner, name):
         monkeypatch.setattr(other, name, guarded)
 
 
@@ -663,10 +760,9 @@ class TestEvaluationCounts:
         counts = count_calls(monkeypatch, [
             (fftlasso.fourier, "synthesize"),
             (fftlasso.fourier, "analyze"),
-            (fftlasso.newton_system, "newton_rhs"),
-            (fftlasso.newton_system, "barrier_diagonals"),
+            (fftlasso.ipm._Workspace, "evaluate"),
         ])
-        without_transforms(monkeypatch, fftlasso.newton_system, "newton_rhs")
+        without_transforms(monkeypatch, fftlasso.ipm._Workspace, "evaluate")
         states = []
         beta, report = solve(b, mask, IpmConfig(tol=1e-8),
                              observer=lambda state, record: states.append(state))
@@ -678,8 +774,7 @@ class TestEvaluationCounts:
         assert counts["synthesize"] <= budget
         assert counts["analyze"] <= budget
         # one evaluation per iterate, plus the exact one confirming convergence
-        assert counts["newton_rhs"] == report.iterations + 2
-        assert counts["barrier_diagonals"] == report.iterations + 2
+        assert counts["evaluate"] == report.iterations + 2
 
         exact = check_convergence(states[-1], exact_rhs(states[-1], b, mask, report.lam),
                                   report.tol)
@@ -690,14 +785,15 @@ class TestEvaluationCounts:
         """``g`` carried out of PCG stays at ``gram(beta)`` to rounding."""
         spec = SyntheticSpec(dims=(16, 16, 16), noise_seed=5, missing_seed=6)
         noisy, mask, _ = generate_synthetic(spec)
-        evaluate = fftlasso.ipm.newton_rhs
+        evaluate = fftlasso.ipm._Workspace.evaluate
         drift = []
 
-        def spy(state, xi, g, lam, **kw):
+        def spy(work, state, xi, g, lam, **kw):
+            state = evaluate(work, state, xi, g, lam, **kw)  # g then belongs to the new iterate
             drift.append(np.max(np.abs(g - gram(state.beta, mask))))
-            return evaluate(state, xi, g, lam, **kw)
+            return state
 
-        monkeypatch.setattr(fftlasso.ipm, "newton_rhs", spy)
+        monkeypatch.setattr(fftlasso.ipm._Workspace, "evaluate", spy)
         beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8))
         assert report.converged and len(drift) == report.iterations + 2
         assert max(drift) <= 1e-11
@@ -766,21 +862,34 @@ def peak_vectors_of_solve(spec: SyntheticSpec):
 
 
 class TestMemory:
+    """Peaks of whole solves, in n-long float64 arrays.  Fourteen n-vectors
+    persist (the iterate, ``xi``, ``g`` and the workspace's eight rows), plus
+    seven block-length scratch rows, the transforms' half spectra and
+    numpy's buffers."""
+
     def test_peak_vectors_of_a_masked_solve(self):
-        """A 32^3 masked solve never holds more than 25.5 n-long float64
-        arrays: 24.7 measured once Gram products stopped taking a grid of
-        their own and PCG's temporary stopped taking a row, 26.7 before."""
+        """A 32^3 masked solve never holds more than 22.0: 21.2 measured once
+        the O(n) phases ran over blocks, whose seven scratch rows are 3.5
+        n-vectors at this size; 24.7 before."""
         converged, peak = peak_vectors_of_solve(
             SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
         assert converged
-        assert peak <= 25.5
+        assert peak <= 22.0
 
     def test_peak_vectors_of_a_denoising_solve(self):
-        """A 32^3 solve with an empty mask never holds more than 22.75 n-long
-        float64 arrays: 22.04 measured once PCG's temporary stopped taking a
-        workspace row, 23.04 before."""
+        """A 32^3 solve with an empty mask never holds more than 19.25: 18.56
+        measured once the O(n) phases ran over blocks; 22.04 before."""
         converged, peak = peak_vectors_of_solve(
             SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0,
                           missing_seed=43))
         assert converged
-        assert peak <= 22.75
+        assert peak <= 19.25
+
+    def test_peak_vectors_of_a_masked_64_solve(self):
+        """A 64^3 masked solve never holds more than 18.5: 17.70 measured
+        once the O(n) phases ran over blocks, whose scratch rows are 0.44
+        n-vectors at this size; 24.32 before."""
+        converged, peak = peak_vectors_of_solve(
+            SyntheticSpec(dims=(64, 64, 64), noise_seed=42, missing_seed=43))
+        assert converged
+        assert peak <= 18.5

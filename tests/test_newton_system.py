@@ -24,6 +24,8 @@ from conftest import (
     exact_rhs,
     random_feasible_iterate,
     random_interior_state,
+    same_bits,
+    spread_iterate,
 )
 
 
@@ -323,20 +325,10 @@ class TestRecoverEliminated:
         np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
 
 
-def spread_iterate(rng, n, mu):
-    """Interior iterate with entries spread over 16 decades, as near convergence."""
-    s1, s2, nu1, nu2 = (10.0 ** rng.uniform(-8, 8, n) for _ in range(4))
-    return Iterate(s1=s1, s2=s2, nu1=nu1, nu2=nu2, mu=mu)
-
-
 def nan_buffers(n):
     """KktRhs-shaped arrays full of NaN, so any entry left unwritten shows."""
     return KktRhs(*(np.full(n, np.nan) for _ in range(5)),
                   BarrierDiagonals(*(np.full(n, np.nan) for _ in range(6))))
-
-
-def same_bits(a, b):
-    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
 class TestInPlaceKernels:

@@ -44,10 +44,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             PcgConfig(**kwargs)
 
+    @pytest.mark.parametrize("max_iters", [-1, 2.5, 3.0, True, False, np.int64(-1), "5"],
+                             ids=["negative", "float", "integral-float", "true", "false",
+                                  "numpy-negative", "str"])
+    def test_rejects_bad_max_iters(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters"):
+            PcgConfig(max_iters=max_iters)
+
     def test_default_iteration_limit(self):
         assert PcgConfig().iteration_limit(10) == 100
         assert PcgConfig().iteration_limit(10**6) == 5000
         assert PcgConfig(max_iters=7).iteration_limit(10**6) == 7
+        assert PcgConfig(max_iters=np.int64(0)).iteration_limit(10**6) == 0
 
 
 class TestExactCases:

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tools/report_fingerprint.py
 
-Runs five fixed cases in a temporary directory, under fixed relative file
+Runs six fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
 
 - ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
@@ -12,6 +12,9 @@ names, and prints one ``sha256  name`` line per artefact:
 - ``lib-32``: a 32^3 library solve with 15% missing (seeds 42/43);
 - ``lib-32-denoise``: the same grid and seeds with an empty mask, where
   ``G = I`` and no iteration makes a transform;
+- ``lib-40``: a 40^3 library solve with 15% missing (seeds 42/43), whose
+  64,000 entries end in a partial block of the solver's O(n) sweeps; its
+  records and spectrum are hashed together into one line;
 - ``probe-1d``: a 1-D masked solve, probed at every iterate with
   ``preconditioned_spectrum`` and over its trajectory with
   ``scaling_trajectory_check``.
@@ -26,9 +29,9 @@ The lines compare only between runs with the same BLAS thread count.  The
 inner products of PCG (``np.vdot``) and of the duality measure and the
 objective (``@``) run on OpenBLAS, which splits a dot product over its
 threads and so rounds differently with another count.  With
-``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 7 of
-the 15 lines differ (``cli-256x256`` but its stdout, ``lib-32`` and
-``lib-32-denoise``), with the same iteration counts.  The tool prints
+``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 8 of
+the 16 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
+``lib-32-denoise`` and ``lib-40``), with the same iteration counts.  The tool prints
 ``os.cpu_count()`` and ``OPENBLAS_NUM_THREADS`` to stderr, so that two
 outputs can be checked to be comparable.
 """
@@ -85,11 +88,17 @@ def cli_case(name: str, generate_args: list[str], solve_args: list[str]) -> None
     emit(f"{name}/stdout+exit", f"{out.getvalue()}exit {code}\n".encode())
 
 
-def library_case(name: str, b, mask: Mask, config: IpmConfig, observer=None) -> None:
+def solve_bytes(b, mask: Mask, config: IpmConfig, observer=None) -> tuple[bytes, bytes]:
+    """The records and the summary as JSON lines, and the spectrum's raw bytes."""
     beta, report = solve(b, mask, config, observer)
-    emit(f"{name}/records", json_lines([rec.to_dict() for rec in report.records]
-                                       + [report.to_dict()]))
-    emit(f"{name}/beta", beta.tobytes())
+    return (json_lines([rec.to_dict() for rec in report.records] + [report.to_dict()]),
+            beta.tobytes())
+
+
+def library_case(name: str, b, mask: Mask, config: IpmConfig, observer=None) -> None:
+    records, beta = solve_bytes(b, mask, config, observer)
+    emit(f"{name}/records", records)
+    emit(f"{name}/beta", beta)
 
 
 def probe_case(name: str) -> None:
@@ -126,6 +135,9 @@ def run() -> None:
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0, missing_seed=43))
     library_case("lib-32-denoise", noisy, mask, IpmConfig())
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(40, 40, 40), noise_seed=42, missing_seed=43))
+    emit("lib-40/records+beta", b"".join(solve_bytes(noisy[~mask.missing_bool], mask, IpmConfig())))
     probe_case("probe-1d")
 
 
