@@ -59,6 +59,7 @@ def _cmd_solve(args) -> int:
         raise ValueError(f"volume dims {dims} do not match mask dims {mask.shape.dims}")
 
     b = values[~mask.missing_bool]
+    del values  # the solve holds only the observed samples
     config = IpmConfig(
         lam=args.lam,
         tol=args.tol,

@@ -93,7 +93,7 @@ def read_volume(path: str) -> tuple[np.ndarray, tuple[int, ...]]:
             f"volume {path} has {payload.size} samples, header dims {dims} "
             f"expect {expected}"
         )
-    return payload.astype(np.float64), dims
+    return payload.astype(np.float64, copy=False), dims  # a copy only on big-endian hosts
 
 
 def write_mask(path: str, mask: Mask, fmt: str = "indices") -> None:

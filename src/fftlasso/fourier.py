@@ -90,6 +90,10 @@ class GridShape:
     def ndim(self) -> int:
         return len(self.dims)
 
+    @property
+    def half(self) -> tuple[int, ...]:  # the half spectrum's shape
+        return self.dims[:-1] + (self.dims[-1] // 2 + 1,)
+
 
 def _as_grid(values, shape: GridShape, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
@@ -150,8 +154,8 @@ def _along(kernel, w: np.ndarray, spare: np.ndarray, axes) -> np.ndarray:
     return w
 
 
-def _half_spectra(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Two half-spectrum arrays, for a transform and its packing, in one block.
+def _half_spectra(shape: GridShape, spectra=None) -> tuple[np.ndarray, np.ndarray]:
+    """Two half spectra for a transform and its packing: ``spectra``, or new in one block.
 
     glibc returns the free memory at the top of the heap to the system once
     it exceeds twice the largest block it has unmapped.  As two 2.2 MB
@@ -159,8 +163,11 @@ def _half_spectra(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     on every call and page-faulted it anew on the next: 144K minor faults
     per masked 64^3 solve, against 6K with one block.
     """
-    pair = np.empty((2,) + dims[:-1] + (dims[-1] // 2 + 1,), dtype=np.complex128)
-    return pair[0], pair[1]
+    if spectra is None:
+        return tuple(np.empty((2,) + shape.half, dtype=np.complex128))
+    if [(s.shape, s.dtype) for s in spectra] != [(shape.half, np.complex128)] * 2:
+        raise ValueError(f"spectra must be two complex128 arrays of shape {shape.half}")
+    return spectra
 
 
 def _rfftn(grid: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -236,7 +243,7 @@ def _check_out(out, shape: GridShape) -> None:
         raise ValueError(f"out must be a contiguous float64 vector of {shape.n} values")
 
 
-def synthesize(beta, shape: GridShape, out=None) -> np.ndarray:
+def synthesize(beta, shape: GridShape, out=None, spectra=None) -> np.ndarray:
     """Map packed spectral coefficients to the real signal.
 
     The half-spectrum inverse real FFT makes the output real by
@@ -251,6 +258,11 @@ def synthesize(beta, shape: GridShape, out=None) -> np.ndarray:
         Contiguous float64 vector of ``shape.n`` values that receives the
         signal; the inverse real FFT writes into it directly.  It may be
         ``beta`` itself, which is read before it is overwritten.
+    spectra : pair of numpy.ndarray, optional
+        Two complex128 arrays of shape ``shape.half`` to work in, not
+        sharing memory with ``beta``.  The leading-axis passes end in the
+        first on 1-D and 3-D grids, in the second on 2-D grids; ``out`` may
+        share memory with the other one.
 
     Returns
     -------
@@ -261,7 +273,7 @@ def synthesize(beta, shape: GridShape, out=None) -> np.ndarray:
     _check_out(out, shape)
     b = _as_grid(beta, shape, np.float64)
     h = shape.dims[-1] // 2
-    half, spare = _half_spectra(shape.dims)
+    half, spare = _half_spectra(shape, spectra)
     half[..., 0] = b[..., 0]
     half[..., h] = b[..., 1]
     np.multiply(b[..., 2 : h + 1], _RSQRT2, out=half[..., 1:h].real)
@@ -272,17 +284,18 @@ def synthesize(beta, shape: GridShape, out=None) -> np.ndarray:
     return out
 
 
-def analyze(x, shape: GridShape, out=None) -> np.ndarray:
+def analyze(x, shape: GridShape, out=None, spectra=None) -> np.ndarray:
     """Map a real signal to packed spectral coefficients (transpose map).
 
     ``analyze(synthesize(beta)) == beta`` to machine precision because the
     underlying matrix is orthogonal.  ``out``, when given, is a contiguous
     float64 vector of ``shape.n`` values that receives the result; it may
     be ``x`` itself, which the transform reads in full before the result is
-    written.
+    written.  ``spectra`` are lent as to :func:`synthesize`; only the first
+    may not share memory with ``x``, which ``rfft`` reads in full first.
     """
     _check_out(out, shape)
-    half, spare = _half_spectra(shape.dims)
+    half, spare = _half_spectra(shape, spectra)
     half = _rfftn(_as_grid(x, shape, np.float64), half)
     half = _along(_pack_axis, half, spare, range(shape.ndim - 1))
     h = shape.dims[-1] // 2

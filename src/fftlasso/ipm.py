@@ -285,8 +285,8 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(n: int, lam: float) -> Iterate:
-    """Well-centered starting point.
+def initial_state(n: int, lam: float, out=None) -> Iterate:
+    """Well-centered starting point, in the four arrays of ``out`` if given.
 
     ``s1 = s2 = 1`` puts ``beta = 0``, ``z = 1``; ``nu = lam/2`` zeroes
     the dual equality; the only nonzero residual left is the data
@@ -295,8 +295,10 @@ def initial_state(n: int, lam: float) -> Iterate:
     """
     if lam <= 0:
         raise ValueError("penalty must be positive")
-    return Iterate(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
-                   nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
+    arrays = [np.empty(n) for _ in range(4)] if out is None else out
+    for x, value in zip(arrays, (1.0, 1.0, 0.5 * lam, 0.5 * lam)):
+        x.fill(value)
+    return Iterate(*arrays, mu=lam / 2.0)
 
 
 def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
@@ -373,7 +375,14 @@ class _Workspace:
     first), search direction, product (also its temporary) and ``G p``.
     Recovery writes the direction into them and the step adds the iterate
     there, so they become the new iterate's arrays while the old iterate's
-    become spare.
+    become spare.  On a masked grid four more rows, ``start``, hold the
+    initial iterate, and the Gram products borrow their half spectra from
+    :meth:`spectra`: the ``spare[2:]`` rows, padded by ``2n/d_last`` floats
+    like the ``nu`` rows they rotate with.  In PCG that is the product row,
+    idle until ``delta*p + G p`` is formed, and the ``G p`` row, free until
+    ``irfft`` writes it and once ``rfft`` has read it (on 2-D grids, where
+    the packing passes end in the second, one more half spectrum); at the
+    product that confirms convergence, the old iterate's ``nu`` rows.
 
     ``sigma`` and ``r1``-``r4`` are never stored.  Each sweep runs over
     blocks of ``BLOCK`` entries and recomputes per block what it needs, in
@@ -387,20 +396,35 @@ class _Workspace:
     whole vectors.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, mask: Mask | None = None):
         # One allocation: as separate arrays on the heap they left the transforms'
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
+        half = mask.shape.half if mask is not None and mask.n_missing else ()
+        wide = 2 * math.prod(half) if half else n  # floats in a padded row
+        plain, wides = (8, 4 + (len(half) == 2)) if half else (6, 2)
         block = min(BLOCK, n)
-        flat = np.empty(8 * n + 7 * block)
-        rows = flat[:8 * n].reshape(8, n)
+        flat = np.empty(plain * n + wides * wide + 7 * block)
+        rows = flat[:plain * n].reshape(plain, n)
+        padded = flat[plain * n:flat.size - 7 * block].reshape(wides, wide)
         self.delta, self.precond, self.d_beta, self.image = rows[:4]
-        self.spare = tuple(rows[4:])
-        scratch = flat[8 * n:].reshape(7, block)
+        self.spare = (rows[4], rows[5], padded[0, :n], padded[1, :n])
+        self.start = (rows[6], rows[7], padded[2, :n], padded[3, :n]) if half else None
+        halves = [row.view(np.complex128).reshape(half) for row in padded] if half else []
+        self._halves = {h.ctypes.data: h for h in halves[:4]}  # by the rows' addresses
+        self._extra = halves[4] if len(halves) == 5 else None
+        scratch = flat[flat.size - 7 * block:].reshape(7, block)
         self.blocks = [(slice(start, min(start + block, n)),
                         [row[:min(block, n - start)] for row in scratch])
                        for start in range(0, n, block)]
         self.extremes = np.empty((len(self.blocks), 2, 4))
+
+    def spectra(self) -> tuple | None:
+        """Half spectra in the idle ``spare[2:]``, or None when these are not
+        this workspace's padded rows."""
+        first, second = (self._halves.get(row.ctypes.data) for row in self.spare[2:])
+        second = second if self._extra is None else self._extra
+        return None if first is None or second is None else (first, second)
 
     def _omega(self, cut: slice) -> tuple:
         return self.d_beta[cut], self.image[cut]
@@ -498,9 +522,9 @@ def _block(state: Iterate, cut: slice) -> Iterate:
     return Iterate(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
 
 
-def _evaluated(state: Iterate, xi, g, lam: float) -> _Workspace:
+def _evaluated(state: Iterate, xi, g, lam: float, mask: Mask) -> _Workspace:
     """A new workspace holding the evaluation of ``state``."""
-    work = _Workspace(state.n)
+    work = _Workspace(state.n, mask)
     work.evaluate(state, xi, g, lam)
     return work
 
@@ -520,13 +544,14 @@ def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: floa
     ``precond`` must hold the evaluation of ``state``, as :func:`solve`'s
     sweeps leave them; without it, ``state`` is evaluated into a new one.
     """
-    work = _evaluated(state, xi, g, lam) if work is None else work
+    work = _evaluated(state, xi, g, lam, mask) if work is None else work
     rho, search, product, gram_p = work.spare  # free until recovery writes the direction
     work.condense(state, xi, g, lam)
     schur = BarrierDiagonals(None, None, None, None, work.delta, work.precond)
+    spectra = work.spectra()
 
     def op(v):
-        return apply_kkt(v, None, schur, mask, out=product, gram_out=gram_p)
+        return apply_kkt(v, None, schur, mask, out=product, gram_out=gram_p, spectra=spectra)
 
     def prec(v):
         return apply_precond_inverse(v, None, schur, out=product)
@@ -580,7 +605,7 @@ def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
     become the spare ones and ``work.report`` gives the new iterate's
     :class:`ConvergenceReport`.
     """
-    work = _evaluated(state, xi, g, lam) if work is None else work
+    work = _evaluated(state, xi, g, lam, mask) if work is None else work
     direction = newton_direction(state, xi, g, lam, mask, cg_tol, work)
     alpha_p, alpha_d = direction.alpha_primal, direction.alpha_dual
     if min(alpha_p, alpha_d) < 1e-12:
@@ -668,10 +693,10 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
     the loop live in one :class:`_Workspace` and are released on return.
     """
     n = mask.shape.n
-    work = _Workspace(n)
+    work = _Workspace(n, mask)
     records: list[IterationRecord] = []
     g = np.zeros(n)  # gram(beta), exact at beta = 0
-    state = work.evaluate(initial_state(n, lam), xi, g, lam)
+    state = work.evaluate(initial_state(n, lam, out=work.start), xi, g, lam)
     conv = work.report(state, config.tol)
     # the best iterate's beta, or None while the best is the current iterate
     best_beta, best_kkt = None, conv.max_residual
@@ -693,7 +718,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         if conv.converged:  # confirm on the exact product, never on the carried one
             beta = np.subtract(state.s1, state.s2, out=work.delta)  # re-evaluated below
             beta *= 0.5
-            gram(beta, mask, out=g)
+            gram(beta, mask, out=g, spectra=work.spectra())  # spare: the old iterate
             work.evaluate(state, xi, g, lam)
             conv = work.report(state, config.tol)
         record = IterationRecord(

@@ -104,7 +104,7 @@ def observe_adjoint(values, mask: Mask) -> np.ndarray:
     return analyze(embed(values, mask), mask.shape)
 
 
-def gram(beta, mask: Mask, out=None) -> np.ndarray:
+def gram(beta, mask: Mask, out=None, spectra=None) -> np.ndarray:
     """Apply the Gram operator of the observed rows in one pass.
 
     Equivalent to ``observe_adjoint(observe(beta, mask), mask)`` but zeroes
@@ -115,7 +115,8 @@ def gram(beta, mask: Mask, out=None) -> np.ndarray:
     empty mask the synthesis map is orthogonal, so the Gram operator is
     the identity and this returns a copy of ``beta`` without a transform.
     ``out``, when given, is a contiguous float64 vector of ``n`` values
-    that receives the result.
+    that receives the result.  ``spectra`` are lent to both transforms, as
+    to :func:`~fftlasso.fourier.synthesize`.
     """
     beta = _check_spectrum(beta, mask)
     if not mask.n_missing:
@@ -123,6 +124,6 @@ def gram(beta, mask: Mask, out=None) -> np.ndarray:
             return beta.copy()
         np.copyto(out, beta)
         return out
-    x = synthesize(beta, mask.shape, out=out)
+    x = synthesize(beta, mask.shape, out=out, spectra=spectra)
     x[mask.missing] = 0.0
-    return analyze(x, mask.shape, out=x)
+    return analyze(x, mask.shape, out=x, spectra=spectra)

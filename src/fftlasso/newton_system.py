@@ -272,7 +272,7 @@ def barrier_residuals(state, r3, r4) -> None:
 
 
 def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
-              gram_out=None):
+              gram_out=None, spectra=None):
     """Apply the condensed operator.
 
     With a pair ``(d_beta, d_z)`` the result is ``K (d_beta, d_z)``, a
@@ -281,10 +281,10 @@ def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
     accumulates the second.  PCG calls this function rather than a private
     kernel so that each Krylov step is one call of ``apply_kkt``, the unit
     in which Krylov work is counted.  With ``d_z=None``, ``out`` (when
-    given) receives ``S d_beta``.  ``gram_out`` (when given) receives
-    ``G d_beta``, as in :func:`~fftlasso.masking.gram`.
+    given) receives ``S d_beta``; ``gram_out`` (for ``G d_beta``) and
+    ``spectra`` go to :func:`~fftlasso.masking.gram`, done before ``out`` is written.
     """
-    gram_d_beta = gram(d_beta, mask, out=gram_out)
+    gram_d_beta = gram(d_beta, mask, out=gram_out, spectra=spectra)
     if d_z is None:
         product = np.multiply(diag.delta, d_beta, out=out)
         product += gram_d_beta

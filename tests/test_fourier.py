@@ -27,6 +27,8 @@ from fftlasso import (
 from fftlasso.diagnostics import dense_synthesis_matrix, densify
 from fftlasso.masking import gram
 
+from conftest import same_bits
+
 SQRT2 = np.sqrt(2.0)
 
 
@@ -247,6 +249,40 @@ def test_synthesize_into_given_vector(dims, rng):
     for bad in (np.empty(g.n + 1), np.empty(2 * g.n)[::2], np.empty(g.n, np.float32)):
         with pytest.raises(ValueError, match=f"contiguous float64 vector of {g.n}"):
             synthesize(beta, g, out=bad)
+
+
+def _garbage_spectra(g):
+    """Two half spectra full of NaN, which a transform must overwrite before reading."""
+    pair = np.full((2,) + g.half, np.nan + 1j * np.nan)
+    return pair[0], pair[1]
+
+
+@pytest.mark.parametrize("dims", [(8,), (6, 10), (4, 6, 8), (40, 40, 40)])
+def test_lent_spectra_match_new_ones(dims, rng):
+    """With lent half spectra both transforms give the allocating calls'
+    bits, signed zeros included, and ``out`` may share memory with the half
+    spectrum the leading-axis passes do not end in: the second on 1-D and
+    3-D grids (an even number of passes), the first on 2-D grids."""
+    g = GridShape(dims)
+    values = rng.standard_normal(g.n)
+    values[rng.integers(0, g.n, 4)] = -0.0
+    free = 0 if g.ndim == 2 else 1
+    for transform in (synthesize, analyze):
+        want = transform(values, g)
+        assert same_bits(transform(values, g, spectra=_garbage_spectra(g)), want)
+        spectra = _garbage_spectra(g)
+        out = spectra[free].view(np.float64).reshape(-1)[:g.n]
+        assert transform(values, g, out=out, spectra=spectra) is out
+        assert same_bits(out, want)
+
+
+def test_lent_spectra_are_checked():
+    g = GridShape((4, 6))
+    good = _garbage_spectra(g)
+    for bad in (good[:1], (good[0], good[1][:, :-1]), (good[0], good[1].real.copy())):
+        for transform in (synthesize, analyze):
+            with pytest.raises(ValueError, match=r"two complex128 arrays of shape \(4, 4\)"):
+                transform(np.zeros(g.n), g, spectra=bad)
 
 
 def test_package_import_loads_no_scipy():

@@ -152,22 +152,24 @@ class TestGram:
     def test_peak_memory(self, rng):
         """Into a given vector, a 64^3 Gram product holds no n-vector beyond
         the transforms' half spectra (2.06 n-vectors at 64^3); without one,
-        only its result besides.  numpy's ufunc buffers add a fixed 0.4 MB,
-        which at 32^3 would be 1.5 n-vectors and hide the grids counted."""
+        only its result besides; with lent half spectra too, only numpy's
+        ufunc buffers, a fixed 0.4 MB (0.19 n-vectors here), which at 32^3
+        would be 1.5 n-vectors and hide the grids counted."""
         g = GridShape((64, 64, 64))
         m = Mask.from_bool(rng.random(g.n) < 0.15, g)
         beta = rng.standard_normal(g.n)
         out = np.empty(g.n)
+        lent = tuple(np.empty((2,) + g.half, dtype=np.complex128))
         gram(beta, m, out=out)  # first-call allocations of numpy.fft stay out of the peak
         was_tracing = tracemalloc.is_tracing()
         if not was_tracing:
             tracemalloc.start()
         try:
             peaks = []
-            for given in (out, None):
+            for given, spectra in ((out, None), (None, None), (out, lent)):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                result = gram(beta, m, out=given)
+                result = gram(beta, m, out=given, spectra=spectra)
                 peaks.append((tracemalloc.get_traced_memory()[1] - before) / (8 * g.n))
                 del result
         finally:
@@ -175,6 +177,25 @@ class TestGram:
                 tracemalloc.stop()
         assert peaks[0] <= 2.5
         assert peaks[1] <= 3.5
+        assert peaks[2] < 0.3
+
+    @pytest.mark.parametrize("dims", [(16,), (6, 10), (8, 6, 4), (40, 40, 40)])
+    def test_lent_spectra_match_new_ones(self, rng, dims):
+        """With half spectra lent as a solve lends them, from padded rows
+        one of which holds the output on 1-D and 3-D grids, the product has
+        the allocating call's bits; on 2-D grids the passes end in the
+        second half spectrum, which is therefore a separate one."""
+        g = GridShape(dims)
+        m = Mask.from_bool(rng.random(g.n) < 0.3, g)
+        beta = rng.standard_normal(g.n)
+        beta[rng.integers(0, g.n, 4)] = -0.0
+        rows = np.full((2, 2 * int(np.prod(g.half))), np.nan)
+        first, second = (row.view(np.complex128).reshape(g.half) for row in rows)
+        if g.ndim == 2:
+            second = np.full(g.half, np.nan + 0j)
+        out = rows[1, :g.n]
+        assert gram(beta, m, out=out, spectra=(first, second)) is out
+        assert out.view(np.uint64).tobytes() == gram(beta, m).view(np.uint64).tobytes()
 
     def test_spectrum_in_unit_interval(self, rng):
         for n, k in [(16, 3), (32, 8)]:
