@@ -33,16 +33,18 @@ I``: one Krylov step per Newton step, and a denoising solve takes one
 total.
 
 The loop allocates its n-vectors once per solve, in a ``_Workspace``:
-each step writes ``x + alpha*dx`` over its direction, and the freed old
-iterate holds the next direction.  Observers therefore get copies.  The
-O(n) phases (evaluation with the convergence extremes, condensation,
-recovery with the fraction-to-boundary ratios, and the step, fused into
-the next evaluation) run as sweeps over blocks of ``BLOCK`` entries.
-They recompute the barrier diagonals and the residuals per block instead
-of storing them, with the formulas of the full-vector kernels
-(:func:`~fftlasso.newton_system.newton_rhs`, :func:`check_convergence`
-and the like), which stay the reference they match bit for bit.  Of the
-solve's n-vectors 14 persist: the iterate, ``xi``, ``g`` and eight rows.
+each step writes ``x + alpha*dx`` over its direction, and the old
+iterate's arrays take the next evaluation and direction.  Observers
+therefore get copies.  The O(n) phases (evaluation with the convergence
+extremes, condensation, recovery with the fraction-to-boundary ratios,
+and the step, fused into the next evaluation) run as sweeps over blocks
+of ``BLOCK`` entries.  They recompute the barrier diagonals and the
+residuals per block instead of storing them, with the formulas of the
+full-vector kernels (:func:`~fftlasso.newton_system.newton_rhs`,
+:func:`check_convergence` and the like), which stay the reference they
+match bit for bit.  Of the solve's n-vectors 14 persist: the iterate,
+``xi``, ``g`` and eight rows (12 and six with an empty mask, where
+``G d_beta`` is ``d_beta``).
 """
 
 from __future__ import annotations
@@ -285,8 +287,8 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(n: int, lam: float, out=None) -> Iterate:
-    """Well-centered starting point, in the four arrays of ``out`` if given.
+def initial_state(n: int, lam: float) -> Iterate:
+    """Well-centered starting point.
 
     ``s1 = s2 = 1`` puts ``beta = 0``, ``z = 1``; ``nu = lam/2`` zeroes
     the dual equality; the only nonzero residual left is the data
@@ -295,10 +297,8 @@ def initial_state(n: int, lam: float, out=None) -> Iterate:
     """
     if lam <= 0:
         raise ValueError("penalty must be positive")
-    arrays = [np.empty(n) for _ in range(4)] if out is None else out
-    for x, value in zip(arrays, (1.0, 1.0, 0.5 * lam, 0.5 * lam)):
-        x.fill(value)
-    return Iterate(*arrays, mu=lam / 2.0)
+    return Iterate(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
+                   nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
 def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
@@ -367,22 +367,22 @@ class _Workspace:
     """The n-vectors of one solve's Newton steps, allocated once, and the
     sweeps that run the O(n) phases over them.
 
-    Eight rows persist.  ``delta`` and ``precond`` are written by the
-    evaluation and read by PCG.  ``d_beta`` and ``image`` are PCG's solution
-    and its ``G d_beta``; from the evaluation until PCG starts they carry
-    ``omega1`` and ``omega2`` to the condensation.  Until recovery the four
-    ``spare`` rows are PCG's residual (condensation forms ``rho`` in the
-    first), search direction, product (also its temporary) and ``G p``.
-    Recovery writes the direction into them and the step adds the iterate
-    there, so they become the new iterate's arrays while the old iterate's
-    become spare.  On a masked grid four more rows, ``start``, hold the
-    initial iterate, and the Gram products borrow their half spectra from
-    :meth:`spectra`: the ``spare[2:]`` rows, padded by ``2n/d_last`` floats
-    like the ``nu`` rows they rotate with.  In PCG that is the product row,
-    idle until ``delta*p + G p`` is formed, and the ``G p`` row, free until
-    ``irfft`` writes it and once ``rfft`` has read it (on 2-D grids, where
-    the packing passes end in the second, one more half spectrum); at the
-    product that confirms convergence, the old iterate's ``nu`` rows.
+    Eight rows persist, six with an empty mask.  PCG's rows are fixed:
+    its solution ``d_beta``, ``image`` (``G d_beta``), ``product`` (also
+    its temporary) and ``gram_p`` (``G p``); with an empty mask ``G = I``
+    and only ``d_beta`` and ``product`` exist.  From the evaluation until
+    PCG starts, these two carry ``omega1`` and ``omega2`` to the
+    condensation.  The four rows PCG leaves dead, the evaluation's
+    ``delta`` and ``precond`` and its residual ``rho`` and search row,
+    receive the direction from recovery and become the new iterate at the
+    step.  The step writes the new ``delta`` and ``precond`` into the old
+    iterate's ``nu`` rows, each block after reading it, and leaves its
+    ``s`` rows, which the caller may still read, for ``rho`` and the
+    search row.  Only ``product`` and ``gram_p`` lend half spectra
+    (``spectra``), in PCG and at the product that confirms convergence, so
+    on a masked grid they alone are padded by ``2n/d_last`` floats; on 2-D
+    grids, where the packing passes end in the second half spectrum, one
+    more stands in for ``gram_p``'s.
 
     ``sigma`` and ``r1``-``r4`` are never stored.  Each sweep runs over
     blocks of ``BLOCK`` entries and recomputes per block what it needs, in
@@ -401,33 +401,26 @@ class _Workspace:
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
         half = mask.shape.half if mask is not None and mask.n_missing else ()
-        wide = 2 * math.prod(half) if half else n  # floats in a padded row
-        plain, wides = (8, 4 + (len(half) == 2)) if half else (6, 2)
+        wide = 2 * math.prod(half) if half else n  # floats in a row that holds a half spectrum
+        plain, lenders = (6, 2 + (len(half) == 2)) if half else (5, 1)
         block = min(BLOCK, n)
-        flat = np.empty(plain * n + wides * wide + 7 * block)
+        flat = np.empty(plain * n + lenders * wide + 7 * block)
         rows = flat[:plain * n].reshape(plain, n)
-        padded = flat[plain * n:flat.size - 7 * block].reshape(wides, wide)
-        self.delta, self.precond, self.d_beta, self.image = rows[:4]
-        self.spare = (rows[4], rows[5], padded[0, :n], padded[1, :n])
-        self.start = (rows[6], rows[7], padded[2, :n], padded[3, :n]) if half else None
-        halves = [row.view(np.complex128).reshape(half) for row in padded] if half else []
-        self._halves = {h.ctypes.data: h for h in halves[:4]}  # by the rows' addresses
-        self._extra = halves[4] if len(halves) == 5 else None
+        wides = flat[plain * n:flat.size - 7 * block].reshape(lenders, wide)
+        self.d_beta, self.rho, self.search, self.delta, self.precond = rows[:5]
+        self.image = rows[5] if half else None
+        self.product = wides[0, :n]
+        self.gram_p = wides[1, :n] if half else None
+        halves = [row.view(np.complex128).reshape(half) for row in wides] if half else None
+        self.spectra = (halves[0], halves[-1]) if half else None
         scratch = flat[flat.size - 7 * block:].reshape(7, block)
         self.blocks = [(slice(start, min(start + block, n)),
                         [row[:min(block, n - start)] for row in scratch])
                        for start in range(0, n, block)]
         self.extremes = np.empty((len(self.blocks), 2, 4))
 
-    def spectra(self) -> tuple | None:
-        """Half spectra in the idle ``spare[2:]``, or None when these are not
-        this workspace's padded rows."""
-        first, second = (self._halves.get(row.ctypes.data) for row in self.spare[2:])
-        second = second if self._extra is None else self._extra
-        return None if first is None or second is None else (first, second)
-
     def _omega(self, cut: slice) -> tuple:
-        return self.d_beta[cut], self.image[cut]
+        return self.d_beta[cut], self.product[cut]
 
     def evaluate(self, state: Iterate, xi, g, lam: float,
                  step: NewtonDirection | None = None) -> Iterate:
@@ -437,8 +430,9 @@ class _Workspace:
 
         With ``step``, a direction from ``state``, the sweep first writes
         ``x + alpha*dx`` over the direction's arrays and advances ``g`` by
-        ``alpha_primal * G d_beta``, and evaluates that new iterate.
-        Returns the iterate evaluated.
+        ``alpha_primal * G d_beta``, and evaluates that new iterate into
+        ``state``'s ``nu`` rows; its ``s`` rows become ``rho`` and the
+        search row.  Returns the iterate evaluated.
         """
         new = state
         if step is not None:
@@ -446,9 +440,10 @@ class _Workspace:
             moves = list(zip(_arrays(new), _arrays(state),
                              (step.alpha_primal, step.alpha_primal,
                               step.alpha_dual, step.alpha_dual)))
+            self.rho, self.search, self.delta, self.precond = _arrays(state)
         violated = False
         for (cut, scratch), extremes in zip(self.blocks, self.extremes):
-            if step is not None:
+            if step is not None:  # reads the block of state's nu rows before delta overwrites it
                 for x, old, alpha in moves:
                     x = x[cut]
                     x *= alpha
@@ -480,8 +475,8 @@ class _Workspace:
                              self.extremes[:, 1].min(axis=0))), tol)
 
     def condense(self, state: Iterate, xi, g, lam: float) -> None:
-        """Form the condensed right-hand side ``rho`` at ``state.mu`` in ``spare[0]``."""
-        rho = self.spare[0]
+        """Form the condensed right-hand side ``rho`` at ``state.mu``."""
+        rho = self.rho
         for cut, scratch in self.blocks:
             block = _block(state, cut)
             r1, r2, r3, r4, term = scratch[:5]
@@ -493,8 +488,10 @@ class _Workspace:
             rhs.condense(block, scratch=term)
 
     def recover(self, state: Iterate, lam: float, d_beta) -> tuple:
-        """Back-substitute the direction from ``d_beta`` into the spare rows;
+        """Back-substitute the direction from ``d_beta`` into the rows PCG
+        leaves dead, ``rho``, the search row, ``delta`` and ``precond``;
         returns ``(d_s1, d_s2, d_nu1, d_nu2, alpha_primal, alpha_dual)``."""
+        rows = (self.rho, self.search, self.delta, self.precond)
         tau = max(FTB_TAU, 1.0 - state.mu)
         alphas = [1.0] * 4
         for cut, scratch in self.blocks:
@@ -506,12 +503,12 @@ class _Workspace:
             dual_residual(block, lam, r2)
             barrier_residuals(block, r3, r4)
             steps = recover_eliminated(d_beta[cut], KktRhs(None, r2, r3, r4, None, diag),
-                                       out=[row[cut] for row in self.spare])
+                                       out=[row[cut] for row in rows])
             # alpha is monotone in the nearest ratio, so the least over the
             # blocks is the whole vector's
             alphas = [min(alpha, fraction_to_boundary(v, dv, tau, sigma1))
                       for alpha, v, dv in zip(alphas, _arrays(block), steps)]
-        return (*self.spare, min(alphas[:2]), min(alphas[2:]))
+        return (*rows, min(alphas[:2]), min(alphas[2:]))
 
 
 def _arrays(state) -> tuple:
@@ -545,19 +542,19 @@ def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: floa
     sweeps leave them; without it, ``state`` is evaluated into a new one.
     """
     work = _evaluated(state, xi, g, lam, mask) if work is None else work
-    rho, search, product, gram_p = work.spare  # free until recovery writes the direction
     work.condense(state, xi, g, lam)
     schur = BarrierDiagonals(None, None, None, None, work.delta, work.precond)
-    spectra = work.spectra()
 
-    def op(v):
-        return apply_kkt(v, None, schur, mask, out=product, gram_out=gram_p, spectra=spectra)
+    def op(v):  # with G = I there is no image to accumulate: G d_beta is d_beta
+        pair = apply_kkt(v, None, schur, mask, out=work.product, gram_out=work.gram_p,
+                         spectra=work.spectra)
+        return pair if work.image is not None else pair[0]
 
     def prec(v):
-        return apply_precond_inverse(v, None, schur, out=product)
+        return apply_precond_inverse(v, None, schur, out=work.product)
 
-    result = pcg_solve(op, prec, rho, PcgConfig(abs_tol=cg_tol), image=work.image,
-                       work=(work.d_beta, rho, search, product))
+    result = pcg_solve(op, prec, work.rho, PcgConfig(abs_tol=cg_tol), image=work.image,
+                       work=(work.d_beta, work.rho, work.search, work.product))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -566,7 +563,7 @@ def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: floa
     *steps, alpha_p, alpha_d = work.recover(state, lam, result.solution)
     return NewtonDirection(
         result.solution, *steps,
-        gram_d_beta=work.image,
+        gram_d_beta=result.solution if work.image is None else work.image,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
         alpha_primal=alpha_p,
@@ -600,12 +597,14 @@ def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
     iterate owns the four step arrays.  ``g`` is advanced in place to the
     new iterate's Gram product by ``alpha_primal * G d_beta``, and the
     evaluation of the new iterate then reuses the direction's ``d_beta``
-    and ``gram_d_beta`` arrays; its diagnostics stay valid.  ``state`` is
-    not modified; with ``work``, as in :func:`newton_direction`, its arrays
-    become the spare ones and ``work.report`` gives the new iterate's
-    :class:`ConvergenceReport`.
+    and ``gram_d_beta`` arrays; its diagnostics stay valid.  With ``work``,
+    as in :func:`newton_direction`, ``state``'s ``nu`` arrays receive the
+    new evaluation and ``work.report`` gives its :class:`ConvergenceReport`;
+    without it, ``state`` is copied first and not modified.
     """
-    work = _evaluated(state, xi, g, lam, mask) if work is None else work
+    if work is None:
+        state = state.copy()
+        work = _evaluated(state, xi, g, lam, mask)
     direction = newton_direction(state, xi, g, lam, mask, cg_tol, work)
     alpha_p, alpha_d = direction.alpha_primal, direction.alpha_dual
     if min(alpha_p, alpha_d) < 1e-12:
@@ -613,9 +612,7 @@ def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
             f"fraction-to-boundary step collapsed (alpha_p={alpha_p:.2e}, "
             f"alpha_d={alpha_d:.2e})"
         )
-    new = work.evaluate(state, xi, g, lam, step=direction)
-    work.spare = _arrays(state)
-    return new, direction
+    return work.evaluate(state, xi, g, lam, step=direction), direction
 
 
 def next_barrier(mu: float, tol: float) -> float:
@@ -696,7 +693,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
     work = _Workspace(n, mask)
     records: list[IterationRecord] = []
     g = np.zeros(n)  # gram(beta), exact at beta = 0
-    state = work.evaluate(initial_state(n, lam, out=work.start), xi, g, lam)
+    state = work.evaluate(initial_state(n, lam), xi, g, lam)
     conv = work.report(state, config.tol)
     # the best iterate's beta, or None while the best is the current iterate
     best_beta, best_kkt = None, conv.max_residual
@@ -718,7 +715,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         if conv.converged:  # confirm on the exact product, never on the carried one
             beta = np.subtract(state.s1, state.s2, out=work.delta)  # re-evaluated below
             beta *= 0.5
-            gram(beta, mask, out=g, spectra=work.spectra())  # spare: the old iterate
+            gram(beta, mask, out=g, spectra=work.spectra)
             work.evaluate(state, xi, g, lam)
             conv = work.report(state, config.tol)
         record = IterationRecord(

@@ -283,8 +283,10 @@ def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
     in which Krylov work is counted.  With ``d_z=None``, ``out`` (when
     given) receives ``S d_beta``; ``gram_out`` (for ``G d_beta``) and
     ``spectra`` go to :func:`~fftlasso.masking.gram`, done before ``out`` is written.
+    With an empty mask and no ``gram_out``, ``G d_beta`` is ``d_beta`` itself.
     """
-    gram_d_beta = gram(d_beta, mask, out=gram_out, spectra=spectra)
+    identity = not mask.n_missing and gram_out is None  # G = I: no copy
+    gram_d_beta = d_beta if identity else gram(d_beta, mask, out=gram_out, spectra=spectra)
     if d_z is None:
         product = np.multiply(diag.delta, d_beta, out=out)
         product += gram_d_beta

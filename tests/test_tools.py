@@ -16,6 +16,7 @@ NAMES = [
     "cli-256x256/stdout+exit",
     "lib-32/records", "lib-32/beta",
     "lib-32-denoise/records", "lib-32-denoise/beta",
+    "lib-256x256-denoise/records", "lib-256x256-denoise/beta",
     "lib-40/records+beta",
     "probe-1d/records", "probe-1d/beta", "probe-1d/spectra", "probe-1d/scaling",
 ]

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tools/report_fingerprint.py
 
-Runs six fixed cases in a temporary directory, under fixed relative file
+Runs seven fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
 
 - ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
@@ -12,6 +12,8 @@ names, and prints one ``sha256  name`` line per artefact:
 - ``lib-32``: a 32^3 library solve with 15% missing (seeds 42/43);
 - ``lib-32-denoise``: the same grid and seeds with an empty mask, where
   ``G = I`` and no iteration makes a transform;
+- ``lib-256x256-denoise``: a 256^2 library solve with an empty mask
+  (seeds 42/43), the same path on a 2-D grid;
 - ``lib-40``: a 40^3 library solve with 15% missing (seeds 42/43), whose
   64,000 entries end in a partial block of the solver's O(n) sweeps; its
   records and spectrum are hashed together into one line;
@@ -29,11 +31,12 @@ The lines compare only between runs with the same BLAS thread count.  The
 inner products of PCG (``np.vdot``) and of the duality measure and the
 objective (``@``) run on OpenBLAS, which splits a dot product over its
 threads and so rounds differently with another count.  With
-``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 8 of
-the 16 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
-``lib-32-denoise`` and ``lib-40``), with the same iteration counts.  The tool prints
-``os.cpu_count()`` and ``OPENBLAS_NUM_THREADS`` to stderr, so that two
-outputs can be checked to be comparable.
+``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 10 of
+the 18 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
+``lib-32-denoise``, ``lib-256x256-denoise`` and ``lib-40``), with the same
+iteration counts.  The tool prints ``os.cpu_count()`` and
+``OPENBLAS_NUM_THREADS`` to stderr, so that two outputs can be checked to
+be comparable.
 """
 
 from __future__ import annotations
@@ -135,6 +138,9 @@ def run() -> None:
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_fraction=0.0, missing_seed=43))
     library_case("lib-32-denoise", noisy, mask, IpmConfig())
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(256, 256), noise_seed=42, missing_fraction=0.0, missing_seed=43))
+    library_case("lib-256x256-denoise", noisy, mask, IpmConfig())
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(40, 40, 40), noise_seed=42, missing_seed=43))
     emit("lib-40/records+beta", b"".join(solve_bytes(noisy[~mask.missing_bool], mask, IpmConfig())))
