@@ -4,6 +4,8 @@ A matrix-free LASSO solver over an orthogonal real-packed Fourier basis:
 the l1-regularized least-squares problem is solved by a primal-dual
 interior-point method whose condensed Newton systems are solved with
 preconditioned conjugate gradients, all operators applied through FFTs.
+A solve allocates its vectors once; ``fftlasso.ipm.ROLES`` says which of
+them holds what in each phase of a Newton step.
 """
 
 from .errors import (
@@ -19,7 +21,6 @@ from .ipm import (
     IpmConfig,
     IpmState,
     SolveReport,
-    check_convergence,
     default_penalty,
     lasso_objective,
     solve,
@@ -49,7 +50,6 @@ __all__ = [
     "embed",
     "pcg_solve",
     "solve",
-    "check_convergence",
     "default_penalty",
     "lasso_objective",
     "generate_synthetic",

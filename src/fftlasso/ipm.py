@@ -9,42 +9,26 @@ variable ``z`` (|beta| <= z elementwise), slacks ``s1 = z + beta``,
 ``s2 = z - beta``, equality multipliers ``y1, y2`` and bound multipliers
 ``nu1, nu2``.  The solver carries four of them, an :class:`Iterate`
 ``(s1, s2, nu1, nu2)`` with ``beta`` and ``z`` derived and ``y = nu``;
-observers get an :class:`IpmState` view.  :func:`check_convergence` takes
-an ``Iterate`` and its ``newton_rhs`` evaluation; :func:`newton_direction`
-and :func:`ipm_step` take an ``Iterate`` and the data that evaluation reads,
-``xi``, ``g`` and ``lam``.  Each iteration takes
-one Newton step on the barrier KKT system (no predictor-corrector),
-solving the Schur complement of the condensed 2x2 system, an n x n system
-in ``d_beta``, with preconditioned CG; the other blocks follow by
-back-substitution.  Separate primal and dual step lengths come from the
-fraction-to-boundary rule.  The barrier parameter follows a monotone
-schedule with a superlinear tail once the iterate is centered.
+observers get an :class:`IpmState` view.  Each iteration takes one Newton
+step on the barrier KKT system (no predictor-corrector), solving the Schur
+complement of the condensed 2x2 system, an n x n system in ``d_beta``,
+with preconditioned CG; the other blocks follow by back-substitution.
+Separate primal and dual step lengths come from the fraction-to-boundary
+rule.  The barrier parameter follows a monotone schedule with a
+superlinear tail once the iterate is centered.
 
 An iteration costs one transform pair per Krylov iteration and none
-outside PCG, and every vector PCG touches has length n.  The solve
-computes ``xi = observe_adjoint(b)`` once and carries ``g = gram(beta)``:
-PCG accumulates ``G d_beta`` from the products it forms anyway, so
-the residuals, the convergence check, the barrier test and the Newton
-step are vector algebra.  Before a solve is declared converged, ``g`` is
-recomputed exactly and the check repeated.  With an empty mask ``G = I``
-and the preconditioned Schur operator is ``(I + Delta)^{-1}(I + Delta) =
-I``: one Krylov step per Newton step, and a denoising solve takes one
-``analyze`` (of ``b``) and one ``synthesize`` (for the final objective) in
-total.
+outside PCG.  The solve computes ``xi = observe_adjoint(b)`` once and
+carries ``g = gram(beta)``: PCG accumulates ``G d_beta`` from the products
+it forms anyway, so the residuals, the convergence check and the step are
+vector algebra.  Before a solve is declared converged, ``g`` is recomputed
+exactly and the check repeated.
 
-The loop allocates its n-vectors once per solve, in a ``_Workspace``:
-each step writes ``x + alpha*dx`` over its direction, and the old
-iterate's arrays take the next evaluation and direction.  Observers
-therefore get copies.  The O(n) phases (evaluation with the convergence
-extremes, condensation, recovery with the fraction-to-boundary ratios,
-and the step, fused into the next evaluation) run as sweeps over blocks
-of ``BLOCK`` entries.  They recompute the barrier diagonals and the
-residuals per block instead of storing them, with the formulas of the
-full-vector kernels (:func:`~fftlasso.newton_system.newton_rhs`,
-:func:`check_convergence` and the like), which stay the reference they
-match bit for bit.  Of the solve's n-vectors 14 persist: the iterate,
-``xi``, ``g`` and eight rows (12 and six with an empty mask, where
-``G d_beta`` is ``d_beta``).
+A solve allocates its n-vectors once, in a :class:`_Workspace`, whose
+:data:`ROLES` table says which row holds what in each phase of a step.
+The O(n) phases run as sweeps over blocks of ``BLOCK`` entries that
+recompute the barrier diagonals and residuals per block, with the formula
+helpers of :mod:`~fftlasso.newton_system`.  Observers get copies.
 """
 
 from __future__ import annotations
@@ -55,16 +39,16 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalBreakdownError, StalledError
+from .errors import InteriorViolationError, NumericalBreakdownError, StalledError
 from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
     BarrierDiagonals,
-    KktRhs,
     apply_kkt,
     apply_precond_inverse,
     barrier_residuals,
     barrier_scaling,
     check_interior,
+    condense,
     dual_residual,
     exterior,
     recover_eliminated,
@@ -86,7 +70,6 @@ __all__ = [
     "newton_direction",
     "ipm_step",
     "next_barrier",
-    "check_convergence",
     "solve",
 ]
 
@@ -186,11 +169,7 @@ class Iterate(_Complementarity):
                        self.mu)
 
     def view(self) -> IpmState:
-        """The full primal-dual state, sharing this iterate's arrays.
-
-        :func:`solve` hands observers the view of a :meth:`copy`, since
-        its own iterates' arrays are reused by later steps.
-        """
+        """The full primal-dual state, sharing this iterate's arrays."""
         return IpmState(beta=self.beta, z=0.5 * (self.s1 + self.s2),
                         s1=self.s1, s2=self.s2, y1=self.nu1, y2=self.nu2,
                         nu1=self.nu1, nu2=self.nu2, mu=self.mu)
@@ -301,31 +280,22 @@ def initial_state(n: int, lam: float) -> Iterate:
                    nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
-def check_convergence(state: Iterate, rhs: KktRhs, tol: float,
-                      scratch=None) -> ConvergenceReport:
-    """Exact KKT residuals, the barrier residual at ``state.mu`` and the
-    centrality monitor; ``rhs`` = ``newton_rhs``, of which only ``r1`` and
-    ``r2`` are read.  The slack equations and ``y = nu`` hold exactly, so
-    their residuals are not checked.  ``scratch`` is an n-long temporary,
-    allocated when not given."""
-    return _convergence_report(state, _extremes(state, rhs.r1, rhs.r2, scratch), tol)
-
-
-def _extremes(state, r1, r2, scratch, out=None) -> np.ndarray:
+def _extremes(state, r1, r2, scratch, out) -> None:
     """Maxima (row 0) and minima (row 1) of ``r1``, ``r2``, ``s1 nu1`` and
-    ``s2 nu2``, the products formed in ``scratch``."""
-    out = np.empty((2, 4)) if out is None else out
+    ``s2 nu2`` into ``out``, the products formed in ``scratch``."""
     out[:, 0] = r1.max(), r1.min()
     out[:, 1] = r2.max(), r2.min()
     prod = np.multiply(state.s1, state.nu1, out=scratch)
     out[:, 2] = prod.max(), prod.min()
     prod = np.multiply(state.s2, state.nu2, out=prod)
     out[:, 3] = prod.max(), prod.min()
-    return out
 
 
 def _convergence_report(state: Iterate, extremes: np.ndarray, tol: float) -> ConvergenceReport:
-    """:func:`check_convergence` from the :func:`_extremes` of ``state``."""
+    """Exact KKT residuals, the barrier residual at ``state.mu`` and the
+    centrality monitor, from the :func:`_extremes` of ``state``.  The slack
+    equations and ``y = nu`` hold exactly, so their residuals are not
+    checked."""
     (r1_max, r2_max, p1_max, p2_max), (r1_min, r2_min, p1_min, p2_min) = extremes
     # max|r| from the extremes; abs() turns an all -0.0 max into +0.0
     stat = abs(float(max(r1_max, -r1_min)))
@@ -335,15 +305,10 @@ def _convergence_report(state: Iterate, extremes: np.ndarray, tol: float) -> Con
     comp_min = min(float(p1_min), float(p2_min))
     # max|s nu - mu| from the extremes: rounding of p - mu is monotone in p
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
-    return ConvergenceReport(
-        stationarity=stat,
-        dual_equality=dual,
-        complementarity=comp,
-        max_residual=worst,
-        converged=worst <= tol,
-        barrier_residual=max(stat, dual, comp_barrier),
-        centrality_ok=comp_min >= GAMMA_CENTRALITY * state.duality_measure(),
-    )
+    return ConvergenceReport(stationarity=stat, dual_equality=dual, complementarity=comp,
+                             max_residual=worst, converged=worst <= tol,
+                             barrier_residual=max(stat, dual, comp_barrier),
+                             centrality_ok=comp_min >= GAMMA_CENTRALITY * state.duality_measure())
 
 
 @dataclass(frozen=True)
@@ -363,37 +328,52 @@ class NewtonDirection:
     alpha_dual: float
 
 
+_ITERATE = {name: name for name in ("s1", "s2", "nu1", "nu2")}
+_FREE = ("free0", "free1", "free2", "free3")
+_DIRECTION = dict(zip(("d_s1", "d_s2", "d_nu1", "d_nu2"), _FREE))
+_KEPT = {"previous_s1": "free0", "previous_s2": "free1"}
+
+#: Which row of a :class:`_Workspace` holds which role in each phase of a
+#: Newton step, in the order the phases run; ``confirm`` forms the exact
+#: ``gram(beta)`` before convergence is declared.  A role is listed from
+#: the phase that writes it to the last phase that reads it.  ``s1``-``nu2``
+#: are the iterate's own arrays, which trade places with the ``free`` rows
+#: at the step (:meth:`_Workspace.rotate`), so the previous iterate's
+#: slacks stay readable until ``rho`` is formed.  ``image`` and ``gram_p``
+#: exist only on a masked grid: with ``G = I`` the step reads ``G d_beta``
+#: from ``x``, and a product forms no ``G p``.
+ROLES = {
+    "evaluate": {**_ITERATE, "omega1": "x", "omega2": "product",
+                 "delta": "free2", "precond": "free3", **_KEPT},
+    "condense": {**_ITERATE, "omega1": "x", "omega2": "product",
+                 "delta": "free2", "precond": "free3", "rho": "free0"},
+    "pcg": {**_ITERATE, "x": "x", "residual": "free0", "search": "free1",
+            "product": "product", "gram_p": "gram_p", "image": "image",
+            "delta": "free2", "precond": "free3"},
+    "recover": {**_ITERATE, "x": "x", "image": "image", **_DIRECTION},
+    "step": {**_ITERATE, "x": "x", "image": "image", **_DIRECTION},
+    "confirm": {**_ITERATE, "beta": "free2", **_KEPT},
+}
+
+
 class _Workspace:
     """The n-vectors of one solve's Newton steps, allocated once, and the
-    sweeps that run the O(n) phases over them.
-
-    Eight rows persist, six with an empty mask.  PCG's rows are fixed:
-    its solution ``d_beta``, ``image`` (``G d_beta``), ``product`` (also
-    its temporary) and ``gram_p`` (``G p``); with an empty mask ``G = I``
-    and only ``d_beta`` and ``product`` exist.  From the evaluation until
-    PCG starts, these two carry ``omega1`` and ``omega2`` to the
-    condensation.  The four rows PCG leaves dead, the evaluation's
-    ``delta`` and ``precond`` and its residual ``rho`` and search row,
-    receive the direction from recovery and become the new iterate at the
-    step.  The step writes the new ``delta`` and ``precond`` into the old
-    iterate's ``nu`` rows, each block after reading it, and leaves its
-    ``s`` rows, which the caller may still read, for ``rho`` and the
-    search row.  Only ``product`` and ``gram_p`` lend half spectra
-    (``spectra``), in PCG and at the product that confirms convergence, so
-    on a masked grid they alone are padded by ``2n/d_last`` floats; on 2-D
-    grids, where the packing passes end in the second half spectrum, one
-    more stands in for ``gram_p``'s.
+    sweeps that run the O(n) phases over them, with the rows that
+    :data:`ROLES` names.
 
     ``sigma`` and ``r1``-``r4`` are never stored.  Each sweep runs over
     blocks of ``BLOCK`` entries and recomputes per block what it needs, in
-    seven block-length ``scratch`` rows, with the formulas of
-    :func:`~fftlasso.newton_system.barrier_diagonals`,
-    :func:`~fftlasso.newton_system.newton_rhs`, :meth:`KktRhs.condense`,
-    :func:`recover_eliminated`, :func:`check_convergence` and
-    :func:`fraction_to_boundary`.  Elementwise work gives the same bits on
-    a slice, and the extremes and step lengths combine exactly across
-    blocks.  The dot products of the duality measure and of PCG run over
-    whole vectors.
+    seven block-length ``scratch`` rows.  Elementwise work gives the same
+    bits on a slice, and the extremes and step lengths combine exactly
+    across blocks.  The dot products of the duality measure and of PCG run
+    over whole vectors.
+
+    On a masked grid the Gram products borrow two half spectra
+    (``spectra``) from the rows idle during them, ``product`` and
+    ``gram_p``, which are padded by ``2n/d_last`` floats so that one fits.
+    On 2-D grids the packing passes end in the second half spectrum, which
+    ``gram_p``, their output, cannot hold: a ``spare`` row lends it, and
+    ``gram_p`` is n long.
     """
 
     def __init__(self, n: int, mask: Mask | None = None):
@@ -401,46 +381,55 @@ class _Workspace:
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
         half = mask.shape.half if mask is not None and mask.n_missing else ()
+        flat_2d = len(half) == 2  # gram_p cannot lend its half spectrum: a spare row does
+        plain = ["x", *_FREE, *(["image"] if half else []), *(["gram_p"] if flat_2d else [])]
+        lenders = ["product", *(["spare" if flat_2d else "gram_p"] if half else [])]
         wide = 2 * math.prod(half) if half else n  # floats in a row that holds a half spectrum
-        plain, lenders = (6, 2 + (len(half) == 2)) if half else (5, 1)
         block = min(BLOCK, n)
-        flat = np.empty(plain * n + lenders * wide + 7 * block)
-        rows = flat[:plain * n].reshape(plain, n)
-        wides = flat[plain * n:flat.size - 7 * block].reshape(lenders, wide)
-        self.d_beta, self.rho, self.search, self.delta, self.precond = rows[:5]
-        self.image = rows[5] if half else None
-        self.product = wides[0, :n]
-        self.gram_p = wides[1, :n] if half else None
-        halves = [row.view(np.complex128).reshape(half) for row in wides] if half else None
-        self.spectra = (halves[0], halves[-1]) if half else None
-        scratch = flat[flat.size - 7 * block:].reshape(7, block)
+        flat = np.empty(len(plain) * n + len(lenders) * wide + 7 * block)
+        cut = len(plain) * n
+        wides = flat[cut:cut + len(lenders) * wide].reshape(len(lenders), wide)
+        self.rows = {"image": None, "gram_p": None}
+        self.rows.update(zip(plain, flat[:cut].reshape(-1, n)))
+        self.rows.update((name, row[:n]) for name, row in zip(lenders, wides))
+        self.spectra = (tuple(row.view(np.complex128).reshape(half) for row in wides)
+                        if half else None)
+        scratch = flat[cut + wides.size:].reshape(7, block)
         self.blocks = [(slice(start, min(start + block, n)),
                         [row[:min(block, n - start)] for row in scratch])
                        for start in range(0, n, block)]
         self.extremes = np.empty((len(self.blocks), 2, 4))
 
-    def _omega(self, cut: slice) -> tuple:
-        return self.d_beta[cut], self.product[cut]
+    def roles(self, phase: str, state: Iterate) -> dict:
+        """The arrays holding ``phase``'s roles while ``state`` is the
+        iterate; None for a row the grid does not need."""
+        return {role: getattr(state, row) if row in _ITERATE else self.rows[row]
+                for role, row in ROLES[phase].items()}
+
+    def rotate(self, state: Iterate, moved) -> Iterate:
+        """The iterate in the four arrays ``moved``, where the step wrote it;
+        ``state``'s arrays become the ``free`` rows."""
+        self.rows.update(zip(_FREE, _arrays(state)))
+        return Iterate(*moved, mu=state.mu)
 
     def evaluate(self, state: Iterate, xi, g, lam: float,
                  step: NewtonDirection | None = None) -> Iterate:
         """Evaluate ``state`` in one sweep: check that it is interior, write
-        ``delta``, ``precond`` and (for :meth:`condense`) ``omega``, and
-        keep the extremes for :meth:`report`.
+        the ``evaluate`` roles and keep the extremes for :meth:`report`.
 
-        With ``step``, a direction from ``state``, the sweep first writes
-        ``x + alpha*dx`` over the direction's arrays and advances ``g`` by
-        ``alpha_primal * G d_beta``, and evaluates that new iterate into
-        ``state``'s ``nu`` rows; its ``s`` rows become ``rho`` and the
-        search row.  Returns the iterate evaluated.
+        With ``step``, a direction from ``state``, each block first takes
+        the step: ``x + alpha*dx`` over the direction's arrays and
+        ``g += alpha_primal * G d_beta``.  The sweep then evaluates the new
+        iterate, rotated in, and returns it.
         """
         new = state
         if step is not None:
-            new = Iterate(step.d_s1, step.d_s2, step.d_nu1, step.d_nu2, mu=state.mu)
-            moves = list(zip(_arrays(new), _arrays(state),
-                             (step.alpha_primal, step.alpha_primal,
-                              step.alpha_dual, step.alpha_dual)))
-            self.rho, self.search, self.delta, self.precond = _arrays(state)
+            moved = (step.d_s1, step.d_s2, step.d_nu1, step.d_nu2)
+            moves = list(zip(moved, _arrays(state), (step.alpha_primal, step.alpha_primal,
+                                                     step.alpha_dual, step.alpha_dual)))
+            new = self.rotate(state, moved)
+        rows = self.roles("evaluate", new)
+        written = [rows[role] for role in ("omega1", "omega2", "delta", "precond")]
         violated = False
         for (cut, scratch), extremes in zip(self.blocks, self.extremes):
             if step is not None:  # reads the block of state's nu rows before delta overwrites it
@@ -456,42 +445,39 @@ class _Workspace:
                 violated = True  # the blocks left still take their step
                 continue
             sigma1, sigma2, prod = scratch[:3]
-            diag = BarrierDiagonals(sigma1, sigma2, *self._omega(cut),
-                                    self.delta[cut], self.precond[cut])
+            diag = BarrierDiagonals(sigma1, sigma2, *(row[cut] for row in written))
             barrier_scaling(*_arrays(block), diag, lambda1=diag.precond)
             schur_coefficients(diag)
             r1, r2 = sigma1, sigma2  # spent once delta is formed
             stationarity(block, xi[cut], g[cut], r1)
             dual_residual(block, lam, r2)
-            _extremes(block, r1, r2, prod, out=extremes)
+            _extremes(block, r1, r2, prod, extremes)
         if violated:  # raises, naming the first offending array over whole vectors
             check_interior(*_arrays(new))
         return new
 
     def report(self, state: Iterate, tol: float) -> ConvergenceReport:
-        """:func:`check_convergence` of the iterate :meth:`evaluate` last saw."""
-        return _convergence_report(
-            state, np.stack((self.extremes[:, 0].max(axis=0),
-                             self.extremes[:, 1].min(axis=0))), tol)
+        """The :class:`ConvergenceReport` of the iterate :meth:`evaluate` last saw."""
+        extremes = np.stack((self.extremes[:, 0].max(axis=0), self.extremes[:, 1].min(axis=0)))
+        return _convergence_report(state, extremes, tol)
 
     def condense(self, state: Iterate, xi, g, lam: float) -> None:
         """Form the condensed right-hand side ``rho`` at ``state.mu``."""
-        rho = self.rho
+        rows = self.roles("condense", state)
         for cut, scratch in self.blocks:
             block = _block(state, cut)
             r1, r2, r3, r4, term = scratch[:5]
-            # condense reads only omega of the diagonals
-            rhs = KktRhs(r1, r2, r3, r4, rho[cut],
-                         BarrierDiagonals(None, None, *self._omega(cut), None, None))
             stationarity(block, xi[cut], g[cut], r1)
             dual_residual(block, lam, r2)
-            rhs.condense(block, scratch=term)
+            barrier_residuals(block, r3, r4)
+            condense(r1, r2, r3, r4, rows["omega1"][cut], rows["omega2"][cut],
+                     rows["rho"][cut], term)
 
     def recover(self, state: Iterate, lam: float, d_beta) -> tuple:
-        """Back-substitute the direction from ``d_beta`` into the rows PCG
-        leaves dead, ``rho``, the search row, ``delta`` and ``precond``;
+        """Back-substitute the direction from ``d_beta`` into its rows;
         returns ``(d_s1, d_s2, d_nu1, d_nu2, alpha_primal, alpha_dual)``."""
-        rows = (self.rho, self.search, self.delta, self.precond)
+        roles = self.roles("recover", state)
+        rows = [roles[name] for name in _DIRECTION]
         tau = max(FTB_TAU, 1.0 - state.mu)
         alphas = [1.0] * 4
         for cut, scratch in self.blocks:
@@ -502,8 +488,8 @@ class _Workspace:
             r2 = lambda1  # recover_eliminated forms its own sum
             dual_residual(block, lam, r2)
             barrier_residuals(block, r3, r4)
-            steps = recover_eliminated(d_beta[cut], KktRhs(None, r2, r3, r4, None, diag),
-                                       out=[row[cut] for row in rows])
+            steps = recover_eliminated(d_beta[cut], r2, r3, r4, diag,
+                                       [row[cut] for row in rows])
             # alpha is monotone in the nearest ratio, so the least over the
             # blocks is the whole vector's
             alphas = [min(alpha, fraction_to_boundary(v, dv, tau, sigma1))
@@ -519,42 +505,31 @@ def _block(state: Iterate, cut: slice) -> Iterate:
     return Iterate(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
 
 
-def _evaluated(state: Iterate, xi, g, lam: float, mask: Mask) -> _Workspace:
-    """A new workspace holding the evaluation of ``state``."""
-    work = _Workspace(state.n, mask)
-    work.evaluate(state, xi, g, lam)
-    return work
-
-
 def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
-                     work: _Workspace | None = None) -> NewtonDirection:
+                     work: _Workspace) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
     ``xi = observe_adjoint(b)``, ``g = gram(beta)`` and ``lam`` are the data
-    of :func:`~fftlasso.newton_system.newton_rhs`.  Condensation forms
-    ``rho``; PCG solves the Schur complement ``S d_beta = rho``
-    matrix-free and also accumulates ``G d_beta``; recovery
-    back-substitutes the slack steps and the multiplier step from the
-    linearized complementarity ``d_nu = (mu - s*nu)/s - sigma * d_s`` and
-    measures the fraction-to-boundary step lengths in the same sweep.  The
-    direction is built in the arrays of ``work``, whose ``delta`` and
-    ``precond`` must hold the evaluation of ``state``, as :func:`solve`'s
-    sweeps leave them; without it, ``state`` is evaluated into a new one.
+    of the residuals; ``work`` holds the evaluation of ``state``.  PCG
+    solves ``S d_beta = rho`` matrix-free and accumulates ``G d_beta``;
+    recovery back-substitutes the other blocks and measures the
+    fraction-to-boundary step lengths in the same sweep.
     """
-    work = _evaluated(state, xi, g, lam, mask) if work is None else work
     work.condense(state, xi, g, lam)
-    schur = BarrierDiagonals(None, None, None, None, work.delta, work.precond)
+    rows = work.roles("pcg", state)
+    schur = BarrierDiagonals(None, None, None, None, rows["delta"], rows["precond"])
+    image, product = rows["image"], rows["product"]
 
     def op(v):  # with G = I there is no image to accumulate: G d_beta is d_beta
-        pair = apply_kkt(v, None, schur, mask, out=work.product, gram_out=work.gram_p,
+        pair = apply_kkt(v, None, schur, mask, out=product, gram_out=rows["gram_p"],
                          spectra=work.spectra)
-        return pair if work.image is not None else pair[0]
+        return pair if image is not None else pair[0]
 
     def prec(v):
-        return apply_precond_inverse(v, None, schur, out=work.product)
+        return apply_precond_inverse(v, None, schur, out=product)
 
-    result = pcg_solve(op, prec, work.rho, PcgConfig(abs_tol=cg_tol), image=work.image,
-                       work=(work.d_beta, work.rho, work.search, work.product))
+    result = pcg_solve(op, prec, rows["residual"], PcgConfig(abs_tol=cg_tol), image=image,
+                       work=(rows["x"], rows["residual"], rows["search"], product))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -563,7 +538,7 @@ def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: floa
     *steps, alpha_p, alpha_d = work.recover(state, lam, result.solution)
     return NewtonDirection(
         result.solution, *steps,
-        gram_d_beta=result.solution if work.image is None else work.image,
+        gram_d_beta=result.solution if image is None else image,
         krylov_iters=result.iterations,
         pcg_residual=result.residual_norm,
         alpha_primal=alpha_p,
@@ -589,22 +564,15 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
 
 
 def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
-             work: _Workspace | None = None) -> tuple[Iterate, NewtonDirection]:
+             work: _Workspace) -> tuple[Iterate, NewtonDirection]:
     """Take one damped Newton step from ``state`` and evaluate the new iterate;
     returns it and the direction, which holds both step lengths.
 
-    ``x + alpha*dx`` is written into the direction's arrays: the new
-    iterate owns the four step arrays.  ``g`` is advanced in place to the
-    new iterate's Gram product by ``alpha_primal * G d_beta``, and the
-    evaluation of the new iterate then reuses the direction's ``d_beta``
-    and ``gram_d_beta`` arrays; its diagnostics stay valid.  With ``work``,
-    as in :func:`newton_direction`, ``state``'s ``nu`` arrays receive the
-    new evaluation and ``work.report`` gives its :class:`ConvergenceReport`;
-    without it, ``state`` is copied first and not modified.
+    ``work`` is as for :func:`newton_direction`.  ``g`` is advanced in place
+    by ``alpha_primal * G d_beta``, and ``work.report`` then gives the new
+    iterate's :class:`ConvergenceReport`.  ``state``'s slacks are kept and
+    its ``nu`` arrays overwritten (:data:`ROLES`).
     """
-    if work is None:
-        state = state.copy()
-        work = _evaluated(state, xi, g, lam, mask)
     direction = newton_direction(state, xi, g, lam, mask, cg_tol, work)
     alpha_p, alpha_d = direction.alpha_primal, direction.alpha_dual
     if min(alpha_p, alpha_d) < 1e-12:
@@ -637,9 +605,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         used by the spectral diagnostics to record trajectories.  Each
         state is a new :class:`IpmState` view of a copy of the iterate,
         whose ``mu`` equals ``record.mu``; the solver never modifies its
-        arrays.  The copy is made only when an observer is given: the
-        solve allocates its n-vectors once and reuses them every
-        iteration.
+        arrays.
 
     Returns
     -------
@@ -649,12 +615,12 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     report : SolveReport
         Per-iteration residuals, barrier values, Krylov counts, timings.
         On iteration exhaustion the best iterate seen is returned with
-        status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``)
-        or the step collapses (``StalledError``), with status ``"stalled"``
-        and the error's message as ``reason``.
+        status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``),
+        the step collapses (``StalledError``) or leaves the strict interior
+        (``InteriorViolationError``), with status ``"stalled"`` and the
+        error's message as ``reason``.
 
-    Raises ``ValueError`` for NaN/Inf in ``b`` before any transform, and
-    ``InteriorViolationError`` when a step leaves the strict interior.
+    Raises ``ValueError`` for NaN/Inf in ``b`` before any transform.
     """
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(b)):
@@ -708,12 +674,12 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         previous = state
         try:
             state, direction = ipm_step(state, xi, g, lam, mask, config.cg_tol, work)
-        except (NumericalBreakdownError, StalledError) as exc:
-            stalled, reason = True, str(exc)
+        except (NumericalBreakdownError, StalledError, InteriorViolationError) as exc:
+            stalled, reason = True, str(exc)  # state's slacks, and so its beta, are intact
             break
         conv = work.report(state, config.tol)
         if conv.converged:  # confirm on the exact product, never on the carried one
-            beta = np.subtract(state.s1, state.s2, out=work.delta)  # re-evaluated below
+            beta = np.subtract(state.s1, state.s2, out=work.roles("confirm", state)["beta"])
             beta *= 0.5
             gram(beta, mask, out=g, spectra=work.spectra)
             work.evaluate(state, xi, g, lam)

@@ -72,14 +72,11 @@ cancel.  The condensed right-hand side is
 
     rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3).
 
-Evaluation and condensation are separate phases: :func:`newton_rhs` forms
-``r1``, ``r2`` and the diagonals; :meth:`KktRhs.condense` alone forms
-``r3``, ``r4`` and ``rho``, at the barrier the direction uses.  The
-kernels are built from formula helpers outside ``__all__``
-(:func:`barrier_scaling`, :func:`schur_coefficients`,
-:func:`stationarity`, :func:`dual_residual`, :func:`barrier_residuals`,
-:func:`exterior`), which the solver's block sweeps call on slices, so each
-formula has one implementation.
+The formulas are helpers on arrays (:func:`barrier_scaling`,
+:func:`schur_coefficients`, :func:`stationarity`, :func:`dual_residual`,
+:func:`barrier_residuals`, :func:`condense`, :func:`recover_eliminated`),
+which the solver's block sweeps (``ipm._Workspace``) call on slices, so
+each formula has one implementation.
 
 Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
 with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
@@ -87,9 +84,6 @@ with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
 as ``omega1 + omega2 = 1``: on the support the vanishing slack's step is
 a small ``c`` plus a small multiple of ``d_beta``, not a difference of two
 steps of size ``|d_beta|``, and ``d_z`` is never formed.
-
-``G`` enters PCG only as ``G d_beta``, which PCG accumulates to carry
-``G beta`` from one iterate to the next without a transform.
 """
 
 from __future__ import annotations
@@ -103,9 +97,7 @@ from .masking import Mask, gram
 
 __all__ = [
     "BarrierDiagonals",
-    "KktRhs",
     "barrier_diagonals",
-    "newton_rhs",
     "apply_kkt",
     "apply_precond_inverse",
     "recover_eliminated",
@@ -132,17 +124,16 @@ class BarrierDiagonals:
         return self.sigma1 - self.sigma2
 
 
-def barrier_diagonals(s1, s2, nu1, nu2, out: BarrierDiagonals | None = None) -> BarrierDiagonals:
+def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
     """Build the barrier scaling diagonals from slacks and multipliers.
 
     All four inputs must be strictly positive and finite; otherwise the
     iterate has left the interior and the condensed system loses
-    definiteness.  With ``out``, the diagonals are written into its arrays.
+    definiteness.
     """
     arrays = [np.asarray(a, dtype=np.float64) for a in (s1, s2, nu1, nu2)]
     check_interior(*arrays)
-    if out is None:
-        out = BarrierDiagonals(*(np.empty(arrays[0].shape) for _ in range(6)))
+    out = BarrierDiagonals(*(np.empty(arrays[0].shape) for _ in range(6)))
     barrier_scaling(*arrays, out, lambda1=out.precond)  # precond is written last
     schur_coefficients(out)
     return out
@@ -183,73 +174,6 @@ def schur_coefficients(diag: BarrierDiagonals) -> None:
     np.divide(1.0, precond, out=precond)
 
 
-@dataclass(frozen=True)
-class KktRhs:
-    """Nonzero residual blocks of the 6-block system plus its Schur-reduced form.
-
-    :func:`newton_rhs` writes ``r1``, ``r2`` and ``diag``, the barrier
-    diagonals of the iterate; :meth:`condense` alone writes the rest.
-    ``r3``/``r4`` are the barrier-shifted residuals ``nu - mu/s``, which
-    make the condensed solve a Newton step on the barrier system, and
-    ``rho`` is the right-hand side of ``S d_beta = rho``.
-    """
-
-    r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
-    r4: np.ndarray
-    rho: np.ndarray
-    diag: BarrierDiagonals
-
-    def condense(self, state, scratch=None) -> None:
-        """Form r3, r4 and rho in place at ``state.mu``; ``scratch`` is an
-        n-long temporary, allocated when not given."""
-        barrier_residuals(state, self.r3, self.r4)
-        # rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3), in that rounding order
-        rho = np.multiply(self.r4, 2.0, out=self.rho)
-        rho -= self.r2
-        rho *= self.diag.omega1
-        rho += self.r1
-        term = np.multiply(self.r3, 2.0, out=scratch)
-        np.subtract(self.r2, term, out=term)
-        term *= self.diag.omega2
-        rho += term
-
-
-def newton_rhs(state, xi, g, lam: float, out: KktRhs | None = None) -> KktRhs:
-    """Residuals of the barrier KKT system at a strictly interior iterate.
-
-    Vector algebra only: the data enter through ``xi`` and ``g``.
-
-    Parameters
-    ----------
-    state : object
-        Iterate with attributes ``s1, s2, nu1, nu2``, on the solver's
-        domain: the slack equations hold and ``y = nu``.
-    xi : numpy.ndarray
-        Data correlation ``observe_adjoint(b, mask)``.
-    g : numpy.ndarray
-        Gram product ``gram(beta, mask)`` at ``beta = (s1 - s2)/2``.
-    lam : float
-        L1 penalty weight.
-    out : KktRhs, optional
-        Arrays to write into; new ones are allocated when not given.
-
-    Returns
-    -------
-    KktRhs
-        ``r1``, ``r2`` and the barrier diagonals of ``state``; ``r3``, ``r4``
-        and ``rho`` are left to :meth:`KktRhs.condense`, at the barrier a
-        direction uses.  The convergence check reads only ``r1`` and ``r2``.
-    """
-    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2,
-                             None if out is None else out.diag)
-    rhs = out if out is not None else KktRhs(*(np.empty_like(diag.sigma1) for _ in range(5)), diag)
-    stationarity(state, xi, g, rhs.r1)
-    dual_residual(state, lam, rhs.r2)
-    return rhs
-
-
 def stationarity(state, xi, g, out) -> None:
     """``r1 = xi - g + nu1 - nu2`` into ``out``."""
     r1 = np.subtract(xi, g, out=out)
@@ -269,6 +193,19 @@ def barrier_residuals(state, r3, r4) -> None:
     np.subtract(state.nu1, r3, out=r3)
     np.divide(state.mu, state.s2, out=r4)
     np.subtract(state.nu2, r4, out=r4)
+
+
+def condense(r1, r2, r3, r4, omega1, omega2, out, scratch) -> None:
+    """``rho = r1 + omega1 (2 r4 - r2) + omega2 (r2 - 2 r3)`` into ``out``, in
+    that rounding order; ``scratch`` is a temporary of the same length."""
+    rho = np.multiply(r4, 2.0, out=out)
+    rho -= r2
+    rho *= omega1
+    rho += r1
+    term = np.multiply(r3, 2.0, out=scratch)
+    np.subtract(r2, term, out=term)
+    term *= omega2
+    rho += term
 
 
 def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
@@ -315,7 +252,7 @@ def apply_precond_inverse(first, second, diag: BarrierDiagonals, out=None):
     return out
 
 
-def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> tuple[np.ndarray, ...]:
+def recover_eliminated(d_beta, r2, r3, r4, diag: BarrierDiagonals, out) -> tuple[np.ndarray, ...]:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
     ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``
@@ -324,17 +261,14 @@ def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> tuple[np.ndarray, ...]:
 
     The last line is the linearized complementarity
     ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
-    ``r4 = nu2 - mu/s2``.  Returns the physical steps
-    ``(d_s1, d_s2, d_nu1, d_nu2)``, in the four arrays of ``out`` when
-    given; ``d_beta`` is not modified.
+    ``r4 = nu2 - mu/s2``.  Only ``sigma`` and ``omega`` of ``diag`` are
+    read.  Returns the physical steps ``(d_s1, d_s2, d_nu1, d_nu2)``, in
+    the four arrays of ``out``; ``d_beta`` is not modified.
     """
-    diag = rhs.diag
-    if out is None:
-        out = [np.empty_like(d_beta) for _ in range(4)]
     d_s1, d_s2, d_nu1, d_nu2 = out
     # c waits in d_nu2 and Sig1 + Sig2 in d_nu1 until the slack steps are formed
-    c = np.subtract(rhs.r2, rhs.r3, out=d_nu2)
-    c -= rhs.r4
+    c = np.subtract(r2, r3, out=d_nu2)
+    c -= r4
     c /= np.add(diag.sigma1, diag.sigma2, out=d_nu1)
     # (2 omega) d_beta == omega (2 d_beta) exactly: the doubling is shared
     twice = np.multiply(d_beta, 2.0, out=d_s1)
@@ -344,8 +278,8 @@ def recover_eliminated(d_beta, rhs: KktRhs, out=None) -> tuple[np.ndarray, ...]:
     twice += c
     np.negative(diag.sigma1, out=d_nu1)
     d_nu1 *= d_s1
-    d_nu1 -= rhs.r3
+    d_nu1 -= r3
     np.negative(diag.sigma2, out=d_nu2)
     d_nu2 *= d_s2
-    d_nu2 -= rhs.r4
+    d_nu2 -= r4
     return d_s1, d_s2, d_nu1, d_nu2

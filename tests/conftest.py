@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
-from fftlasso.ipm import IpmState, Iterate
-from fftlasso.newton_system import newton_rhs
+from fftlasso.ipm import IpmState, Iterate, _convergence_report
+from fftlasso.newton_system import (
+    barrier_diagonals,
+    barrier_residuals,
+    condense,
+    dual_residual,
+    recover_eliminated,
+    stationarity,
+)
 
 
 def dense_observation_matrix(mask: Mask) -> np.ndarray:
@@ -45,12 +54,35 @@ def exact_data(state, b, mask: Mask):
     return observe_adjoint(b, mask), gram(state.beta, mask)
 
 
+def newton_rhs(state, xi, g, lam: float):
+    """Residuals ``r1``-``r4``, barrier diagonals ``diag`` and condensed
+    right-hand side ``rho`` of ``state`` at ``state.mu``, over whole
+    vectors: the reference the solver's block sweeps match bit for bit."""
+    r1, r2, r3, r4, rho = (np.empty(state.n) for _ in range(5))
+    stationarity(state, xi, g, r1)
+    dual_residual(state, lam, r2)
+    barrier_residuals(state, r3, r4)
+    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
+    condense(r1, r2, r3, r4, diag.omega1, diag.omega2, rho, np.empty(state.n))
+    return SimpleNamespace(r1=r1, r2=r2, r3=r3, r4=r4, rho=rho, diag=diag)
+
+
+def recovered(d_beta, rhs):
+    """``(d_s1, d_s2, d_nu1, d_nu2)`` back-substituted over whole vectors."""
+    return recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, rhs.diag,
+                              [np.empty(d_beta.size) for _ in range(4)])
+
+
+def check_convergence(state, rhs, tol: float):
+    """The solver's convergence report of ``state`` from whole-vector extremes."""
+    values = (rhs.r1, rhs.r2, state.s1 * state.nu1, state.s2 * state.nu2)
+    extremes = np.array([[v.max() for v in values], [v.min() for v in values]])
+    return _convergence_report(state, extremes, tol)
+
+
 def exact_rhs(state, b, mask: Mask, lam: float):
-    """``newton_rhs`` from the samples, with ``xi`` and ``g`` evaluated exactly,
-    condensed at ``state.mu``."""
-    rhs = newton_rhs(state, *exact_data(state, b, mask), lam)
-    rhs.condense(state)
-    return rhs
+    """:func:`newton_rhs` from the samples, with ``xi`` and ``g`` evaluated exactly."""
+    return newton_rhs(state, *exact_data(state, b, mask), lam)
 
 
 def random_interior_state(rng, n: int, mu: float = 0.05) -> IpmState:

@@ -172,6 +172,21 @@ class TestSolve:
         assert read_report(report)[-1]["reason"] == "injected inner failure"
         assert "injected inner failure" in capsys.readouterr().err
 
+    def test_interior_violation_is_stalled(self, problem_files, monkeypatch):
+        """A step that leaves the interior is an inner failure, not an input
+        error: the start is written and the report says why."""
+        signal, mask, tmp = problem_files
+        monkeypatch.setattr(fftlasso.ipm, "fraction_to_boundary", lambda *args: 1.0)
+        out, report = str(tmp / "b.f64"), str(tmp / "r.jsonl")
+        code = main([
+            "solve", "--input", signal, "--mask", mask, "--output", out, "--report", report,
+        ])
+        assert code == EXIT_STALLED
+        summary = read_report(report)[-1]
+        assert summary["status"] == "stalled" and summary["iterations"] == 0
+        assert summary["reason"] == "s1 must be strictly positive and finite"
+        assert np.all(read_volume(out)[0] == 0.0)
+
     @pytest.mark.parametrize("flag", ["--tol", "--cg-tol"])
     def test_nonfinite_tolerance_is_input_error(self, problem_files, capsys, flag):
         signal, mask, tmp = problem_files

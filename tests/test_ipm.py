@@ -1,6 +1,7 @@
 """Interior-point driver: direction oracles, closed forms, invariants."""
 
 import copy
+import itertools
 import sys
 import tracemalloc
 from dataclasses import fields, replace
@@ -28,17 +29,16 @@ from fftlasso import (
 from fftlasso.diagnostics import ista_solve, soft_threshold
 from fftlasso.ipm import (
     BLOCK,
+    ROLES,
     IpmConfig,
     IpmState,
     NewtonDirection,
-    check_convergence,
     fraction_to_boundary,
     initial_state,
     ipm_step,
     newton_direction,
     next_barrier,
 )
-from fftlasso.newton_system import newton_rhs, recover_eliminated
 
 import fftlasso.fourier
 import fftlasso.ipm
@@ -47,12 +47,15 @@ import fftlasso.newton_system
 import fftlasso.pcg
 from conftest import (
     central_path_state,
+    check_convergence,
     dense_augmented_system,
     dense_observation_matrix,
     exact_data,
     exact_rhs,
     fail_on_call,
+    newton_rhs,
     random_feasible_iterate,
+    recovered,
     same_bits,
     sparse_instance,
     spread_iterate,
@@ -61,6 +64,25 @@ from conftest import (
 
 def empty_mask(n):
     return Mask(np.array([], dtype=np.int64), GridShape((n,)))
+
+
+def evaluated(state, xi, g, lam, mask):
+    """A new workspace holding the evaluation of ``state``, as a solve's
+    sweeps leave it before a step."""
+    work = fftlasso.ipm._Workspace(state.n, mask)
+    work.evaluate(state, xi, g, lam)
+    return work
+
+
+def direction_at(state, b, mask, lam, cg_tol):
+    """The Newton direction at ``state``, with ``xi`` and ``g`` evaluated exactly."""
+    xi, g = exact_data(state, b, mask)
+    return newton_direction(state, xi, g, lam, mask, cg_tol, evaluated(state, xi, g, lam, mask))
+
+
+def report_at(state, b, mask, lam, tol):
+    """The solver's convergence report of ``state``, with ``xi`` and ``g`` exact."""
+    return evaluated(state, *exact_data(state, b, mask), lam, mask).report(state, tol)
 
 
 class TestInitialState:
@@ -84,7 +106,7 @@ class TestInitialState:
         mask = empty_mask(n)
         b = rng.standard_normal(n)
         state = initial_state(n, 0.5)
-        conv = check_convergence(state, exact_rhs(state, b, mask, 0.5), tol=1e-8)
+        conv = report_at(state, b, mask, 0.5, tol=1e-8)
         assert conv.stationarity == pytest.approx(np.max(np.abs(analyze(b, mask.shape))))
         assert conv.dual_equality == 0.0
         assert not conv.converged
@@ -102,7 +124,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(n)
         lam, mu = 0.6, 1e-3
         state = central_path_state(analyze(b, mask.shape), lam, mu)
-        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-12)
+        d = direction_at(state, b, mask, lam, cg_tol=1e-12)
         for block in (d.d_beta, d.d_s1, d.d_s2, d.d_nu1, d.d_nu2):
             assert np.max(np.abs(block)) <= 1e-9
 
@@ -113,7 +135,7 @@ class TestNewtonDirection:
         b = rng.standard_normal(mask.n_observed)
         lam = 0.5
         rhs = exact_rhs(state, b, mask, lam)
-        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-14)
+        d = direction_at(state, b, mask, lam, cg_tol=1e-14)
         m6 = dense_augmented_system(state, mask)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
@@ -159,7 +181,7 @@ class TestNewtonDirection:
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
-        d = newton_direction(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-14)
+        d = direction_at(state, b, mask, lam, cg_tol=1e-14)
         mine = [d.d_beta, (d.d_s1 + d.d_s2) / 2, d.d_s1, d.d_s2,
                 d.d_nu1, d.d_nu2, d.d_nu1, d.d_nu2]
         for got, want in zip(mine, oracle):
@@ -180,7 +202,7 @@ class TestNewtonDirection:
         state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.5)
-        d = newton_direction(state, *exact_data(state, b, mask), 0.5, mask, cg_tol=1e-14)
+        d = direction_at(state, b, mask, 0.5, cg_tol=1e-14)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
         stacked = np.concatenate([rhs.r1, rhs.r2, rhs.r3, rhs.r4, zero, zero])
         dense = np.linalg.solve(dense_augmented_system(state, mask), stacked)
@@ -196,7 +218,7 @@ class TestNewtonDirection:
 
 class TestBlockedSweeps:
     """The workspace's sweeps over blocks of ``BLOCK`` entries give the bits
-    of the full-vector kernels."""
+    of the full-vector references in ``conftest``."""
 
     SIZES = pytest.mark.parametrize("n", [BLOCK // 4 + 3, 2 * BLOCK, 64000],
                                     ids=["below-one-block", "exact-multiple", "ragged-tail"])
@@ -211,17 +233,17 @@ class TestBlockedSweeps:
 
         assert work.evaluate(state, xi, g, lam) is state
         rhs = newton_rhs(state, xi, g, lam)
-        assert same_bits(work.delta, rhs.diag.delta)
-        assert same_bits(work.precond, rhs.diag.precond)
+        rows = work.roles("evaluate", state)
+        assert same_bits(rows["delta"], rhs.diag.delta)
+        assert same_bits(rows["precond"], rhs.diag.precond)
         assert work.report(state, tol) == check_convergence(state, rhs, tol)
 
-        rhs.condense(state)
         work.condense(state, xi, g, lam)
-        assert same_bits(work.rho, rhs.rho)
+        assert same_bits(work.roles("condense", state)["rho"], rhs.rho)
 
         d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
         *steps, alpha_p, alpha_d = work.recover(state, lam, d_beta)
-        expect = recover_eliminated(d_beta, rhs)
+        expect = recovered(d_beta, rhs)
         assert all(same_bits(got, want) for got, want in zip(steps, expect))
         tau = max(0.995, 1.0 - state.mu)
         ratios = [fraction_to_boundary(v, dv, tau)
@@ -241,8 +263,9 @@ class TestBlockedSweeps:
                    zip((new.s1, new.s2, new.nu1, new.nu2), moved))
         assert same_bits(g, g_moved)
         rhs = newton_rhs(new, xi, g, lam)
-        assert same_bits(work.delta, rhs.diag.delta)
-        assert same_bits(work.precond, rhs.diag.precond)
+        rows = work.roles("evaluate", new)
+        assert same_bits(rows["delta"], rhs.diag.delta)
+        assert same_bits(rows["precond"], rhs.diag.precond)
         assert work.report(new, tol) == check_convergence(new, rhs, tol)
 
     @pytest.mark.parametrize("poison", [{"nu1": -1}, {"s2": -1, "nu1": 0}, {"nu2": -1, "s1": 5}],
@@ -323,21 +346,27 @@ class TestStepMechanics:
         lam = 0.4
         state = initial_state(mask.shape.n, lam)
         for _ in range(5):
-            state, _ = ipm_step(state, *exact_data(state, b, mask), lam, mask, cg_tol=1e-12)
+            xi, g = exact_data(state, b, mask)
+            state, _ = ipm_step(state, xi, g, lam, mask, 1e-12, evaluated(state, xi, g, lam, mask))
             assert min(state.s1.min(), state.s2.min()) > 0.0
             assert min(state.nu1.min(), state.nu2.min()) > 0.0
 
     @pytest.mark.parametrize("n_missing", [9, 0])
-    def test_step_without_workspace_leaves_state_unchanged(self, rng, n_missing):
-        """A solve's step evaluates the new iterate into the old one's ``nu``
-        arrays; without ``work``, ``ipm_step`` writes nothing of ``state``."""
+    def test_step_keeps_the_old_slacks(self, rng, n_missing):
+        """A step evaluates the new iterate into the old one's ``nu`` arrays
+        and keeps its slacks, so a solve can still return the old ``beta``;
+        the old arrays become the workspace's ``free`` rows."""
         b, mask, _ = sparse_instance(rng, 64, n_missing, 3)
         state = initial_state(mask.shape.n, 0.4)
+        xi, g = exact_data(state, b, mask)
+        work = evaluated(state, xi, g, 0.4, mask)
         for _ in range(3):
             kept = state.copy()
-            new, _ = ipm_step(state, *exact_data(state, b, mask), 0.4, mask, cg_tol=1e-12)
-            for name in ("s1", "s2", "nu1", "nu2"):
-                assert same_bits(getattr(state, name), getattr(kept, name)), name
+            new, _ = ipm_step(state, xi, g, 0.4, mask, 1e-12, work)
+            rows = work.roles("evaluate", new)
+            assert same_bits(rows["previous_s1"], kept.s1) and rows["previous_s1"] is state.s1
+            assert same_bits(rows["previous_s2"], kept.s2) and rows["previous_s2"] is state.s2
+            assert rows["delta"] is state.nu1 and rows["precond"] is state.nu2
             state = new
 
     def test_stalled_step_raises(self, rng, monkeypatch):
@@ -356,11 +385,13 @@ class TestStepMechanics:
         )
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
                             lambda *args, **kw: blocked)
+        xi, g = exact_data(state, b, mask)
         with pytest.raises(StalledError):
-            ipm_step(state, *exact_data(state, b, mask), 0.5, mask, cg_tol=1e-12)
+            ipm_step(state, xi, g, 0.5, mask, 1e-12, evaluated(state, xi, g, 0.5, mask))
 
     def test_nan_slack_step_leaves_interior(self, rng, monkeypatch):
-        """A step that poisons a slack is caught by the next evaluation."""
+        """A step that poisons a slack is caught by the next evaluation, which
+        ends the solve at the start."""
         b, mask, _ = sparse_instance(rng, 32, 4, 3)
         exact = fftlasso.ipm.newton_direction
 
@@ -371,8 +402,10 @@ class TestStepMechanics:
             return replace(d, d_s1=d_s1)
 
         monkeypatch.setattr(fftlasso.ipm, "newton_direction", poisoned)
-        with pytest.raises(InteriorViolationError):
-            solve(b, mask, IpmConfig(lam=0.4))
+        beta, report = solve(b, mask, IpmConfig(lam=0.4))
+        assert report.status == "stalled" and report.iterations == 0
+        assert report.reason == "s1 must be strictly positive and finite"
+        assert np.all(beta == 0.0)
 
 
 class TestConfigValidation:
@@ -427,7 +460,7 @@ class TestCheckConvergence:
         b = rng.standard_normal(n)
         lam = 0.6
         state = central_path_state(analyze(b, mask.shape), lam, mu=1e-12)
-        conv = check_convergence(state, exact_rhs(state, b, mask, lam), tol=1e-8)
+        conv = report_at(state, b, mask, lam, tol=1e-8)
         assert conv.converged
         assert conv.complementarity <= 1e-8
 
@@ -439,8 +472,9 @@ class TestCheckConvergence:
         n = 32
         mask = Mask(np.sort(rng.choice(n, 5, replace=False)), GridShape((n,)))
         state = random_feasible_iterate(rng, n, mu=10.0 ** log_mu)
-        rhs = exact_rhs(state, rng.standard_normal(mask.n_observed), mask, 0.5)
-        conv = check_convergence(state, rhs, tol=1e-8)
+        b = rng.standard_normal(mask.n_observed)
+        rhs = exact_rhs(state, b, mask, 0.5)
+        conv = report_at(state, b, mask, 0.5, tol=1e-8)
         full = state.view()
         pieces = [rhs.r1, rhs.r2,
                   full.z + full.beta - full.s1, full.z - full.beta - full.s2,
@@ -455,8 +489,7 @@ class TestCheckConvergence:
         mask = empty_mask(n)
         b = 10.0 * rng.standard_normal(n)
         state = initial_state(n, 0.5)
-        rhs = exact_rhs(state, b, mask, 0.5)
-        assert not check_convergence(state, rhs, tol=1e-8).converged
+        assert not report_at(state, b, mask, 0.5, tol=1e-8).converged
 
     def test_soft_threshold_fixed_point(self, rng):
         """Empty-mask solutions are the soft threshold of the correlation."""
@@ -680,6 +713,40 @@ class TestSolve:
         np.testing.assert_array_equal(beta, seen[0][0].beta)
         assert report.final_kkt == seen[0][1].kkt_max < 1e3
 
+    def test_interior_violation_returns_best_iterate(self, monkeypatch):
+        """A step that leaves the interior ends the solve as ``stalled`` with
+        the best iterate seen: the failing step keeps the old slacks."""
+        noisy, mask, _ = generate_synthetic(
+            SyntheticSpec(dims=(8, 8, 8), noise_seed=42, missing_seed=43))
+        b = noisy[~mask.missing_bool]
+        exact = fftlasso.ipm.fraction_to_boundary
+        calls = []
+
+        def full_steps_from_the_third(*args):  # four ratios per step on one block
+            calls.append(None)
+            return exact(*args) if len(calls) <= 8 else 1.0
+
+        monkeypatch.setattr(fftlasso.ipm, "fraction_to_boundary", full_steps_from_the_third)
+        seen = []
+        beta, report = solve(b, mask, observer=lambda state, record: seen.append((state, record)))
+        assert report.status == "stalled"
+        assert report.reason == "s1 must be strictly positive and finite"
+        assert report.iterations == len(seen) == 2
+        best_state, best_record = min(seen, key=lambda pair: pair[1].kkt_max)
+        np.testing.assert_array_equal(beta, best_state.beta)
+        assert report.final_kkt == best_record.kkt_max
+        assert report.final_objective == lasso_objective(beta, b, mask, report.lam)
+
+    def test_seed_42_counters(self):
+        """The 32^3 masked solve (noise seed 42, missing seed 43, 15% missing)
+        keeps its IPM and per-step Krylov counts: a change that keeps every
+        iterate bit for bit keeps them too."""
+        noisy, mask, _ = generate_synthetic(
+            SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
+        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
+        assert report.converged and report.iterations == 14
+        assert report.krylov_counts == [1, 5, 7, 9, 9, 9, 8, 8, 6, 6, 5, 5, 4, 3]
+
     def test_failure_on_first_step_returns_start(self, rng, monkeypatch):
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
@@ -687,6 +754,90 @@ class TestSolve:
         beta, report = solve(b, mask, IpmConfig(lam=0.4))
         assert report.status == "stalled" and report.iterations == 0
         assert np.all(beta == 0.0) and np.isfinite(report.final_kkt)
+
+
+class _NanEmpty:
+    """numpy as ``fftlasso.ipm`` sees it, with ``empty`` filled with NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(*args, **kw):
+        out = np.empty(*args, **kw)
+        out.fill(np.nan)
+        return out
+
+
+def _roles_instance(dims, missing_fraction=0.15):
+    noisy, mask, _ = generate_synthetic(SyntheticSpec(
+        dims=dims, noise_seed=42, missing_fraction=missing_fraction, missing_seed=43))
+    return noisy[~mask.missing_bool], mask
+
+
+ROLE_GRIDS = pytest.mark.parametrize("dims,missing_fraction", [
+    ((40, 40, 40), 0.15), ((32, 32, 32), 0.0), ((64, 64), 0.15), ((48,), 0.15)],
+    ids=["40^3-ragged-tail", "32^3-empty-mask", "64^2", "1d-48"])
+
+
+class TestWorkspaceRoles:
+    """The workspace's rows hold the roles that ``ROLES`` gives them."""
+
+    @ROLE_GRIDS
+    def test_no_role_read_before_written(self, dims, missing_fraction, monkeypatch):
+        """With every workspace row NaN when allocated, a solve gives the same
+        beta and records (but ``wall_time``): no phase reads a row that an
+        earlier phase has not written."""
+        b, mask = _roles_instance(dims, missing_fraction)
+
+        def solved():
+            beta, report = solve(b, mask, IpmConfig(tol=1e-8))
+            assert report.converged
+            records = [{k: v for k, v in vars(rec).items() if k != "wall_time"}
+                       for rec in report.records]
+            return beta.tobytes(), records, report.final_kkt, report.final_objective
+
+        plain = solved()
+        monkeypatch.setattr(fftlasso.ipm, "np", _NanEmpty())
+        assert solved() == plain
+
+    @ROLE_GRIDS
+    def test_live_roles_never_share_memory(self, dims, missing_fraction):
+        """In every phase, before and after the step rotates the rows, the
+        live roles and the scratch rows are disjoint.  (The Gram products'
+        half spectra are lent by rows idle while they run.)"""
+        _, mask = _roles_instance(dims, missing_fraction)
+        n = mask.shape.n
+        work = fftlasso.ipm._Workspace(n, mask)
+        state = initial_state(n, 0.5)
+        for _ in range(2):
+            for phase in ROLES:
+                live = [(role, row) for role, row in work.roles(phase, state).items()
+                        if row is not None]
+                live += [(f"scratch{i}", row) for i, row in enumerate(work.blocks[0][1])]
+                for (role_a, a), (role_b, b) in itertools.combinations(live, 2):
+                    assert not np.shares_memory(a, b), (phase, role_a, role_b)
+            steps = work.roles("step", state)
+            state = work.rotate(state, [steps[f"d_{name}"] for name in ("s1", "s2", "nu1", "nu2")])
+        if not mask.n_missing:  # G = I: no G d_beta to accumulate and no G p
+            assert work.rows["image"] is None and work.rows["gram_p"] is None
+
+    @pytest.mark.parametrize("dims,floats,lenders", [
+        # 7 n-long rows, 2 of 2*64*33 floats that lend half spectra, 7 scratch rows
+        ((64, 64), 7 * 4096 + 2 * 4224 + 7 * 4096, ["product", "spare"]),
+        # 6 n-long rows, 2 of 2*16*16*9 floats that lend half spectra, 7 scratch rows
+        ((16, 16, 16), 6 * 4096 + 2 * 4608 + 7 * 4096, ["product", "gram_p"]),
+    ], ids=["2d", "3d"])
+    def test_allocation_size(self, dims, floats, lenders):
+        """On a masked grid only the rows that lend a half spectrum are padded.
+        On 2-D grids the packing passes end in the second half spectrum, so
+        ``gram_p``, their output, is a plain row and a spare row lends it."""
+        _, mask = _roles_instance(dims)
+        work = fftlasso.ipm._Workspace(mask.shape.n, mask)
+        assert work.rows["x"].base.size == floats
+        for name, row in work.rows.items():
+            lends = [np.shares_memory(row, half) for half in work.spectra]
+            assert lends == [name == lender for lender in lenders], name
 
 
 def forbid_transforms(monkeypatch):
@@ -789,8 +940,7 @@ class TestEvaluationCounts:
         # one evaluation per iterate, plus the exact one confirming convergence
         assert counts["evaluate"] == report.iterations + 2
 
-        exact = check_convergence(states[-1], exact_rhs(states[-1], b, mask, report.lam),
-                                  report.tol)
+        exact = report_at(states[-1], b, mask, report.lam, report.tol)
         assert exact.converged
         assert abs(report.final_kkt - exact.max_residual) <= 1e-14
 
@@ -892,8 +1042,8 @@ class TestMemory:
     twelve persist.  Besides them come seven block-length scratch rows and
     numpy's buffers.  On a masked grid the Gram products in the Newton loop
     borrow their half spectra from the product and ``G p`` rows, the only
-    two rows padded by ``2n/d_last`` floats so that one fits (on 2-D grids,
-    one half spectrum kept for the solve stands in for the second).  Only
+    two rows padded by ``2n/d_last`` floats so that one fits (on 2-D grids
+    a spare row lends the second instead, and ``G p``'s is n long).  Only
     the transforms of ``b`` before the loop and of the objective after it
     allocate their own."""
 
@@ -941,8 +1091,8 @@ class TestMemory:
     def test_no_half_spectrum_allocated_by_public_steps(self, dims, monkeypatch):
         """``newton_direction`` and ``ipm_step`` make transforms only in PCG's
         products, and those borrow their half spectra from the workspace,
-        new without ``work``, whatever arrays the iterate is in: also at the
-        second step through a workspace that did not hold the first iterate."""
+        whatever arrays the iterate is in: also at the second step through a
+        workspace that did not hold the first iterate."""
         noisy, mask, _ = generate_synthetic(
             SyntheticSpec(dims=dims, noise_seed=42, missing_seed=43))
         b, lam = noisy[~mask.missing_bool], 0.05
@@ -956,10 +1106,11 @@ class TestMemory:
             return half_spectra(shape, spectra)
 
         monkeypatch.setattr(fftlasso.fourier, "_half_spectra", spy)
-        direction = newton_direction(state, xi, g, lam, mask, 1e-12)
-        state, step = ipm_step(state, xi, g, lam, mask, 1e-12)
+        direction = newton_direction(state, xi, g, lam, mask, 1e-12,
+                                     evaluated(state, xi, g, lam, mask))
+        state, step = ipm_step(state, xi, g, lam, mask, 1e-12, evaluated(state, xi, g, lam, mask))
         krylov = [direction.krylov_iters, step.krylov_iters]
-        work = fftlasso.ipm._evaluated(state, xi, g, lam, mask)
+        work = evaluated(state, xi, g, lam, mask)
         for _ in range(2):
             state, step = ipm_step(state, xi, g, lam, mask, 1e-12, work)
             krylov.append(step.krylov_iters)

@@ -7,14 +7,11 @@ from hypothesis import strategies as st
 
 from fftlasso import GridShape, InteriorViolationError, Mask, analyze
 from fftlasso.diagnostics import dense_gram_matrix, densify
-from fftlasso.ipm import Iterate
+from fftlasso.ipm import Iterate, _Workspace
 from fftlasso.newton_system import (
-    BarrierDiagonals,
-    KktRhs,
     apply_kkt,
     apply_precond_inverse,
     barrier_diagonals,
-    newton_rhs,
     recover_eliminated,
 )
 
@@ -22,8 +19,10 @@ from conftest import (
     central_path_state,
     dense_augmented_system,
     exact_rhs,
+    newton_rhs,
     random_feasible_iterate,
     random_interior_state,
+    recovered,
     same_bits,
     spread_iterate,
 )
@@ -265,14 +264,12 @@ class TestPreconditionedOperator:
 
 class TestRecoverEliminated:
     def test_zero_rhs(self, rng):
-        from fftlasso.newton_system import KktRhs
-
         n = 8
         st8 = random_feasible_iterate(rng, n)
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        zrhs = KktRhs(*(np.zeros(n) for _ in range(5)), diag=d)
-        for block in recover_eliminated(zero, zrhs):
+        out = [np.full(n, np.nan) for _ in range(4)]
+        for block in recover_eliminated(zero, zero, zero, zero, d, out):
             assert np.all(block == 0.0)
 
     def test_matches_dense_six_block_solve(self, rng):
@@ -292,7 +289,7 @@ class TestRecoverEliminated:
             rhs.rho,
             PcgConfig(abs_tol=1e-13),
         )
-        d_s1, d_s2, d_nu1, d_nu2 = recover_eliminated(res.solution, rhs)
+        d_s1, d_s2, d_nu1, d_nu2 = recovered(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
         zero = np.zeros(n)  # the slack equations hold on the solver's domain
@@ -312,7 +309,7 @@ class TestRecoverEliminated:
         rhs = exact_rhs(st8, b, mask, 0.4)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         db = rng.standard_normal(n)
-        d_s1, d_s2, d_nu1, d_nu2 = recover_eliminated(db, rhs)
+        d_s1, d_s2, d_nu1, d_nu2 = recovered(db, rhs)
         dz = (d_s1 + d_s2) / 2  # with d_y = d_nu and r5 = r6 = 0
         np.testing.assert_allclose(
             -db - dz - d_nu1 / d.sigma1, rhs.r3 / d.sigma1, atol=1e-12
@@ -323,12 +320,6 @@ class TestRecoverEliminated:
         # d_z satisfies the second condensed row for any d_beta
         r_c = rhs.r2 - rhs.r3 - rhs.r4
         np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
-
-
-def nan_buffers(n):
-    """KktRhs-shaped arrays full of NaN, so any entry left unwritten shows."""
-    return KktRhs(*(np.full(n, np.nan) for _ in range(5)),
-                  BarrierDiagonals(*(np.full(n, np.nan) for _ in range(6))))
 
 
 class TestInPlaceKernels:
@@ -350,18 +341,12 @@ class TestInPlaceKernels:
         r3, r4 = nu1 - mu / s1, nu2 - mu / s2
         rho = r1 + omega1 * (2.0 * r4 - r2) + omega2 * (r2 - 2.0 * r3)
 
-        fresh = newton_rhs(state, xi, g, lam)
-        fresh.condense(state)
-        buffers = nan_buffers(n)
-        assert newton_rhs(state, xi, g, lam, out=buffers) is buffers
-        assert all(np.isnan(a).all() for a in (buffers.r3, buffers.r4, buffers.rho))
-        buffers.condense(state, np.full(n, np.nan))
-        for rhs in (fresh, buffers):
-            for got, want in zip((rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.rho),
-                                 (r1, r2, r3, r4, rho)):
-                assert same_bits(got, want)
-            for got, want in zip(vars(rhs.diag).values(), expect_diag):
-                assert same_bits(got, want)
+        rhs = newton_rhs(state, xi, g, lam)
+        for got, want in zip((rhs.r1, rhs.r2, rhs.r3, rhs.r4, rhs.rho),
+                             (r1, r2, r3, r4, rho)):
+            assert same_bits(got, want)
+        for got, want in zip(vars(rhs.diag).values(), expect_diag):
+            assert same_bits(got, want)
 
     @pytest.mark.parametrize("missing", [[], [1, 6, 7, 30]])
     def test_schur_product_into_given_vectors(self, rng, missing):
@@ -376,18 +361,17 @@ class TestInPlaceKernels:
             assert same_bits(a, b)
 
     def test_condensation_at_a_new_barrier(self, rng):
-        """Condensing in place at another barrier gives that barrier's evaluation."""
+        """Condensing an evaluation at another barrier gives that barrier's
+        ``rho``: the evaluation's rows do not depend on ``mu``."""
         n = 512
         state = spread_iterate(rng, n, mu=1e-2)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
-        rhs = newton_rhs(state, xi, g, 0.5)
-        rhs.condense(state)
+        work = _Workspace(n)
+        work.evaluate(state, xi, g, 0.5)
+        work.condense(state, xi, g, 0.5)
         lower = Iterate(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
-        rhs.condense(lower)
-        fresh = newton_rhs(lower, xi, g, 0.5)
-        fresh.condense(lower)
-        for name in ("r1", "r2", "r3", "r4", "rho"):
-            assert same_bits(getattr(rhs, name), getattr(fresh, name))
+        work.condense(lower, xi, g, 0.5)
+        assert same_bits(work.roles("condense", lower)["rho"], newton_rhs(lower, xi, g, 0.5).rho)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_recovery(self, seed):
@@ -395,7 +379,6 @@ class TestInPlaceKernels:
         n = 4096
         state = spread_iterate(rng, n, mu=1e-3)
         rhs = newton_rhs(state, rng.standard_normal(n), rng.standard_normal(n), 0.5)
-        rhs.condense(state)
         d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
         keep = d_beta.copy()
         d = rhs.diag
@@ -404,9 +387,8 @@ class TestInPlaceKernels:
         d_s2 = c - 2.0 * d.omega1 * d_beta
         expect = (d_s1, d_s2, -d.sigma1 * d_s1 - rhs.r3, -d.sigma2 * d_s2 - rhs.r4)
         out = [np.full(n, np.nan) for _ in range(4)]
-        for sol in (recover_eliminated(d_beta, rhs), recover_eliminated(d_beta, rhs, out=out)):
-            assert len(sol) == 4
-            for got, want in zip(sol, expect):
-                assert same_bits(got, want)
-        assert all(a is b for a, b in zip(out, sol))
+        sol = recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, d, out)
+        assert len(sol) == 4 and all(a is b for a, b in zip(out, sol))
+        for got, want in zip(sol, expect):
+            assert same_bits(got, want)
         assert same_bits(d_beta, keep)
