@@ -28,10 +28,11 @@ def _parse_dims(text: str) -> tuple[int, ...]:
 
 
 def _write_report(path: str, records: list[dict]) -> None:
+    """Write ``records`` as JSON lines.  A NaN or infinity raises
+    ``ValueError`` before the file is opened, so no partial report is left."""
+    lines = [json.dumps(record, sort_keys=True, allow_nan=False) + "\n" for record in records]
     with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True))
-            fh.write("\n")
+        fh.writelines(lines)
 
 
 def _cmd_generate(args) -> int:

@@ -7,9 +7,9 @@ Solves
 through the standard bound-constrained reformulation with auxiliary
 variable ``z`` (|beta| <= z elementwise), slacks ``s1 = z + beta``,
 ``s2 = z - beta``, equality multipliers ``y1, y2`` and bound multipliers
-``nu1, nu2``.  The solver carries four of them, an :class:`Iterate`
-``(s1, s2, nu1, nu2)`` with ``beta`` and ``z`` derived and ``y = nu``;
-observers get an :class:`IpmState` view.  Each iteration takes one Newton
+``nu1, nu2``.  The solver carries four of them, an :class:`IpmState`
+``(s1, s2, nu1, nu2, mu)`` with ``beta`` and ``z`` derived and ``y = nu``;
+observers get copies of it.  Each iteration takes one Newton
 step on the barrier KKT system (no predictor-corrector), solving the Schur
 complement of the condensed 2x2 system, an n x n system in ``d_beta``,
 with preconditioned CG; the other blocks follow by back-substitution.
@@ -60,7 +60,6 @@ from .pcg import PcgConfig, is_iteration_count, pcg_solve
 __all__ = [
     "IpmConfig",
     "IpmState",
-    "Iterate",
     "IterationRecord",
     "SolveReport",
     "ConvergenceReport",
@@ -109,40 +108,8 @@ class IpmConfig:
             raise ValueError("max_iters must be a nonnegative integer")
 
 
-class _Complementarity:
-    """Size and duality measure, shared by :class:`Iterate` and its view."""
-
-    @property
-    def n(self) -> int:
-        return self.s1.size
-
-    def duality_measure(self) -> float:
-        """Average complementarity product (nu1's1 + nu2's2) / 2n."""
-        return float(self.nu1 @ self.s1 + self.nu2 @ self.s2) / (2 * self.n)
-
-
-@dataclass
-class IpmState(_Complementarity):
-    """All primal-dual variables plus the current barrier parameter.
-
-    Observers get this :meth:`Iterate.view` of a copy of the solver's
-    iterate, whose arrays the solver reuses: ``y1``/``y2`` are the arrays
-    ``nu1``/``nu2``, and ``z +/- beta`` gives ``s1``/``s2`` to rounding.
-    """
-
-    beta: np.ndarray
-    z: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray
-    mu: float
-
-
 @dataclass(frozen=True)
-class Iterate(_Complementarity):
+class IpmState:
     """The solver's iterate: slacks, bound multipliers and the barrier.
 
     ``beta = (s1 - s2)/2`` and ``z = (s1 + s2)/2`` are derived, so the slack
@@ -159,20 +126,22 @@ class Iterate(_Complementarity):
     mu: float
 
     @property
+    def n(self) -> int:
+        return self.s1.size
+
+    @property
     def beta(self) -> np.ndarray:
         """``(s1 - s2)/2``, a new array on every access."""
         return 0.5 * (self.s1 - self.s2)
 
-    def copy(self) -> "Iterate":
-        """The same iterate in new arrays."""
-        return Iterate(self.s1.copy(), self.s2.copy(), self.nu1.copy(), self.nu2.copy(),
-                       self.mu)
+    def duality_measure(self) -> float:
+        """Average complementarity product (nu1's1 + nu2's2) / 2n."""
+        return float(self.nu1 @ self.s1 + self.nu2 @ self.s2) / (2 * self.n)
 
-    def view(self) -> IpmState:
-        """The full primal-dual state, sharing this iterate's arrays."""
-        return IpmState(beta=self.beta, z=0.5 * (self.s1 + self.s2),
-                        s1=self.s1, s2=self.s2, y1=self.nu1, y2=self.nu2,
-                        nu1=self.nu1, nu2=self.nu2, mu=self.mu)
+    def copy(self) -> "IpmState":
+        """The same iterate in new arrays."""
+        return IpmState(self.s1.copy(), self.s2.copy(), self.nu1.copy(), self.nu2.copy(),
+                        self.mu)
 
 
 @dataclass(frozen=True)
@@ -266,7 +235,7 @@ def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
-def initial_state(n: int, lam: float) -> Iterate:
+def initial_state(n: int, lam: float) -> IpmState:
     """Well-centered starting point.
 
     ``s1 = s2 = 1`` puts ``beta = 0``, ``z = 1``; ``nu = lam/2`` zeroes
@@ -276,8 +245,8 @@ def initial_state(n: int, lam: float) -> Iterate:
     """
     if lam <= 0:
         raise ValueError("penalty must be positive")
-    return Iterate(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
-                   nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
+    return IpmState(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
+                    nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
 def _extremes(state, r1, r2, scratch, out) -> None:
@@ -291,7 +260,7 @@ def _extremes(state, r1, r2, scratch, out) -> None:
     out[:, 3] = prod.max(), prod.min()
 
 
-def _convergence_report(state: Iterate, extremes: np.ndarray, tol: float) -> ConvergenceReport:
+def _convergence_report(state: IpmState, extremes: np.ndarray, tol: float) -> ConvergenceReport:
     """Exact KKT residuals, the barrier residual at ``state.mu`` and the
     centrality monitor, from the :func:`_extremes` of ``state``.  The slack
     equations and ``y = nu`` hold exactly, so their residuals are not
@@ -400,20 +369,20 @@ class _Workspace:
                        for start in range(0, n, block)]
         self.extremes = np.empty((len(self.blocks), 2, 4))
 
-    def roles(self, phase: str, state: Iterate) -> dict:
+    def roles(self, phase: str, state: IpmState) -> dict:
         """The arrays holding ``phase``'s roles while ``state`` is the
         iterate; None for a row the grid does not need."""
         return {role: getattr(state, row) if row in _ITERATE else self.rows[row]
                 for role, row in ROLES[phase].items()}
 
-    def rotate(self, state: Iterate, moved) -> Iterate:
+    def rotate(self, state: IpmState, moved) -> IpmState:
         """The iterate in the four arrays ``moved``, where the step wrote it;
         ``state``'s arrays become the ``free`` rows."""
         self.rows.update(zip(_FREE, _arrays(state)))
-        return Iterate(*moved, mu=state.mu)
+        return IpmState(*moved, mu=state.mu)
 
-    def evaluate(self, state: Iterate, xi, g, lam: float,
-                 step: NewtonDirection | None = None) -> Iterate:
+    def evaluate(self, state: IpmState, xi, g, lam: float,
+                 step: NewtonDirection | None = None) -> IpmState:
         """Evaluate ``state`` in one sweep: check that it is interior, write
         the ``evaluate`` roles and keep the extremes for :meth:`report`.
 
@@ -456,12 +425,12 @@ class _Workspace:
             check_interior(*_arrays(new))
         return new
 
-    def report(self, state: Iterate, tol: float) -> ConvergenceReport:
+    def report(self, state: IpmState, tol: float) -> ConvergenceReport:
         """The :class:`ConvergenceReport` of the iterate :meth:`evaluate` last saw."""
         extremes = np.stack((self.extremes[:, 0].max(axis=0), self.extremes[:, 1].min(axis=0)))
         return _convergence_report(state, extremes, tol)
 
-    def condense(self, state: Iterate, xi, g, lam: float) -> None:
+    def condense(self, state: IpmState, xi, g, lam: float) -> None:
         """Form the condensed right-hand side ``rho`` at ``state.mu``."""
         rows = self.roles("condense", state)
         for cut, scratch in self.blocks:
@@ -473,7 +442,7 @@ class _Workspace:
             condense(r1, r2, r3, r4, rows["omega1"][cut], rows["omega2"][cut],
                      rows["rho"][cut], term)
 
-    def recover(self, state: Iterate, lam: float, d_beta) -> tuple:
+    def recover(self, state: IpmState, lam: float, d_beta) -> tuple:
         """Back-substitute the direction from ``d_beta`` into its rows;
         returns ``(d_s1, d_s2, d_nu1, d_nu2, alpha_primal, alpha_dual)``."""
         roles = self.roles("recover", state)
@@ -501,11 +470,11 @@ def _arrays(state) -> tuple:
     return state.s1, state.s2, state.nu1, state.nu2
 
 
-def _block(state: Iterate, cut: slice) -> Iterate:
-    return Iterate(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
+def _block(state: IpmState, cut: slice) -> IpmState:
+    return IpmState(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
 
 
-def newton_direction(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
+def newton_direction(state: IpmState, xi, g, lam: float, mask: Mask, cg_tol: float,
                      work: _Workspace) -> NewtonDirection:
     """One Newton direction on the barrier KKT system at ``state.mu``.
 
@@ -563,8 +532,8 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
     return min(1.0, tau * -float(nearest.view(np.float64)))
 
 
-def ipm_step(state: Iterate, xi, g, lam: float, mask: Mask, cg_tol: float,
-             work: _Workspace) -> tuple[Iterate, NewtonDirection]:
+def ipm_step(state: IpmState, xi, g, lam: float, mask: Mask, cg_tol: float,
+             work: _Workspace) -> tuple[IpmState, NewtonDirection]:
     """Take one damped Newton step from ``state`` and evaluate the new iterate;
     returns it and the direction, which holds both step lengths.
 
@@ -603,9 +572,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     observer : callable, optional
         Called as ``observer(state, record)`` after every iteration;
         used by the spectral diagnostics to record trajectories.  Each
-        state is a new :class:`IpmState` view of a copy of the iterate,
-        whose ``mu`` equals ``record.mu``; the solver never modifies its
-        arrays.
+        state is a copy of the iterate, an :class:`IpmState` in new arrays
+        whose ``mu`` equals ``record.mu``; the solver never modifies them.
 
     Returns
     -------
@@ -620,11 +588,14 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         (``InteriorViolationError``), with status ``"stalled"`` and the
         error's message as ``reason``.
 
-    Raises ``ValueError`` for NaN/Inf in ``b`` before any transform.
+    Raises ``ValueError`` before any transform for NaN/Inf in ``b``, and for
+    samples whose squared norm ``b @ b`` overflows, which would make the
+    objective infinite.
     """
     b = np.asarray(b, dtype=np.float64).reshape(-1)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("observed samples must be finite")
+    with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
+        if not math.isfinite(b @ b):
+            raise ValueError("observed samples must be finite, with a finite squared norm")
     xi = observe_adjoint(b, mask)
     lam = config.lam if config.lam is not None else _penalty_of_correlation(xi)
     if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
@@ -704,7 +675,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         elif best_beta is None:  # the best is `previous`, whose arrays the next step reuses
             best_beta = previous.beta
         if observer is not None:  # a copy: the solver reuses the iterate's arrays
-            observer(state.copy().view(), record)
+            observer(state.copy(), record)
 
     status = "converged" if conv.converged else "stalled" if stalled else "max_iters"
     if status == "converged" or best_beta is None:

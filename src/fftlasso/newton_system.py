@@ -15,7 +15,7 @@ the barrier scaling diagonals.  In this symmetrized form the slack blocks
 carry the opposite sign from the raw Newton linearization: the true slack
 step is ``-d_s1, -d_s2``, which :func:`recover_eliminated` returns.
 
-On the solver's domain (``ipm.Iterate``) the slack equations hold by
+On the solver's domain (``ipm.IpmState``) the slack equations hold by
 construction, so the last two residual blocks are zero, and ``y = nu``, so
 the multiplier step ``d_y`` is ``d_nu`` and
 

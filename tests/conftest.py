@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
-from fftlasso.ipm import IpmState, Iterate, _convergence_report
+from fftlasso.ipm import IpmState, _convergence_report
 from fftlasso.newton_system import (
     barrier_diagonals,
     barrier_residuals,
@@ -27,7 +27,7 @@ def dense_observation_matrix(mask: Mask) -> np.ndarray:
     return a[~mask.missing_bool, :]
 
 
-def dense_augmented_system(state: Iterate, mask: Mask):
+def dense_augmented_system(state: IpmState, mask: Mask):
     """Dense 6n x 6n symmetrized Newton matrix in the packed block order.
 
     Variables ordered (d_beta, d_z, d_s1, d_s2, d_y1, d_y2); the slack
@@ -85,43 +85,28 @@ def exact_rhs(state, b, mask: Mask, lam: float):
     return newton_rhs(state, *exact_data(state, b, mask), lam)
 
 
-def random_interior_state(rng, n: int, mu: float = 0.05) -> IpmState:
-    """Arbitrary strictly interior iterate (not centered, not feasible)."""
-    return IpmState(
-        beta=rng.standard_normal(n) * 0.4,
-        z=rng.random(n) + 0.8,
-        s1=rng.random(n) + 0.4,
-        s2=rng.random(n) + 0.4,
-        y1=rng.random(n) + 0.3,
-        y2=rng.random(n) + 0.3,
-        nu1=rng.random(n) + 0.3,
-        nu2=rng.random(n) + 0.3,
-        mu=mu,
-    )
-
-
-def random_feasible_iterate(rng, n: int, mu: float = 0.05) -> Iterate:
+def random_feasible_iterate(rng, n: int, mu: float = 0.05) -> IpmState:
     """Arbitrary strictly interior iterate of the solver (not centered).
 
     The slack equations hold and ``y = nu``, as on every iterate the solver
     forms; the stationarity, dual-equality and complementarity residuals
     are arbitrary.
     """
-    return Iterate(s1=rng.random(n) + 0.4, s2=rng.random(n) + 0.4,
-                   nu1=rng.random(n) + 0.3, nu2=rng.random(n) + 0.3, mu=mu)
+    return IpmState(s1=rng.random(n) + 0.4, s2=rng.random(n) + 0.4,
+                    nu1=rng.random(n) + 0.3, nu2=rng.random(n) + 0.3, mu=mu)
 
 
 def spread_iterate(rng, n, mu):
     """Interior iterate with entries spread over 16 decades, as near convergence."""
     s1, s2, nu1, nu2 = (10.0 ** rng.uniform(-8, 8, n) for _ in range(4))
-    return Iterate(s1=s1, s2=s2, nu1=nu1, nu2=nu2, mu=mu)
+    return IpmState(s1=s1, s2=s2, nu1=nu1, nu2=nu2, mu=mu)
 
 
 def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-def central_path_state(xi: np.ndarray, lam: float, mu: float) -> Iterate:
+def central_path_state(xi: np.ndarray, lam: float, mu: float) -> IpmState:
     """Exact barrier-system solution for the empty-mask problem.
 
     With an orthogonal observation operator the barrier system separates
@@ -152,7 +137,7 @@ def central_path_state(xi: np.ndarray, lam: float, mu: float) -> Iterate:
     s_minus = (2.0 * mu / lam) * z / s_plus
     s1 = np.where(beta >= 0, s_plus, s_minus)
     s2 = np.where(beta >= 0, s_minus, s_plus)
-    return Iterate(s1=s1, s2=s2, nu1=mu / s1, nu2=mu / s2, mu=mu)
+    return IpmState(s1=s1, s2=s2, nu1=mu / s1, nu2=mu / s2, mu=mu)
 
 
 def sparse_instance(rng, n: int, n_missing: int, n_active: int,

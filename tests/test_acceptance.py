@@ -30,14 +30,14 @@ from fftlasso.diagnostics import (
     preconditioned_spectrum,
     soft_threshold,
 )
-from fftlasso.ipm import IpmConfig, IpmState
+from fftlasso.ipm import IpmConfig
 from fftlasso.newton_system import (
     apply_kkt,
     apply_precond_inverse,
     barrier_diagonals,
 )
 
-from conftest import penalty_at_widest_gap, random_interior_state, sparse_instance
+from conftest import penalty_at_widest_gap, random_feasible_iterate, sparse_instance
 
 
 def report_pass(number, text):
@@ -46,14 +46,6 @@ def report_pass(number, text):
 
 def empty_mask(n):
     return Mask(np.array([], dtype=np.int64), GridShape((n,)))
-
-
-def snapshot(state):
-    return IpmState(
-        mu=state.mu,
-        **{f: getattr(state, f).copy()
-           for f in ("beta", "z", "s1", "s2", "y1", "y2", "nu1", "nu2")},
-    )
 
 
 def test_criterion_1_operator_correctness():
@@ -77,7 +69,7 @@ def test_criterion_1_operator_correctness():
         worst = max(worst, np.max(np.abs(a[keep] - obs)))
         worst = max(worst, np.max(np.abs(a[keep].T - adj)))
 
-        state = random_interior_state(rng, n)
+        state = random_feasible_iterate(rng, n)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
         k_dense = np.block([
             [dense_gram_matrix(mask) + np.diag(d.lambda1), np.diag(d.lambda2)],
@@ -181,7 +173,7 @@ def test_criterion_5_spectrum_claims():
                                      amplitude=(1.0, 2.0), noise=0.02)
         states = []
         beta, report = solve(b, mask, IpmConfig(lam=0.35, tol=1e-8),
-                             observer=lambda s, r: states.append(snapshot(s)))
+                             observer=lambda s, r: states.append(s))
         assert report.converged
         probe = preconditioned_spectrum(states[-1], mask)
         assert probe.duality_measure <= 1e-6

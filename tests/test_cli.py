@@ -7,7 +7,14 @@ import pytest
 
 import fftlasso.ipm
 from conftest import fail_on_call
-from fftlasso.cli import EXIT_INPUT_ERROR, EXIT_MAX_ITERS, EXIT_OK, EXIT_STALLED, main
+from fftlasso.cli import (
+    EXIT_INPUT_ERROR,
+    EXIT_MAX_ITERS,
+    EXIT_OK,
+    EXIT_STALLED,
+    _write_report,
+    main,
+)
 from fftlasso.dataio import read_volume, write_volume
 from fftlasso.errors import NumericalBreakdownError
 
@@ -77,6 +84,16 @@ def assert_input_error(code, capsys):
     assert code == EXIT_INPUT_ERROR
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def scaled_seed_42(tmp_path, scale):
+    """The 8^3 synthetic volume of seeds 42/43 times ``scale``, and its mask."""
+    signal, mask = str(tmp_path / "signal.f64"), str(tmp_path / "mask.idx")
+    assert main(["generate", "--dims", "8,8,8", "--noise-seed", "42", "--missing-seed", "43",
+                 "--signal", signal, "--mask", mask]) == EXIT_OK
+    values, dims = read_volume(signal)
+    write_volume(signal, values * scale, dims)
+    return signal, mask
 
 
 class TestSolve:
@@ -281,6 +298,36 @@ class TestSolve:
         ])
         assert code == EXIT_INPUT_ERROR
         assert "finite" in capsys.readouterr().err
+
+    def test_overflowing_samples_are_input_error(self, tmp_path, capsys):
+        """Samples whose squared norm overflows exit 1 before any output."""
+        signal, mask = scaled_seed_42(tmp_path, 1e200)
+        report, out = tmp_path / "report.jsonl", tmp_path / "b.f64"
+        code = main(["solve", "--input", signal, "--mask", mask,
+                     "--output", str(out), "--report", str(report)])
+        assert_input_error(code, capsys)
+        assert not report.exists() and not out.exists()
+
+    def test_report_is_strict_json(self, tmp_path):
+        """Just below the overflow, every number in the report is finite."""
+        signal, mask = scaled_seed_42(tmp_path, 1e152)
+        report = tmp_path / "report.jsonl"
+        code = main(["solve", "--input", signal, "--mask", mask,
+                     "--output", str(tmp_path / "b.f64"), "--report", str(report)])
+        assert code != EXIT_INPUT_ERROR
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        lines = report.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line, parse_constant=reject) for line in lines]
+        assert records[-1]["record"] == "summary"
+
+    def test_nonfinite_record_writes_no_report(self, tmp_path):
+        report = tmp_path / "report.jsonl"
+        with pytest.raises(ValueError):
+            _write_report(str(report), [{"record": "meta"}, {"value": float("inf")}])
+        assert not report.exists()
 
     def test_dims_mismatch(self, problem_files, tmp_path, capsys):
         signal, _, tmp = problem_files

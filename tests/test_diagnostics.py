@@ -26,9 +26,9 @@ from fftlasso.diagnostics import (
     scaling_trajectory_check,
     soft_threshold,
 )
-from fftlasso.ipm import IpmConfig, IpmState
+from fftlasso.ipm import IpmConfig
 
-from conftest import random_interior_state, sparse_instance
+from conftest import random_feasible_iterate, sparse_instance
 
 
 def empty_mask(n):
@@ -36,16 +36,8 @@ def empty_mask(n):
 
 
 def collect_states(b, mask, config):
-    states = []
-
-    def watch(state, record):
-        states.append(IpmState(
-            mu=state.mu,
-            **{f: getattr(state, f).copy()
-               for f in ("beta", "z", "s1", "s2", "y1", "y2", "nu1", "nu2")},
-        ))
-
-    beta, report = solve(b, mask, config, observer=watch)
+    states = []  # observers get copies, which the solver never writes
+    beta, report = solve(b, mask, config, observer=lambda state, record: states.append(state))
     return beta, report, states
 
 
@@ -102,7 +94,7 @@ class TestClassifySupport:
 
 class TestSpectrumProbe:
     def test_empty_mask_all_ones(self, rng):
-        state = random_interior_state(rng, 16)
+        state = random_feasible_iterate(rng, 16)
         report = preconditioned_spectrum(state, empty_mask(16))
         np.testing.assert_allclose(report.eigenvalues, np.ones(32), atol=1e-10)
         assert report.unit_cluster_size == 32
@@ -127,14 +119,14 @@ class TestSpectrumProbe:
         assert dev <= 0.2 * probe.kappa_predicted
 
     def test_guard(self, rng):
-        state = random_interior_state(rng, 2048)
+        state = random_feasible_iterate(rng, 2048)
         with pytest.raises(ValueError):
             preconditioned_spectrum(state, empty_mask(2048))
 
     def test_report_serializable(self, rng):
         import json
 
-        state = random_interior_state(rng, 8)
+        state = random_feasible_iterate(rng, 8)
         probe = preconditioned_spectrum(state, empty_mask(8))
         scaling = scaling_trajectory_check([state] * 5)
         for report, kind in ((probe, "spectrum"), (scaling, "scaling")):
@@ -189,7 +181,7 @@ class TestScalingTrajectory:
 
     def test_constant_trajectory_constant_ratios(self, rng):
         # identical states: the observed ranges do not depend on the length
-        state = random_interior_state(rng, 8)
+        state = random_feasible_iterate(rng, 8)
         five = scaling_trajectory_check([state] * 5)
         two = scaling_trajectory_check([state] * 2)
         assert five.lambda1_times_mu == two.lambda1_times_mu

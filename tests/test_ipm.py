@@ -4,6 +4,7 @@ import copy
 import itertools
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -152,13 +153,14 @@ class TestNewtonDirection:
         state = random_feasible_iterate(rng, n, mu=0.03)
         b = rng.standard_normal(mask.n_observed)
         lam = 0.4
-        full = state.view()
+        beta, z_aux = state.beta, 0.5 * (state.s1 + state.s2)
+        y1, y2 = state.nu1, state.nu2  # y = nu on the solver's domain
 
         m_perp = dense_observation_matrix(mask)
         g = m_perp.T @ m_perp
         i, z = np.eye(n), np.zeros((n, n))
-        s1, s2 = np.diag(full.s1), np.diag(full.s2)
-        v1, v2 = np.diag(full.nu1), np.diag(full.nu2)
+        s1, s2 = np.diag(state.s1), np.diag(state.s2)
+        v1, v2 = np.diag(state.nu1), np.diag(state.nu2)
         jac = np.block([
             [g, z, z, z, -i, i, z, z],
             [z, z, z, z, -i, -i, z, z],
@@ -170,14 +172,14 @@ class TestNewtonDirection:
             [z, z, z, v2, z, z, z, s2],
         ])
         resid = np.concatenate([
-            m_perp.T @ (m_perp @ full.beta - b) - full.y1 + full.y2,
-            lam - full.y1 - full.y2,
-            full.y1 - full.nu1,
-            full.y2 - full.nu2,
-            full.z + full.beta - full.s1,
-            full.z - full.beta - full.s2,
-            full.s1 * full.nu1 - full.mu,
-            full.s2 * full.nu2 - full.mu,
+            m_perp.T @ (m_perp @ beta - b) - y1 + y2,
+            lam - y1 - y2,
+            y1 - state.nu1,
+            y2 - state.nu2,
+            z_aux + beta - state.s1,
+            z_aux - beta - state.s2,
+            state.s1 * state.nu1 - state.mu,
+            state.s2 * state.nu2 - state.mu,
         ])
         oracle = np.split(np.linalg.solve(jac, -resid), 8)
 
@@ -475,11 +477,12 @@ class TestCheckConvergence:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.5)
         conv = report_at(state, b, mask, 0.5, tol=1e-8)
-        full = state.view()
+        beta, z = state.beta, 0.5 * (state.s1 + state.s2)
+        y1, y2 = state.nu1, state.nu2  # y = nu on the solver's domain
         pieces = [rhs.r1, rhs.r2,
-                  full.z + full.beta - full.s1, full.z - full.beta - full.s2,
-                  full.s1 * full.nu1 - full.mu, full.s2 * full.nu2 - full.mu,
-                  full.y1 - full.nu1, full.y2 - full.nu2]
+                  z + beta - state.s1, z - beta - state.s2,
+                  state.s1 * state.nu1 - state.mu, state.s2 * state.nu2 - state.mu,
+                  y1 - state.nu1, y2 - state.nu2]
         assert conv.barrier_residual == max(float(np.max(np.abs(p))) for p in pieces)
         assert conv.stationarity == float(np.max(np.abs(rhs.r1)))
         assert conv.dual_equality == float(np.max(np.abs(rhs.r2)))
@@ -646,19 +649,26 @@ class TestSolve:
         for state, record in seen:
             assert state.mu == record.mu
 
-    def test_observer_view_of_the_iterate(self, rng):
-        """Observers see y = nu as the same arrays and z +/- beta = s to rounding."""
+    def test_observer_contract(self, rng):
+        """Every observed state is an :class:`IpmState` of its own arrays,
+        shared with no other observed state, and keeps the bytes it had in
+        the observer after the solve returns."""
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
         seen = []
-        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8),
-                             observer=lambda state, record: seen.append((state, record)))
-        assert report.converged and len(seen) == report.iterations
-        for state, record in seen:
+
+        def watch(state, record):
+            arrays = (state.s1, state.s2, state.nu1, state.nu2)
+            seen.append((state, record, [a.tobytes() for a in arrays]))
+
+        beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8), observer=watch)
+        assert report.converged and len(seen) == report.iterations > 3
+        arrays = [(i, a) for i, (state, _, _) in enumerate(seen)
+                  for a in (state.s1, state.s2, state.nu1, state.nu2)]
+        for (i, a), (j, c) in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, c), (i, j)
+        for state, record, at_call in seen:
             assert isinstance(state, IpmState)
-            assert state.y1 is state.nu1 and state.y2 is state.nu2
-            size = state.z + np.abs(state.beta)
-            assert np.all(np.abs(state.z + state.beta - state.s1) <= 1e-13 * size)
-            assert np.all(np.abs(state.z - state.beta - state.s2) <= 1e-13 * size)
+            assert [a.tobytes() for a in (state.s1, state.s2, state.nu1, state.nu2)] == at_call
             assert record.primal_inf == 0.0
         np.testing.assert_array_equal(beta, seen[-1][0].beta)
 
@@ -737,15 +747,34 @@ class TestSolve:
         assert report.final_kkt == best_record.kkt_max
         assert report.final_objective == lasso_objective(beta, b, mask, report.lam)
 
-    def test_seed_42_counters(self):
-        """The 32^3 masked solve (noise seed 42, missing seed 43, 15% missing)
-        keeps its IPM and per-step Krylov counts: a change that keeps every
-        iterate bit for bit keeps them too."""
-        noisy, mask, _ = generate_synthetic(
-            SyntheticSpec(dims=(32, 32, 32), noise_seed=42, missing_seed=43))
-        beta, report = solve(noisy[~mask.missing_bool], mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
-        assert report.converged and report.iterations == 14
-        assert report.krylov_counts == [1, 5, 7, 9, 9, 9, 8, 8, 6, 6, 5, 5, 4, 3]
+    def test_seed_42_counters(self, monkeypatch):
+        """The 32^3 solves (noise seed 42, missing seed 43) keep their IPM,
+        per-step Krylov and transform counts: a change that keeps every
+        iterate bit for bit keeps them too.  With 15% missing each Krylov
+        step and the confirming Gram product make one transform pair, the
+        data correlation one analysis and the objective one synthesis; with
+        an empty mask, where ``G = I``, only the last two remain."""
+        calls = {"synthesize": 0, "analyze": 0}
+
+        def counting(name, fn):
+            def counted(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(fftlasso.masking, name,
+                                counting(name, getattr(fftlasso.masking, name)))
+        for missing, krylov, transforms in [
+                (0.15, [1, 5, 7, 9, 9, 9, 8, 8, 6, 6, 5, 5, 4, 3], 87), (0.0, [1] * 14, 1)]:
+            noisy, mask, _ = generate_synthetic(SyntheticSpec(
+                dims=(32, 32, 32), noise_seed=42, missing_fraction=missing, missing_seed=43))
+            calls.update(synthesize=0, analyze=0)
+            beta, report = solve(noisy[~mask.missing_bool], mask,
+                                 IpmConfig(tol=1e-8, cg_tol=1e-12))
+            assert report.converged and report.iterations == 14
+            assert report.krylov_counts == krylov and report.total_krylov == sum(krylov)
+            assert calls == {"synthesize": transforms, "analyze": transforms}
 
     def test_failure_on_first_step_returns_start(self, rng, monkeypatch):
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
@@ -856,6 +885,17 @@ class TestSolveBoundary:
         b[3] = bad
         with pytest.raises(ValueError, match="finite"):
             solve(b, empty_mask(8))
+
+    def test_rejects_overflowing_squares(self, monkeypatch):
+        """Finite samples whose squared norm overflows (8^3, seeds 42/43,
+        times 1e200) are rejected before any transform, without a warning."""
+        forbid_transforms(monkeypatch)
+        noisy, mask, _ = generate_synthetic(
+            SyntheticSpec(dims=(8, 8, 8), noise_seed=42, missing_seed=43))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared norm"):
+                solve(noisy[~mask.missing_bool] * 1e200, mask)
 
     @pytest.mark.parametrize("missing", [[], [1, 6]])
     def test_zero_samples_default_penalty(self, missing):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fftlasso import GridShape, InteriorViolationError, Mask, analyze
 from fftlasso.diagnostics import dense_gram_matrix, densify
-from fftlasso.ipm import Iterate, _Workspace
+from fftlasso.ipm import IpmState, _Workspace
 from fftlasso.newton_system import (
     apply_kkt,
     apply_precond_inverse,
@@ -21,7 +21,6 @@ from conftest import (
     exact_rhs,
     newton_rhs,
     random_feasible_iterate,
-    random_interior_state,
     recovered,
     same_bits,
     spread_iterate,
@@ -160,7 +159,7 @@ class TestApplyKkt:
     def test_dense_equivalence(self, rng):
         n = 8
         mask = Mask(np.sort(rng.choice(n, 2, replace=False)), GridShape((n,)))
-        st8 = random_interior_state(rng, n)
+        st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         dense = np.block([
             [dense_gram_matrix(mask) + np.diag(d.lambda1), np.diag(d.lambda2)],
@@ -174,7 +173,7 @@ class TestApplyKkt:
     def test_symmetry_and_positivity(self, rng):
         n = 16
         mask = Mask(np.array([3, 9, 10]), GridShape((n,)))
-        st16 = random_interior_state(rng, n)
+        st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
 
         def op(v):
@@ -210,7 +209,7 @@ class TestPreconditioner:
 
     def test_dense_inverse(self, rng):
         n = 16
-        st16 = random_interior_state(rng, n)
+        st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
         p = np.block([
             [np.diag(1 + d.lambda1), np.diag(d.lambda2)],
@@ -228,7 +227,7 @@ class TestPreconditioner:
 class TestPreconditionedOperator:
     def test_empty_mask_identity(self, rng):
         n = 8
-        st8 = random_interior_state(rng, n)
+        st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         v = rng.standard_normal(2 * n)
         out = apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, empty_mask(n)), d)
@@ -237,7 +236,7 @@ class TestPreconditionedOperator:
     def test_block_triangular_form(self, rng):
         n = 8
         mask = Mask(np.array([0, 4, 7]), GridShape((n,)))
-        st8 = random_interior_state(rng, n)
+        st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         dense = densify(lambda v: np.concatenate(
             apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
@@ -253,7 +252,7 @@ class TestPreconditionedOperator:
     def test_spectrum_real_positive(self, rng):
         n = 16
         mask = Mask(np.sort(rng.choice(n, 3, replace=False)), GridShape((n,)))
-        st16 = random_interior_state(rng, n)
+        st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
         dense = densify(lambda v: np.concatenate(
             apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
@@ -369,7 +368,7 @@ class TestInPlaceKernels:
         work = _Workspace(n)
         work.evaluate(state, xi, g, 0.5)
         work.condense(state, xi, g, 0.5)
-        lower = Iterate(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
+        lower = IpmState(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
         work.condense(lower, xi, g, 0.5)
         assert same_bits(work.roles("condense", lower)["rho"], newton_rhs(lower, xi, g, 0.5).rho)
 

@@ -13,7 +13,7 @@ from fftlasso.newton_system import (
 )
 from fftlasso.pcg import PcgConfig, pcg_solve
 
-from conftest import random_interior_state
+from conftest import random_feasible_iterate
 
 identity = lambda v: v
 
@@ -73,7 +73,7 @@ class TestExactCases:
         """With no missing samples the preconditioned operator is exact."""
         n = 32
         mask = Mask(np.array([], dtype=np.int64), GridShape((n,)))
-        st = random_interior_state(rng, n)
+        st = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st.s1, st.s2, st.nu1, st.nu2)
         rhs = rng.standard_normal(2 * n)
         res = pcg_solve(
