@@ -8,7 +8,7 @@ import sys
 import time
 
 from .dataio import read_mask, read_volume, write_mask, write_volume
-from .fourier import synthesize
+from .fourier import GridShape, synthesize
 from .ipm import IpmConfig, solve
 from .synthetic import SyntheticSpec, generate_synthetic
 
@@ -99,25 +99,29 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    records = []
-    worst = EXIT_OK
-    for size in _parse_dims(args.sizes):
-        dims = (size, size, size)
-        spec = SyntheticSpec(
-            dims=dims,
+    # every cube is checked before the first solve: a bad edge costs no run
+    specs = [
+        SyntheticSpec(
+            dims=GridShape((size, size, size)).dims,
             noise_seed=args.seed,
             missing_fraction=args.missing_fraction,
             missing_seed=args.seed + 1,
         )
+        for size in _parse_dims(args.sizes)
+    ]
+    config = IpmConfig(tol=args.tol, cg_tol=args.cg_tol, max_iters=args.max_iters)
+    records = []
+    worst = EXIT_OK
+    for spec in specs:
+        size = spec.dims[0]
         noisy, mask, _ = generate_synthetic(spec)
         b = noisy[~mask.missing_bool]
-        config = IpmConfig(tol=args.tol, cg_tol=args.cg_tol, max_iters=args.max_iters)
         t0 = time.perf_counter()
         _, report = solve(b, mask, config)
         elapsed = time.perf_counter() - t0
         row = {
             "record": "bench",
-            "size": list(dims),
+            "size": list(spec.dims),
             "unknowns": mask.shape.n,
             "ipm_variables": 2 * mask.shape.n,
             "missing": mask.n_missing,

@@ -5,6 +5,9 @@ run it: explicit matrices assembled column by column, eigenvalue probes of
 the preconditioned operator, scaling-trajectory checks against the
 expected barrier asymptotics, and an independent first-order reference
 solver (ISTA) for cross-validating solutions.
+
+Like the solver, this module needs only numpy: the eigenvalue probes run
+on ``numpy.linalg``, the generalized one through a Cholesky reduction.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IterationLimitError
 from .fourier import GridShape
@@ -168,6 +170,18 @@ class SpectrumReport:
         return {"record": "spectrum", **asdict(self), "eigenvalues": self.eigenvalues.tolist()}
 
 
+def _pencil_eigvalsh(k: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric-definite pencil ``K v = lam P v``.
+
+    The Cholesky reduction that LAPACK ``dsygvd`` performs: with
+    ``P = L L^T`` the pencil is congruent to ``L^-1 K L^-T``, whose
+    symmetric part has the same eigenvalues.
+    """
+    l = np.linalg.cholesky(p)
+    c = np.linalg.solve(l, np.linalg.solve(l, k).T)
+    return np.linalg.eigvalsh(0.5 * (c + c.T))
+
+
 def preconditioned_spectrum(state: IpmState, mask: Mask,
                             cluster_tol: float = 0.05,
                             support_threshold: float | None = None) -> SpectrumReport:
@@ -182,14 +196,14 @@ def preconditioned_spectrum(state: IpmState, mask: Mask,
     if n > 1024:
         raise ValueError(f"spectrum probe guard: n {n} > 1024")
     k, p = dense_condensed_matrices(state, mask)
-    eigs = scipy.linalg.eigh(k, p, eigvals_only=True)
-    eigs_k = scipy.linalg.eigvalsh(k)
+    eigs = _pencil_eigvalsh(k, p)
+    eigs_k = np.linalg.eigvalsh(k)
 
     support = classify_support(state.beta, support_threshold)
     active = support.active
     if active.size:
         q = dense_gram_matrix(mask)[np.ix_(active, active)]
-        q_eigs = scipy.linalg.eigvalsh(q)
+        q_eigs = np.linalg.eigvalsh(q)
         kappa_pred = max(1.0, float(q_eigs[-1])) / min(1.0, float(q_eigs[0]))
     else:
         kappa_pred = 1.0

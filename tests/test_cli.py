@@ -374,9 +374,12 @@ class TestBench:
         kry_b = [r["krylov_per_iteration"] for r in reports[1]]
         assert kry_a == kry_b
 
-    @pytest.mark.parametrize("sizes", [",", "4,,8"])
-    def test_empty_size_is_input_error(self, tmp_path, capsys, sizes):
+    @pytest.mark.parametrize("sizes", [",", "4,,8", "8,7"])
+    def test_empty_size_is_input_error(self, tmp_path, capsys, monkeypatch, sizes):
+        """A bad entry anywhere in ``--sizes`` stops the run before any solve."""
         report = tmp_path / "bench.jsonl"
+        monkeypatch.setattr("fftlasso.cli.solve",
+                            lambda *args: pytest.fail("solve ran before every size was checked"))
         code = main(["bench", "--sizes", sizes, "--report", str(report)])
         assert_input_error(code, capsys)
         assert not report.exists()

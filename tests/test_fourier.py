@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -286,11 +287,24 @@ def test_lent_spectra_are_checked():
 
 
 def test_package_import_loads_no_scipy():
-    """``import fftlasso, fftlasso.cli`` runs on numpy alone: scipy serves
-    only ``fftlasso.diagnostics`` and the tests."""
+    """The package runs on numpy alone: importing ``fftlasso``,
+    ``fftlasso.cli`` and ``fftlasso.diagnostics`` and probing an iterate's
+    spectrum load no scipy module.  scipy serves only the tests."""
     src = str(Path(fftlasso.__file__).resolve().parent.parent)
-    code = ("import sys, fftlasso, fftlasso.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import fftlasso, fftlasso.cli
+        from fftlasso.diagnostics import preconditioned_spectrum, soft_threshold
+        from fftlasso.ipm import IpmState
+        s1, s2, nu1, nu2 = np.random.default_rng(0).random((4, 8)) + 0.3
+        state = IpmState(s1, s2, nu1, nu2, mu=0.05)
+        probe = preconditioned_spectrum(state, fftlasso.Mask(np.array([1, 5]),
+                                                             fftlasso.GridShape((8,))))
+        assert probe.eigenvalues.shape == (16,) and probe.kappa_observed >= 1.0
+        assert soft_threshold(state.beta, 0.1).shape == (8,)
+        print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+    """)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, check=True, cwd=src,
                           env={**os.environ, "PYTHONPATH": src})

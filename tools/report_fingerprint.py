@@ -19,7 +19,9 @@ names, and prints one ``sha256  name`` line per artefact:
   records and spectrum are hashed together into one line;
 - ``probe-1d``: a 1-D masked solve, probed at every iterate with
   ``preconditioned_spectrum`` and over its trajectory with
-  ``scaling_trajectory_check``.
+  ``scaling_trajectory_check``.  The ``spectra`` line rests on the
+  eigenvalue routines of ``numpy.linalg``, so it also changes with the
+  LAPACK build numpy links.
 
 Reports and record dicts are hashed as sorted-key JSON lines with
 ``wall_time`` removed; recovered spectra and imputed volumes as their raw
