@@ -35,6 +35,22 @@ def _write_report(path: str, records: list[dict]) -> None:
         fh.writelines(lines)
 
 
+def _config(args, lam: float | None = None) -> IpmConfig:
+    """The solver configuration from the flags of :func:`_solver_flags`."""
+    return IpmConfig(lam=lam, tol=args.tol, cg_tol=args.cg_tol, max_iters=args.max_iters)
+
+
+def _solver_flags() -> argparse.ArgumentParser:
+    """The solver flags that ``solve`` and ``bench`` share, defaulting to
+    :class:`IpmConfig`'s fields."""
+    defaults = IpmConfig()
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--tol", type=float, default=defaults.tol)
+    flags.add_argument("--cg-tol", type=float, default=defaults.cg_tol)
+    flags.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    return flags
+
+
 def _cmd_generate(args) -> int:
     dims = _parse_dims(args.dims)
     spec = SyntheticSpec(
@@ -61,13 +77,7 @@ def _cmd_solve(args) -> int:
 
     b = values[~mask.missing_bool]
     del values  # the solve holds only the observed samples
-    config = IpmConfig(
-        lam=args.lam,
-        tol=args.tol,
-        cg_tol=args.cg_tol,
-        max_iters=args.max_iters,
-    )
-    beta, report = solve(b, mask, config)
+    beta, report = solve(b, mask, _config(args, lam=args.lam))
 
     write_volume(args.output, beta, dims)
     if args.impute:
@@ -109,7 +119,7 @@ def _cmd_bench(args) -> int:
         )
         for size in _parse_dims(args.sizes)
     ]
-    config = IpmConfig(tol=args.tol, cg_tol=args.cg_tol, max_iters=args.max_iters)
+    config = _config(args)
     records = []
     worst = EXIT_OK
     for spec in specs:
@@ -150,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse spectral recovery from noisy, incomplete signals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    solver = _solver_flags()
 
     gen = sub.add_parser("generate", help="write a synthetic volume and mask")
     gen.add_argument("--dims", required=True, help="grid dims, e.g. 32,32,32 or 32x32x32")
@@ -162,26 +173,21 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--truth", help="optional noise-free volume path")
     gen.set_defaults(func=_cmd_generate)
 
-    slv = sub.add_parser("solve", help="recover the sparse spectrum of a volume")
+    slv = sub.add_parser("solve", parents=[solver],
+                         help="recover the sparse spectrum of a volume")
     slv.add_argument("--input", required=True, help="noisy volume (full grid)")
     slv.add_argument("--mask", required=True, help="missing-sample mask")
     slv.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="l1 penalty (default: 0.1 * max correlation)")
-    slv.add_argument("--tol", type=float, default=1e-8)
-    slv.add_argument("--cg-tol", type=float, default=1e-12)
-    slv.add_argument("--max-iters", type=int, default=200)
     slv.add_argument("--output", required=True, help="recovered spectrum volume")
     slv.add_argument("--report", help="JSON-lines solve report")
     slv.add_argument("--impute", help="optional imputed signal volume")
     slv.set_defaults(func=_cmd_solve)
 
-    ben = sub.add_parser("bench", help="synthetic cube benchmark")
+    ben = sub.add_parser("bench", parents=[solver], help="synthetic cube benchmark")
     ben.add_argument("--sizes", required=True, help="cube edges, e.g. 8,16,32")
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--missing-fraction", type=float, default=0.15)
-    ben.add_argument("--tol", type=float, default=1e-8)
-    ben.add_argument("--cg-tol", type=float, default=1e-12)
-    ben.add_argument("--max-iters", type=int, default=200)
     ben.add_argument("--report", help="JSON-lines bench report")
     ben.set_defaults(func=_cmd_bench)
     return parser

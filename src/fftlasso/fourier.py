@@ -37,6 +37,7 @@ for bit.  Per-axis ``norm="ortho"`` would round differently whenever
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,13 +71,16 @@ class GridShape:
     Attributes
     ----------
     dims : tuple of int
-        Grid extents per axis.  Each must be even and >= 2.
+        Grid extents per axis, Python or numpy integers.  Each must be even
+        and >= 2.
     """
 
     dims: tuple[int, ...]
     n: int = field(init=False)
 
     def __post_init__(self):
+        if not all(isinstance(d, numbers.Integral) for d in self.dims):
+            raise UnsupportedShapeError(f"grid extents must be integers, got {self.dims!r}")
         dims = tuple(int(d) for d in self.dims)
         if not 1 <= len(dims) <= 3:
             raise UnsupportedShapeError(f"need 1 to 3 axes, got {len(dims)}")

@@ -24,11 +24,15 @@ it forms anyway, so the residuals, the convergence check and the step are
 vector algebra.  Before a solve is declared converged, ``g`` is recomputed
 exactly and the check repeated.
 
-A solve allocates its n-vectors once, in a :class:`_Workspace`, whose
-:data:`ROLES` table says which row holds what in each phase of a step.
-The O(n) phases run as sweeps over blocks of ``BLOCK`` entries that
-recompute the barrier diagonals and residuals per block, with the formula
-helpers of :mod:`~fftlasso.newton_system`.  Observers get copies.
+A solve allocates its n-vectors once, in a :class:`_Workspace`, which
+also holds the solve's constants (``xi``, ``lam``, the mask and the
+tolerances), so a step is ``ipm_step(state, work)``.  Its :data:`ROLES`
+table says which row holds what in each phase of a step, ``g`` and the
+Newton direction's arrays included; a :class:`NewtonDirection` carries
+only the step lengths and the Krylov solve's diagnostics.  The O(n)
+phases run as sweeps over blocks of ``BLOCK`` entries that recompute the
+barrier diagonals and residuals per block, with the formula helpers of
+:mod:`~fftlasso.newton_system`.  Observers get copies.
 """
 
 from __future__ import annotations
@@ -282,15 +286,11 @@ def _convergence_report(state: IpmState, extremes: np.ndarray, tol: float) -> Co
 
 @dataclass(frozen=True)
 class NewtonDirection:
-    """Physical step of the iterate, plus ``G d_beta``, the fraction-to-boundary
-    step lengths and solve diagnostics."""
+    """A Newton direction's solve diagnostics and fraction-to-boundary step
+    lengths.  Its arrays stay in the workspace rows that ``ROLES["step"]``
+    names: ``x`` holds ``d_beta``, ``image`` holds ``G d_beta`` (``x`` when
+    ``G = I``) and ``d_s1``-``d_nu2`` the other blocks."""
 
-    d_beta: np.ndarray
-    d_s1: np.ndarray
-    d_s2: np.ndarray
-    d_nu1: np.ndarray
-    d_nu2: np.ndarray
-    gram_d_beta: np.ndarray  # G d_beta, carried out of PCG without a transform
     krylov_iters: int
     pcg_residual: float
     alpha_primal: float  # step lengths keeping the slacks and the multipliers interior
@@ -308,34 +308,38 @@ _KEPT = {"previous_s1": "free0", "previous_s2": "free1"}
 #: the phase that writes it to the last phase that reads it.  ``s1``-``nu2``
 #: are the iterate's own arrays, which trade places with the ``free`` rows
 #: at the step (:meth:`_Workspace.rotate`), so the previous iterate's
-#: slacks stay readable until ``rho`` is formed.  ``image`` and ``gram_p``
-#: exist only on a masked grid: with ``G = I`` the step reads ``G d_beta``
-#: from ``x``, and a product forms no ``G p``.
+#: slacks stay readable until ``rho`` is formed.  ``g`` is the carried
+#: ``gram(beta)``: the step advances it by ``alpha_primal * G d_beta`` and
+#: ``confirm`` overwrites it with the exact product.  ``image`` and
+#: ``gram_p`` exist only on a masked grid: with ``G = I`` the step reads
+#: ``G d_beta`` from ``x``, and a product forms no ``G p``.
 ROLES = {
-    "evaluate": {**_ITERATE, "omega1": "x", "omega2": "product",
+    "evaluate": {**_ITERATE, "g": "g", "omega1": "x", "omega2": "product",
                  "delta": "free2", "precond": "free3", **_KEPT},
-    "condense": {**_ITERATE, "omega1": "x", "omega2": "product",
+    "condense": {**_ITERATE, "g": "g", "omega1": "x", "omega2": "product",
                  "delta": "free2", "precond": "free3", "rho": "free0"},
     "pcg": {**_ITERATE, "x": "x", "residual": "free0", "search": "free1",
             "product": "product", "gram_p": "gram_p", "image": "image",
             "delta": "free2", "precond": "free3"},
     "recover": {**_ITERATE, "x": "x", "image": "image", **_DIRECTION},
-    "step": {**_ITERATE, "x": "x", "image": "image", **_DIRECTION},
-    "confirm": {**_ITERATE, "beta": "free2", **_KEPT},
+    "step": {**_ITERATE, "g": "g", "x": "x", "image": "image", **_DIRECTION},
+    "confirm": {**_ITERATE, "g": "g", "beta": "free2", **_KEPT},
 }
 
 
 class _Workspace:
-    """The n-vectors of one solve's Newton steps, allocated once, and the
-    sweeps that run the O(n) phases over them, with the rows that
-    :data:`ROLES` names.
+    """One solve's Newton steps: its constant data ``xi = observe_adjoint(b)``,
+    ``lam``, ``mask`` and tolerances, the n-vectors of the steps, allocated
+    once, and the sweeps that run the O(n) phases over them, with the rows
+    that :data:`ROLES` names.
 
-    ``sigma`` and ``r1``-``r4`` are never stored.  Each sweep runs over
-    blocks of ``BLOCK`` entries and recomputes per block what it needs, in
-    seven block-length ``scratch`` rows.  Elementwise work gives the same
-    bits on a slice, and the extremes and step lengths combine exactly
-    across blocks.  The dot products of the duality measure and of PCG run
-    over whole vectors.
+    ``g``, the carried ``gram(beta)``, is its own array, zero (exact at
+    ``beta = 0``) until a step advances it.  ``sigma`` and ``r1``-``r4``
+    are never stored.  Each sweep runs over blocks of ``BLOCK`` entries
+    and recomputes per block what it needs, in seven block-length
+    ``scratch`` rows.  Elementwise work gives the same bits on a slice,
+    and the extremes and step lengths combine exactly across blocks.  The
+    dot products of the duality measure and of PCG run over whole vectors.
 
     On a masked grid the Gram products borrow two half spectra
     (``spectra``) from the rows idle during them, ``product`` and
@@ -345,11 +349,14 @@ class _Workspace:
     ``gram_p`` is n long.
     """
 
-    def __init__(self, n: int, mask: Mask | None = None):
+    def __init__(self, xi, lam: float, mask: Mask, config: IpmConfig = IpmConfig()):
+        self.xi, self.lam, self.mask = xi, lam, mask
+        self.tol, self.cg_tol = config.tol, config.cg_tol
+        n = mask.shape.n
         # One allocation: as separate arrays on the heap they left the transforms'
         # temporaries on top of it, where free() trims them and every call
         # page-faults them anew (43K minor faults per 256^2 solve against none).
-        half = mask.shape.half if mask is not None and mask.n_missing else ()
+        half = mask.shape.half if mask.n_missing else ()
         flat_2d = len(half) == 2  # gram_p cannot lend its half spectrum: a spare row does
         plain = ["x", *_FREE, *(["image"] if half else []), *(["gram_p"] if flat_2d else [])]
         lenders = ["product", *(["spare" if flat_2d else "gram_p"] if half else [])]
@@ -358,7 +365,7 @@ class _Workspace:
         flat = np.empty(len(plain) * n + len(lenders) * wide + 7 * block)
         cut = len(plain) * n
         wides = flat[cut:cut + len(lenders) * wide].reshape(len(lenders), wide)
-        self.rows = {"image": None, "gram_p": None}
+        self.rows = {"image": None, "gram_p": None, "g": np.zeros(n)}
         self.rows.update(zip(plain, flat[:cut].reshape(-1, n)))
         self.rows.update((name, row[:n]) for name, row in zip(lenders, wides))
         self.spectra = (tuple(row.view(np.complex128).reshape(half) for row in wides)
@@ -381,19 +388,20 @@ class _Workspace:
         self.rows.update(zip(_FREE, _arrays(state)))
         return IpmState(*moved, mu=state.mu)
 
-    def evaluate(self, state: IpmState, xi, g, lam: float,
-                 step: NewtonDirection | None = None) -> IpmState:
+    def evaluate(self, state: IpmState, step: NewtonDirection | None = None) -> IpmState:
         """Evaluate ``state`` in one sweep: check that it is interior, write
         the ``evaluate`` roles and keep the extremes for :meth:`report`.
 
-        With ``step``, a direction from ``state``, each block first takes
-        the step: ``x + alpha*dx`` over the direction's arrays and
-        ``g += alpha_primal * G d_beta``.  The sweep then evaluates the new
-        iterate, rotated in, and returns it.
+        With ``step``, the step lengths of the direction from ``state`` in
+        the ``step`` roles, each block first takes the step: ``x + alpha*dx``
+        over the direction's rows and ``g += alpha_primal * G d_beta``.  The
+        sweep then evaluates the new iterate, rotated in, and returns it.
         """
         new = state
         if step is not None:
-            moved = (step.d_s1, step.d_s2, step.d_nu1, step.d_nu2)
+            rows = self.roles("step", state)
+            moved = [rows[name] for name in _DIRECTION]
+            image = rows["x"] if rows["image"] is None else rows["image"]  # G d_beta
             moves = list(zip(moved, _arrays(state), (step.alpha_primal, step.alpha_primal,
                                                      step.alpha_dual, step.alpha_dual)))
             new = self.rotate(state, moved)
@@ -406,9 +414,9 @@ class _Workspace:
                     x = x[cut]
                     x *= alpha
                     x += old[cut]
-                taken = step.gram_d_beta[cut]
+                taken = image[cut]
                 taken *= step.alpha_primal
-                g[cut] += taken
+                rows["g"][cut] += taken
             block = _block(new, cut)
             if violated or exterior(*_arrays(block)) is not None:
                 violated = True  # the blocks left still take their step
@@ -418,33 +426,33 @@ class _Workspace:
             barrier_scaling(*_arrays(block), diag, lambda1=diag.precond)
             schur_coefficients(diag)
             r1, r2 = sigma1, sigma2  # spent once delta is formed
-            stationarity(block, xi[cut], g[cut], r1)
-            dual_residual(block, lam, r2)
+            stationarity(block, self.xi[cut], rows["g"][cut], r1)
+            dual_residual(block, self.lam, r2)
             _extremes(block, r1, r2, prod, extremes)
         if violated:  # raises, naming the first offending array over whole vectors
             check_interior(*_arrays(new))
         return new
 
-    def report(self, state: IpmState, tol: float) -> ConvergenceReport:
+    def report(self, state: IpmState) -> ConvergenceReport:
         """The :class:`ConvergenceReport` of the iterate :meth:`evaluate` last saw."""
         extremes = np.stack((self.extremes[:, 0].max(axis=0), self.extremes[:, 1].min(axis=0)))
-        return _convergence_report(state, extremes, tol)
+        return _convergence_report(state, extremes, self.tol)
 
-    def condense(self, state: IpmState, xi, g, lam: float) -> None:
+    def condense(self, state: IpmState) -> None:
         """Form the condensed right-hand side ``rho`` at ``state.mu``."""
         rows = self.roles("condense", state)
         for cut, scratch in self.blocks:
             block = _block(state, cut)
             r1, r2, r3, r4, term = scratch[:5]
-            stationarity(block, xi[cut], g[cut], r1)
-            dual_residual(block, lam, r2)
+            stationarity(block, self.xi[cut], rows["g"][cut], r1)
+            dual_residual(block, self.lam, r2)
             barrier_residuals(block, r3, r4)
             condense(r1, r2, r3, r4, rows["omega1"][cut], rows["omega2"][cut],
                      rows["rho"][cut], term)
 
-    def recover(self, state: IpmState, lam: float, d_beta) -> tuple:
-        """Back-substitute the direction from ``d_beta`` into its rows;
-        returns ``(d_s1, d_s2, d_nu1, d_nu2, alpha_primal, alpha_dual)``."""
+    def recover(self, state: IpmState, d_beta) -> tuple[float, float]:
+        """Back-substitute the direction from ``d_beta`` into its ``recover``
+        rows; returns its step lengths ``(alpha_primal, alpha_dual)``."""
         roles = self.roles("recover", state)
         rows = [roles[name] for name in _DIRECTION]
         tau = max(FTB_TAU, 1.0 - state.mu)
@@ -455,7 +463,7 @@ class _Workspace:
             diag = BarrierDiagonals(sigma1, sigma2, omega1, omega2, None, None)
             barrier_scaling(*_arrays(block), diag, lambda1)
             r2 = lambda1  # recover_eliminated forms its own sum
-            dual_residual(block, lam, r2)
+            dual_residual(block, self.lam, r2)
             barrier_residuals(block, r3, r4)
             steps = recover_eliminated(d_beta[cut], r2, r3, r4, diag,
                                        [row[cut] for row in rows])
@@ -463,7 +471,7 @@ class _Workspace:
             # blocks is the whole vector's
             alphas = [min(alpha, fraction_to_boundary(v, dv, tau, sigma1))
                       for alpha, v, dv in zip(alphas, _arrays(block), steps)]
-        return (*rows, min(alphas[:2]), min(alphas[2:]))
+        return min(alphas[:2]), min(alphas[2:])
 
 
 def _arrays(state) -> tuple:
@@ -474,45 +482,37 @@ def _block(state: IpmState, cut: slice) -> IpmState:
     return IpmState(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
 
 
-def newton_direction(state: IpmState, xi, g, lam: float, mask: Mask, cg_tol: float,
-                     work: _Workspace) -> NewtonDirection:
-    """One Newton direction on the barrier KKT system at ``state.mu``.
+def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:
+    """One Newton direction on the barrier KKT system at ``state.mu``, into
+    the rows of ``work`` that ``ROLES["step"]`` names.
 
-    ``xi = observe_adjoint(b)``, ``g = gram(beta)`` and ``lam`` are the data
-    of the residuals; ``work`` holds the evaluation of ``state``.  PCG
-    solves ``S d_beta = rho`` matrix-free and accumulates ``G d_beta``;
-    recovery back-substitutes the other blocks and measures the
-    fraction-to-boundary step lengths in the same sweep.
+    ``work`` holds the residuals' data and the evaluation of ``state``.
+    PCG solves ``S d_beta = rho`` matrix-free to ``work.cg_tol`` and
+    accumulates ``G d_beta``; recovery back-substitutes the other blocks
+    and measures the fraction-to-boundary step lengths in the same sweep.
     """
-    work.condense(state, xi, g, lam)
+    work.condense(state)
     rows = work.roles("pcg", state)
     schur = BarrierDiagonals(None, None, None, None, rows["delta"], rows["precond"])
     image, product = rows["image"], rows["product"]
 
     def op(v):  # with G = I there is no image to accumulate: G d_beta is d_beta
-        pair = apply_kkt(v, None, schur, mask, out=product, gram_out=rows["gram_p"],
+        pair = apply_kkt(v, None, schur, work.mask, out=product, gram_out=rows["gram_p"],
                          spectra=work.spectra)
         return pair if image is not None else pair[0]
 
     def prec(v):
         return apply_precond_inverse(v, None, schur, out=product)
 
-    result = pcg_solve(op, prec, rows["residual"], PcgConfig(abs_tol=cg_tol), image=image,
+    result = pcg_solve(op, prec, rows["residual"], PcgConfig(abs_tol=work.cg_tol), image=image,
                        work=(rows["x"], rows["residual"], rows["search"], product))
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
             f"after {result.iterations} iterations"
         )
-    *steps, alpha_p, alpha_d = work.recover(state, lam, result.solution)
-    return NewtonDirection(
-        result.solution, *steps,
-        gram_d_beta=result.solution if image is None else image,
-        krylov_iters=result.iterations,
-        pcg_residual=result.residual_norm,
-        alpha_primal=alpha_p,
-        alpha_dual=alpha_d,
-    )
+    return NewtonDirection(result.iterations, result.residual_norm,
+                           *work.recover(state, result.solution))
 
 
 def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
@@ -532,24 +532,23 @@ def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
     return min(1.0, tau * -float(nearest.view(np.float64)))
 
 
-def ipm_step(state: IpmState, xi, g, lam: float, mask: Mask, cg_tol: float,
-             work: _Workspace) -> tuple[IpmState, NewtonDirection]:
+def ipm_step(state: IpmState, work: _Workspace) -> tuple[IpmState, NewtonDirection]:
     """Take one damped Newton step from ``state`` and evaluate the new iterate;
     returns it and the direction, which holds both step lengths.
 
-    ``work`` is as for :func:`newton_direction`.  ``g`` is advanced in place
-    by ``alpha_primal * G d_beta``, and ``work.report`` then gives the new
-    iterate's :class:`ConvergenceReport`.  ``state``'s slacks are kept and
-    its ``nu`` arrays overwritten (:data:`ROLES`).
+    ``work`` is as for :func:`newton_direction`.  Its ``g`` is advanced in
+    place by ``alpha_primal * G d_beta``, and ``work.report`` then gives the
+    new iterate's :class:`ConvergenceReport`.  ``state``'s slacks are kept
+    and its ``nu`` arrays overwritten (:data:`ROLES`).
     """
-    direction = newton_direction(state, xi, g, lam, mask, cg_tol, work)
+    direction = newton_direction(state, work)
     alpha_p, alpha_d = direction.alpha_primal, direction.alpha_dual
     if min(alpha_p, alpha_d) < 1e-12:
         raise StalledError(
             f"fraction-to-boundary step collapsed (alpha_p={alpha_p:.2e}, "
             f"alpha_d={alpha_d:.2e})"
         )
-    return work.evaluate(state, xi, g, lam, step=direction), direction
+    return work.evaluate(state, step=direction), direction
 
 
 def next_barrier(mu: float, tol: float) -> float:
@@ -588,10 +587,13 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         (``InteriorViolationError``), with status ``"stalled"`` and the
         error's message as ``reason``.
 
-    Raises ``ValueError`` before any transform for NaN/Inf in ``b``, and for
+    Raises ``ValueError`` before any transform for complex ``b``, whose
+    imaginary part the solve would drop, for NaN/Inf in ``b``, and for
     samples whose squared norm ``b @ b`` overflows, which would make the
     objective infinite.
     """
+    if np.iscomplexobj(b):
+        raise ValueError("observed samples must be real")
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
@@ -626,12 +628,10 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
     residual, the final barrier and the failure reason.  The n-vectors of
     the loop live in one :class:`_Workspace` and are released on return.
     """
-    n = mask.shape.n
-    work = _Workspace(n, mask)
+    work = _Workspace(xi, lam, mask, config)
     records: list[IterationRecord] = []
-    g = np.zeros(n)  # gram(beta), exact at beta = 0
-    state = work.evaluate(initial_state(n, lam), xi, g, lam)
-    conv = work.report(state, config.tol)
+    state = work.evaluate(initial_state(mask.shape.n, lam))
+    conv = work.report(state)
     # the best iterate's beta, or None while the best is the current iterate
     best_beta, best_kkt = None, conv.max_residual
     stalled, reason = False, ""
@@ -644,17 +644,18 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
             state = replace(state, mu=next_barrier(state.mu, config.tol))
         previous = state
         try:
-            state, direction = ipm_step(state, xi, g, lam, mask, config.cg_tol, work)
+            state, direction = ipm_step(state, work)
         except (NumericalBreakdownError, StalledError, InteriorViolationError) as exc:
             stalled, reason = True, str(exc)  # state's slacks, and so its beta, are intact
             break
-        conv = work.report(state, config.tol)
+        conv = work.report(state)
         if conv.converged:  # confirm on the exact product, never on the carried one
-            beta = np.subtract(state.s1, state.s2, out=work.roles("confirm", state)["beta"])
+            rows = work.roles("confirm", state)
+            beta = np.subtract(state.s1, state.s2, out=rows["beta"])
             beta *= 0.5
-            gram(beta, mask, out=g, spectra=work.spectra)
-            work.evaluate(state, xi, g, lam)
-            conv = work.report(state, config.tol)
+            gram(beta, mask, out=rows["g"], spectra=work.spectra)
+            work.evaluate(state)
+            conv = work.report(state)
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
@@ -662,10 +663,7 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
             dual_inf=max(conv.dual_equality, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
-            krylov_iters=direction.krylov_iters,
-            alpha_primal=direction.alpha_primal,
-            alpha_dual=direction.alpha_dual,
-            pcg_residual=direction.pcg_residual,
+            **asdict(direction),
             centrality_ok=conv.centrality_ok,
             wall_time=time.perf_counter() - t_iter,
         )

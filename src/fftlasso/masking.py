@@ -26,8 +26,9 @@ class Mask:
     Attributes
     ----------
     missing : numpy.ndarray
-        Strictly increasing linear (row-major) indices of missing samples.
-        May be empty (pure denoising); must not cover the whole grid.
+        Strictly increasing linear (row-major) indices of missing samples,
+        of an integer dtype.  May be empty (pure denoising), of any dtype;
+        must not cover the whole grid.
     shape : GridShape
         Grid geometry the indices refer to.
     """
@@ -37,7 +38,10 @@ class Mask:
     missing_bool: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.missing, dtype=np.int64).reshape(-1)
+        idx = np.asarray(self.missing)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"missing indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False).reshape(-1)
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.shape.n:
                 raise ValueError("missing indices out of range")

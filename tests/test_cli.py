@@ -6,15 +6,19 @@ import numpy as np
 import pytest
 
 import fftlasso.ipm
+import fftlasso.pcg
 from conftest import fail_on_call
 from fftlasso.cli import (
     EXIT_INPUT_ERROR,
     EXIT_MAX_ITERS,
     EXIT_OK,
     EXIT_STALLED,
+    _config,
     _write_report,
+    build_parser,
     main,
 )
+from fftlasso.ipm import IpmConfig
 from fftlasso.dataio import read_volume, write_volume
 from fftlasso.errors import NumericalBreakdownError
 
@@ -173,6 +177,25 @@ class TestSolve:
         assert read_volume(impute)[0].size == 512
         summary = read_report(report)[-1]
         assert summary["status"] == "stalled" and summary["iterations"] == 2
+
+    def test_pcg_cap_stall_exit_code_writes_report(self, tmp_path, monkeypatch, capsys):
+        """PCG capped at one iteration stalls the 8^3 solve (seeds 42/43) at
+        its second step: exit 3, and the report holds the first record, whose
+        KKT residual is the summary's."""
+        signal, mask = str(tmp_path / "s.f64"), str(tmp_path / "m.idx")
+        assert main(["generate", "--dims", "8,8,8", "--noise-seed", "42",
+                     "--missing-seed", "43", "--signal", signal, "--mask", mask]) == EXIT_OK
+        monkeypatch.setattr(fftlasso.pcg, "MAX_ITERS_CAP", 1)
+        out, report = str(tmp_path / "b.f64"), str(tmp_path / "r.jsonl")
+        code = main(["solve", "--input", signal, "--mask", mask,
+                     "--output", out, "--report", report])
+        assert code == EXIT_STALLED
+        meta, first, summary = read_report(report)
+        assert summary["status"] == "stalled" and summary["iterations"] == 1
+        assert summary["reason"].startswith("PCG stalled at preconditioned residual")
+        assert summary["final_kkt"] == first["kkt_max"]
+        assert np.all(np.isfinite(read_volume(out)[0]))
+        assert "PCG stalled" in capsys.readouterr().err
 
     def test_stalled_reason_is_reported(self, problem_files, monkeypatch, capsys):
         """The inner failure's message reaches the summary record and stderr."""
@@ -383,3 +406,22 @@ class TestBench:
         code = main(["bench", "--sizes", sizes, "--report", str(report)])
         assert_input_error(code, capsys)
         assert not report.exists()
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--input", "v", "--mask", "m", "--output", "o"],
+        ["bench", "--sizes", "8"],
+    ], ids=["solve", "bench"])
+    def test_defaults_are_the_config_defaults(self, argv):
+        """``solve`` and ``bench`` take their solver defaults from ``IpmConfig``."""
+        args = build_parser().parse_args(argv)
+        defaults = IpmConfig()
+        assert (args.tol, args.cg_tol, args.max_iters) == (
+            defaults.tol, defaults.cg_tol, defaults.max_iters)
+        assert _config(args) == defaults
+
+    def test_flags_reach_the_config(self):
+        args = build_parser().parse_args(["bench", "--sizes", "8", "--tol", "1e-6",
+                                          "--cg-tol", "1e-10", "--max-iters", "7"])
+        assert _config(args, lam=0.5) == IpmConfig(lam=0.5, tol=1e-6, cg_tol=1e-10, max_iters=7)

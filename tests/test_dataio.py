@@ -81,6 +81,22 @@ class TestVolumeFile:
         with pytest.raises(ValueError, match="dims"):
             read_volume(str(path))
 
+    def test_sidecar_without_dims(self, tmp_path):
+        path = tmp_path / "v.f64"
+        np.zeros(4).tofile(path)
+        (tmp_path / "v.f64.json").write_text(
+            json.dumps({"order": "row-major", "dtype": "f64-le"}))
+        with pytest.raises(ValueError, match="missing 'dims'"):
+            read_volume(str(path))
+
+    def test_unsupported_order(self, tmp_path):
+        path = tmp_path / "v.f64"
+        np.zeros(4).tofile(path)
+        (tmp_path / "v.f64.json").write_text(
+            json.dumps({"dims": [4], "order": "column-major", "dtype": "f64-le"}))
+        with pytest.raises(ValueError, match="order"):
+            read_volume(str(path))
+
     def test_unknown_dtype(self, tmp_path):
         path = tmp_path / "odd.f64"
         np.zeros(4).tofile(path)
@@ -107,6 +123,12 @@ class TestMaskFile:
         write_mask(path, mask)
         header = json.loads(open(sidecar_path(path)).read())
         assert header == {"format": "indices", "dims": [4]}
+
+    def test_write_unknown_format(self, tmp_path):
+        path = tmp_path / "m"
+        with pytest.raises(ValueError, match="format"):
+            write_mask(str(path), Mask(np.array([1]), GridShape((4,))), fmt="other")
+        assert not path.exists() and not (tmp_path / "m.json").exists()
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "m"

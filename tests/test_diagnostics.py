@@ -28,7 +28,7 @@ from fftlasso.diagnostics import (
     scaling_trajectory_check,
     soft_threshold,
 )
-from fftlasso.ipm import IpmConfig
+from fftlasso.ipm import IpmConfig, initial_state
 
 from conftest import random_feasible_iterate, sparse_instance
 
@@ -102,6 +102,14 @@ class TestSpectrumProbe:
         assert report.unit_cluster_size == 32
         assert report.kappa_observed == pytest.approx(1.0)
         assert report.kappa_predicted >= 1.0
+
+    def test_empty_support_predicts_one(self):
+        """At ``beta = 0`` no entry is active and the predicted condition
+        number is 1, on a masked grid too."""
+        report = preconditioned_spectrum(initial_state(16, 0.5),
+                                         Mask(np.array([3, 12]), GridShape((16,))))
+        assert report.n_active == 0
+        assert report.kappa_predicted == 1.0
 
     def test_near_convergence_cluster(self, rng):
         """Two-sparse solution: at most two eigenvalues leave the unit cluster."""

@@ -48,6 +48,16 @@ class TestGridShape:
         with pytest.raises(UnsupportedShapeError):
             GridShape(dims)
 
+    @pytest.mark.parametrize("dims", [(8.5, 8), (8.0, 8), ("8",), (np.float64(4),)])
+    def test_rejects_non_integer_extents(self, dims):
+        """An extent that ``int()`` would truncate or parse is no extent."""
+        with pytest.raises(UnsupportedShapeError, match="integers"):
+            GridShape(dims)
+
+    def test_accepts_numpy_integer_extents(self):
+        g = GridShape((np.int64(8), np.uint16(4)))
+        assert g.dims == (8, 4) and all(type(d) is int for d in g.dims)
+
 
 class TestPackUnpack:
     def test_pack_constant_spectrum(self):

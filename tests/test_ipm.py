@@ -2,10 +2,12 @@
 
 import copy
 import itertools
+import re
 import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from fftlasso.ipm import (
     IpmConfig,
     IpmState,
     NewtonDirection,
+    default_penalty,
     fraction_to_boundary,
     initial_state,
     ipm_step,
@@ -67,23 +70,30 @@ def empty_mask(n):
     return Mask(np.array([], dtype=np.int64), GridShape((n,)))
 
 
-def evaluated(state, xi, g, lam, mask):
-    """A new workspace holding the evaluation of ``state``, as a solve's
-    sweeps leave it before a step."""
-    work = fftlasso.ipm._Workspace(state.n, mask)
-    work.evaluate(state, xi, g, lam)
+def evaluated(state, xi, g, lam, mask, tol=1e-8, cg_tol=1e-12):
+    """A new workspace for ``xi``, ``lam`` and ``mask`` that carries a copy
+    of ``g`` and holds the evaluation of ``state``, as a solve's sweeps
+    leave it before a step."""
+    work = fftlasso.ipm._Workspace(xi, lam, mask, IpmConfig(tol=tol, cg_tol=cg_tol))
+    work.rows["g"][:] = g
+    work.evaluate(state)
     return work
 
 
 def direction_at(state, b, mask, lam, cg_tol):
-    """The Newton direction at ``state``, with ``xi`` and ``g`` evaluated exactly."""
+    """The arrays of the Newton direction at ``state``, read from the rows
+    that ``ROLES["step"]`` names, with ``xi`` and ``g`` evaluated exactly."""
     xi, g = exact_data(state, b, mask)
-    return newton_direction(state, xi, g, lam, mask, cg_tol, evaluated(state, xi, g, lam, mask))
+    work = evaluated(state, xi, g, lam, mask, cg_tol=cg_tol)
+    newton_direction(state, work)
+    rows = work.roles("step", state)
+    return SimpleNamespace(d_beta=rows["x"], **{name: rows[name] for name in
+                                                ("d_s1", "d_s2", "d_nu1", "d_nu2")})
 
 
 def report_at(state, b, mask, lam, tol):
     """The solver's convergence report of ``state``, with ``xi`` and ``g`` exact."""
-    return evaluated(state, *exact_data(state, b, mask), lam, mask).report(state, tol)
+    return evaluated(state, *exact_data(state, b, mask), lam, mask, tol=tol).report(state)
 
 
 class TestInitialState:
@@ -222,7 +232,7 @@ class TestBlockedSweeps:
     """The workspace's sweeps over blocks of ``BLOCK`` entries give the bits
     of the full-vector references in ``conftest``."""
 
-    SIZES = pytest.mark.parametrize("n", [BLOCK // 4 + 3, 2 * BLOCK, 64000],
+    SIZES = pytest.mark.parametrize("n", [BLOCK // 4 + 2, 2 * BLOCK, 64000],
                                     ids=["below-one-block", "exact-multiple", "ragged-tail"])
 
     @SIZES
@@ -231,20 +241,23 @@ class TestBlockedSweeps:
         lam, tol = 0.5, 1e-8
         state = spread_iterate(rng, n, mu=1e-3)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
-        work = fftlasso.ipm._Workspace(n)
+        work = fftlasso.ipm._Workspace(xi, lam, empty_mask(n), IpmConfig(tol=tol))
+        work.rows["g"][:] = g
 
-        assert work.evaluate(state, xi, g, lam) is state
+        assert work.evaluate(state) is state
         rhs = newton_rhs(state, xi, g, lam)
         rows = work.roles("evaluate", state)
         assert same_bits(rows["delta"], rhs.diag.delta)
         assert same_bits(rows["precond"], rhs.diag.precond)
-        assert work.report(state, tol) == check_convergence(state, rhs, tol)
+        assert work.report(state) == check_convergence(state, rhs, tol)
 
-        work.condense(state, xi, g, lam)
+        work.condense(state)
         assert same_bits(work.roles("condense", state)["rho"], rhs.rho)
 
         d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
-        *steps, alpha_p, alpha_d = work.recover(state, lam, d_beta)
+        alpha_p, alpha_d = work.recover(state, d_beta)
+        rows = work.roles("step", state)
+        steps = [rows[name] for name in ("d_s1", "d_s2", "d_nu1", "d_nu2")]
         expect = recovered(d_beta, rhs)
         assert all(same_bits(got, want) for got, want in zip(steps, expect))
         tau = max(0.995, 1.0 - state.mu)
@@ -253,22 +266,23 @@ class TestBlockedSweeps:
         assert (alpha_p, alpha_d) == (min(ratios[:2]), min(ratios[2:]))
 
         image = rng.standard_normal(n)
+        rows["x"][:] = image  # G d_beta, read from x on this empty mask
         moved = [old + alpha * dx for old, dx, alpha in
                  zip((state.s1, state.s2, state.nu1, state.nu2), expect,
                      (alpha_p, alpha_p, alpha_d, alpha_d))]
         g_moved = g + alpha_p * image
-        direction = NewtonDirection(d_beta, *steps, gram_d_beta=image, krylov_iters=1,
-                                    pcg_residual=0.0, alpha_primal=alpha_p, alpha_dual=alpha_d)
-        new = work.evaluate(state, xi, g, lam, step=direction)
+        direction = NewtonDirection(krylov_iters=1, pcg_residual=0.0,
+                                    alpha_primal=alpha_p, alpha_dual=alpha_d)
+        new = work.evaluate(state, step=direction)
         assert [a is b for a, b in zip((new.s1, new.s2, new.nu1, new.nu2), steps)] == [True] * 4
         assert all(same_bits(got, want) for got, want in
                    zip((new.s1, new.s2, new.nu1, new.nu2), moved))
-        assert same_bits(g, g_moved)
-        rhs = newton_rhs(new, xi, g, lam)
+        assert same_bits(work.rows["g"], g_moved)
+        rhs = newton_rhs(new, xi, g_moved, lam)
         rows = work.roles("evaluate", new)
         assert same_bits(rows["delta"], rhs.diag.delta)
         assert same_bits(rows["precond"], rhs.diag.precond)
-        assert work.report(new, tol) == check_convergence(new, rhs, tol)
+        assert work.report(new) == check_convergence(new, rhs, tol)
 
     @pytest.mark.parametrize("poison", [{"nu1": -1}, {"s2": -1, "nu1": 0}, {"nu2": -1, "s1": 5}],
                              ids=["last-block-only", "later-array-first", "earlier-array-last"])
@@ -281,17 +295,18 @@ class TestBlockedSweeps:
         rng = np.random.default_rng(1)
         state = random_feasible_iterate(rng, n)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
-        work = fftlasso.ipm._Workspace(n)
-        zero = np.zeros(n)
-        direction = NewtonDirection(zero, *(np.zeros(n) for _ in range(4)), gram_d_beta=zero,
-                                    krylov_iters=1, pcg_residual=0.0,
+        work = fftlasso.ipm._Workspace(xi, 0.5, empty_mask(n))
+        work.rows["g"][:] = g
+        steps = work.roles("step", state)
+        for name in ("x", "d_s1", "d_s2", "d_nu1", "d_nu2"):
+            steps[name].fill(0.0)
+        direction = NewtonDirection(krylov_iters=1, pcg_residual=0.0,
                                     alpha_primal=1.0, alpha_dual=1.0)
-        target = direction if stepped else state
         for name, index in poison.items():
-            getattr(target, "d_" + name if stepped else name)[index] = np.nan
+            (steps["d_" + name] if stepped else getattr(state, name))[index] = np.nan
         first = min(poison, key=("s1", "s2", "nu1", "nu2").index)
         with pytest.raises(InteriorViolationError, match=f"^{first} "):
-            work.evaluate(state, xi, g, 0.5, step=direction if stepped else None)
+            work.evaluate(state, step=direction if stepped else None)
 
 
 class TestStepMechanics:
@@ -349,7 +364,7 @@ class TestStepMechanics:
         state = initial_state(mask.shape.n, lam)
         for _ in range(5):
             xi, g = exact_data(state, b, mask)
-            state, _ = ipm_step(state, xi, g, lam, mask, 1e-12, evaluated(state, xi, g, lam, mask))
+            state, _ = ipm_step(state, evaluated(state, xi, g, lam, mask))
             assert min(state.s1.min(), state.s2.min()) > 0.0
             assert min(state.nu1.min(), state.nu2.min()) > 0.0
 
@@ -364,7 +379,7 @@ class TestStepMechanics:
         work = evaluated(state, xi, g, 0.4, mask)
         for _ in range(3):
             kept = state.copy()
-            new, _ = ipm_step(state, xi, g, 0.4, mask, 1e-12, work)
+            new, _ = ipm_step(state, work)
             rows = work.roles("evaluate", new)
             assert same_bits(rows["previous_s1"], kept.s1) and rows["previous_s1"] is state.s1
             assert same_bits(rows["previous_s2"], kept.s2) and rows["previous_s2"] is state.s2
@@ -378,9 +393,6 @@ class TestStepMechanics:
         state = initial_state(n, 0.5)
 
         blocked = NewtonDirection(
-            d_beta=np.zeros(n),
-            d_s1=-1e18 * state.s1, d_s2=np.zeros(n),
-            d_nu1=np.zeros(n), d_nu2=np.zeros(n), gram_d_beta=np.zeros(n),
             krylov_iters=0, pcg_residual=0.0,
             alpha_primal=fraction_to_boundary(state.s1, -1e18 * state.s1, 0.995),
             alpha_dual=1.0,
@@ -389,7 +401,7 @@ class TestStepMechanics:
                             lambda *args, **kw: blocked)
         xi, g = exact_data(state, b, mask)
         with pytest.raises(StalledError):
-            ipm_step(state, xi, g, 0.5, mask, 1e-12, evaluated(state, xi, g, 0.5, mask))
+            ipm_step(state, evaluated(state, xi, g, 0.5, mask))
 
     def test_nan_slack_step_leaves_interior(self, rng, monkeypatch):
         """A step that poisons a slack is caught by the next evaluation, which
@@ -397,11 +409,10 @@ class TestStepMechanics:
         b, mask, _ = sparse_instance(rng, 32, 4, 3)
         exact = fftlasso.ipm.newton_direction
 
-        def poisoned(*args, **kw):
-            d = exact(*args, **kw)
-            d_s1 = d.d_s1.copy()
-            d_s1[0] = np.nan
-            return replace(d, d_s1=d_s1)
+        def poisoned(state, work):
+            d = exact(state, work)
+            work.roles("step", state)["d_s1"][0] = np.nan
+            return d
 
         monkeypatch.setattr(fftlasso.ipm, "newton_direction", poisoned)
         beta, report = solve(b, mask, IpmConfig(lam=0.4))
@@ -776,6 +787,34 @@ class TestSolve:
             assert report.krylov_counts == krylov and report.total_krylov == sum(krylov)
             assert calls == {"synthesize": transforms, "analyze": transforms}
 
+    def test_pcg_cap_stall_returns_first_iterate(self, monkeypatch):
+        """PCG capped at one iteration converges at the first step of the 8^3
+        solve (seeds 42/43) and not at the second, which ends the solve as
+        ``stalled`` with the first iterate, bit for bit as the observer saw
+        it.  (A tiny ``cg_tol`` cannot force the stall: the recursive
+        residual underflows to zero first.)"""
+        monkeypatch.setattr(fftlasso.pcg, "MAX_ITERS_CAP", 1)
+        noisy, mask, _ = generate_synthetic(
+            SyntheticSpec(dims=(8, 8, 8), noise_seed=42, missing_seed=43))
+        seen = []
+        beta, report = solve(noisy[~mask.missing_bool], mask,
+                             observer=lambda state, record: seen.append(
+                                 (state.beta.tobytes(), record)))
+        assert report.status == "stalled" and report.iterations == len(seen) == 1
+        assert re.fullmatch(r"PCG stalled at preconditioned residual \S+ after 1 iterations",
+                            report.reason)
+        assert beta.tobytes() == seen[0][0]
+        assert report.final_kkt == seen[0][1].kkt_max
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (64,)], ids=["8^3", "1d-64"])
+    def test_default_penalty_is_the_solve_penalty(self, dims):
+        noisy, mask, _ = generate_synthetic(
+            SyntheticSpec(dims=dims, noise_seed=42, missing_seed=43))
+        b = noisy[~mask.missing_bool]
+        assert mask.n_missing > 0
+        lam = default_penalty(b, mask)
+        assert np.float64(lam).tobytes() == np.float64(solve(b, mask)[1].lam).tobytes()
+
     def test_failure_on_first_step_returns_start(self, rng, monkeypatch):
         b, mask, _ = sparse_instance(rng, 64, 9, 3)
         monkeypatch.setattr(fftlasso.ipm, "newton_direction",
@@ -837,7 +876,7 @@ class TestWorkspaceRoles:
         half spectra are lent by rows idle while they run.)"""
         _, mask = _roles_instance(dims, missing_fraction)
         n = mask.shape.n
-        work = fftlasso.ipm._Workspace(n, mask)
+        work = fftlasso.ipm._Workspace(np.zeros(n), 0.5, mask)
         state = initial_state(n, 0.5)
         for _ in range(2):
             for phase in ROLES:
@@ -862,7 +901,7 @@ class TestWorkspaceRoles:
         On 2-D grids the packing passes end in the second half spectrum, so
         ``gram_p``, their output, is a plain row and a spare row lends it."""
         _, mask = _roles_instance(dims)
-        work = fftlasso.ipm._Workspace(mask.shape.n, mask)
+        work = fftlasso.ipm._Workspace(np.zeros(mask.shape.n), 0.5, mask)
         assert work.rows["x"].base.size == floats
         for name, row in work.rows.items():
             lends = [np.shares_memory(row, half) for half in work.spectra]
@@ -896,6 +935,17 @@ class TestSolveBoundary:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="squared norm"):
                 solve(noisy[~mask.missing_bool] * 1e200, mask)
+
+    def test_rejects_complex_samples(self, monkeypatch):
+        """A complex ``b`` is refused before any transform, not cast with a
+        ``ComplexWarning`` that drops its imaginary part."""
+        forbid_transforms(monkeypatch)
+        b = np.ones(8, dtype=complex)
+        b[2] = 1.0 + 2.0j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="real"):
+                solve(b, empty_mask(8))
 
     @pytest.mark.parametrize("missing", [[], [1, 6]])
     def test_zero_samples_default_penalty(self, missing):
@@ -991,9 +1041,9 @@ class TestEvaluationCounts:
         evaluate = fftlasso.ipm._Workspace.evaluate
         drift = []
 
-        def spy(work, state, xi, g, lam, **kw):
-            state = evaluate(work, state, xi, g, lam, **kw)  # g then belongs to the new iterate
-            drift.append(np.max(np.abs(g - gram(state.beta, mask))))
+        def spy(work, state, **kw):
+            state = evaluate(work, state, **kw)  # g then belongs to the new iterate
+            drift.append(np.max(np.abs(work.rows["g"] - gram(state.beta, mask))))
             return state
 
         monkeypatch.setattr(fftlasso.ipm._Workspace, "evaluate", spy)
@@ -1146,13 +1196,13 @@ class TestMemory:
             return half_spectra(shape, spectra)
 
         monkeypatch.setattr(fftlasso.fourier, "_half_spectra", spy)
-        direction = newton_direction(state, xi, g, lam, mask, 1e-12,
-                                     evaluated(state, xi, g, lam, mask))
-        state, step = ipm_step(state, xi, g, lam, mask, 1e-12, evaluated(state, xi, g, lam, mask))
+        direction = newton_direction(state, evaluated(state, xi, g, lam, mask))
+        first = evaluated(state, xi, g, lam, mask)
+        state, step = ipm_step(state, first)
         krylov = [direction.krylov_iters, step.krylov_iters]
-        work = evaluated(state, xi, g, lam, mask)
+        work = evaluated(state, xi, first.rows["g"], lam, mask)
         for _ in range(2):
-            state, step = ipm_step(state, xi, g, lam, mask, 1e-12, work)
+            state, step = ipm_step(state, work)
             krylov.append(step.krylov_iters)
         assert min(krylov) > 1
         assert lent == [True] * 2 * sum(krylov)  # a pair of transforms per product

@@ -34,6 +34,16 @@ class TestMaskValidation:
     def test_empty_is_legal(self):
         assert empty_mask(8).n_missing == 0
 
+    def test_empty_list_is_legal(self):
+        mask = Mask([], GridShape((4,)))
+        assert mask.n_missing == 0 and mask.missing.dtype == np.int64
+
+    @pytest.mark.parametrize("missing", [np.array([1.7, 2.2]), np.array([1.0, 2.0]), ["1"]])
+    def test_rejects_non_integral_indices(self, missing):
+        """Indices that a cast to int64 would truncate or parse are refused."""
+        with pytest.raises(ValueError, match="integers"):
+            Mask(missing, GridShape((4,)))
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Mask(np.array([8]), GridShape((8,)))

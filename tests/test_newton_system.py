@@ -365,11 +365,12 @@ class TestInPlaceKernels:
         n = 512
         state = spread_iterate(rng, n, mu=1e-2)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
-        work = _Workspace(n)
-        work.evaluate(state, xi, g, 0.5)
-        work.condense(state, xi, g, 0.5)
+        work = _Workspace(xi, 0.5, empty_mask(n))
+        work.rows["g"][:] = g
+        work.evaluate(state)
+        work.condense(state)
         lower = IpmState(state.s1, state.s2, state.nu1, state.nu2, mu=1e-5)
-        work.condense(lower, xi, g, 0.5)
+        work.condense(lower)
         assert same_bits(work.roles("condense", lower)["rho"], newton_rhs(lower, xi, g, 0.5).rho)
 
     @pytest.mark.parametrize("seed", range(4))

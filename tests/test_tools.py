@@ -1,10 +1,14 @@
-"""Smoke test of the report fingerprint tool that byte-identity checks rest on."""
+"""Smoke tests of the tools that byte-identity and benchmark checks rest on."""
 
+import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fftlasso
 
@@ -29,3 +33,24 @@ def test_report_fingerprint_lines():
     matches = [re.fullmatch(r"[0-9a-f]{64}  (\S+)", line) for line in done.stdout.splitlines()]
     assert all(matches), done.stdout
     assert [m.group(1) for m in matches] == NAMES
+
+
+#: The functions that the layered benchmark (``benchmarks/run.py``) times by
+#: name.  Its tracer wraps only the functions a layer module defines and
+#: lists in ``__all__``, so a renamed or unlisted one would silently read 0.
+TRACED = [
+    "fourier.synthesize", "fourier.analyze", "masking.gram",
+    "newton_system.apply_kkt", "newton_system.apply_precond_inverse",
+    "newton_system.recover_eliminated", "pcg.pcg_solve",
+    "ipm.newton_direction", "ipm.ipm_step", "ipm.solve",
+]
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_functions_stay_public(name):
+    layer, attr = name.split(".")
+    module = importlib.import_module(f"fftlasso.{layer}")
+    assert attr in module.__all__
+    fn = getattr(module, attr)
+    assert inspect.isfunction(fn) and fn.__module__ == module.__name__
+    assert f'"{name}"' in (ROOT / "benchmarks" / "run.py").read_text(encoding="utf-8")
