@@ -26,7 +26,7 @@ from .ipm import (
     solve,
 )
 from .masking import Mask, embed, gram, observe, observe_adjoint
-from .pcg import PcgConfig, PcgResult, pcg_solve
+from .pcg import PcgResult, pcg_solve
 from .synthetic import SyntheticSpec, generate_synthetic
 
 __version__ = "0.1.0"
@@ -37,7 +37,6 @@ __all__ = [
     "IpmConfig",
     "IpmState",
     "SolveReport",
-    "PcgConfig",
     "PcgResult",
     "SyntheticSpec",
     "pack",

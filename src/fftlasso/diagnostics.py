@@ -21,7 +21,7 @@ from .errors import IterationLimitError
 from .fourier import GridShape
 from .ipm import IpmState
 from .masking import Mask, gram, observe_adjoint
-from .newton_system import barrier_diagonals
+from .newton_system import check_interior
 
 __all__ = [
     "DENSE_DIM_GUARD",
@@ -93,19 +93,19 @@ def dense_gram_matrix(mask: Mask) -> np.ndarray:
     return m_perp.T @ m_perp
 
 
+def _sigmas(state: IpmState) -> tuple[np.ndarray, np.ndarray]:
+    """Barrier scaling diagonals ``(nu1/s1, nu2/s2)`` of an interior iterate."""
+    check_interior(state.s1, state.s2, state.nu1, state.nu2)
+    return state.nu1 / state.s1, state.nu2 / state.s2
+
+
 def dense_condensed_matrices(state: IpmState, mask: Mask):
     """Dense (K, P) pair of the condensed system at an iterate."""
     n = state.n
-    diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-    g = dense_gram_matrix(mask)
-    k = np.block([
-        [g + np.diag(diag.lambda1), np.diag(diag.lambda2)],
-        [np.diag(diag.lambda2), np.diag(diag.lambda1)],
-    ])
-    p = np.block([
-        [np.diag(1.0 + diag.lambda1), np.diag(diag.lambda2)],
-        [np.diag(diag.lambda2), np.diag(diag.lambda1)],
-    ])
+    sigma1, sigma2 = _sigmas(state)
+    lambda1, lambda2 = np.diag(sigma1 + sigma2), np.diag(sigma1 - sigma2)
+    k = np.block([[dense_gram_matrix(mask) + lambda1, lambda2], [lambda2, lambda1]])
+    p = np.block([[np.eye(n) + lambda1, lambda2], [lambda2, lambda1]])
     assert k.shape == (2 * n, 2 * n)
     return k, p
 
@@ -257,17 +257,17 @@ class ScalingReport:
         return {"record": "scaling", **asdict(self)}
 
 
-# ScalingReport field -> ratio of the barrier diagonals d at duality measure
-# mu, over the index classes of the support s
+# ScalingReport field -> ratio of the barrier diagonals (s1, s2) at duality
+# measure mu, over the index classes of the support s
 _SCALING_RATIOS = {
-    "lambda1_times_mu": lambda d, mu, s: d.lambda1 * mu,
-    "sigma1_over_mu_pos": lambda d, mu, s: d.sigma1[s.positive] / mu,
-    "sigma2_times_mu_pos": lambda d, mu, s: d.sigma2[s.positive] * mu,
-    "sigma1_times_mu_neg": lambda d, mu, s: d.sigma1[s.negative] * mu,
-    "sigma2_over_mu_neg": lambda d, mu, s: d.sigma2[s.negative] / mu,
-    "sigma1_times_mu_zero": lambda d, mu, s: d.sigma1[s.zero] * mu,
-    "sigma2_times_mu_zero": lambda d, mu, s: d.sigma2[s.zero] * mu,
-    "sigma_product_active": lambda d, mu, s: d.sigma1[s.active] * d.sigma2[s.active],
+    "lambda1_times_mu": lambda s1, s2, mu, s: (s1 + s2) * mu,
+    "sigma1_over_mu_pos": lambda s1, s2, mu, s: s1[s.positive] / mu,
+    "sigma2_times_mu_pos": lambda s1, s2, mu, s: s2[s.positive] * mu,
+    "sigma1_times_mu_neg": lambda s1, s2, mu, s: s1[s.negative] * mu,
+    "sigma2_over_mu_neg": lambda s1, s2, mu, s: s2[s.negative] / mu,
+    "sigma1_times_mu_zero": lambda s1, s2, mu, s: s1[s.zero] * mu,
+    "sigma2_times_mu_zero": lambda s1, s2, mu, s: s2[s.zero] * mu,
+    "sigma_product_active": lambda s1, s2, mu, s: s1[s.active] * s2[s.active],
 }
 
 
@@ -288,10 +288,9 @@ def scaling_trajectory_check(states: list[IpmState],
     window = states[-tail:]
     if support is None:
         support = classify_support(window[-1].beta)
-    diags = [(barrier_diagonals(st.s1, st.s2, st.nu1, st.nu2), st.duality_measure())
-             for st in window]
+    diags = [(*_sigmas(st), st.duality_measure()) for st in window]
     ranges = {
-        name: _ratio_range(np.concatenate([ratio(d, mu, support) for d, mu in diags]))
+        name: _ratio_range(np.concatenate([ratio(*d, support) for d in diags]))
         for name, ratio in _SCALING_RATIOS.items()
     }
     lo, hi = band

@@ -38,13 +38,14 @@ barrier diagonals and residuals per block, with the formula helpers of
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .errors import InteriorViolationError, NumericalBreakdownError, StalledError
-from .masking import Mask, gram, observe, observe_adjoint
+from .masking import Mask, gram, observe, observe_adjoint, real_vector
 from .newton_system import (
     BarrierDiagonals,
     apply_kkt,
@@ -59,7 +60,7 @@ from .newton_system import (
     schur_coefficients,
     stationarity,
 )
-from .pcg import PcgConfig, is_iteration_count, pcg_solve
+from .pcg import pcg_solve
 
 __all__ = [
     "IpmConfig",
@@ -83,6 +84,11 @@ FTB_TAU = 0.995  # fraction-to-boundary damping
 GAMMA_CENTRALITY = 1e-4  # centrality monitor only, never enforced
 INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
 BLOCK = 16384  # entries per block of the O(n) sweeps: seven scratch rows of this length fit L2
+
+
+def is_iteration_count(value) -> bool:
+    """True for an integer >= 0, numpy integers included; False for a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -235,7 +241,7 @@ def _penalty_of_correlation(xi: np.ndarray) -> float:
 
 
 def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
-    resid = b - observe(beta, mask)
+    resid = real_vector(b, "observed samples") - observe(beta, mask)
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
@@ -497,15 +503,15 @@ def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:
     image, product = rows["image"], rows["product"]
 
     def op(v):  # with G = I there is no image to accumulate: G d_beta is d_beta
-        pair = apply_kkt(v, None, schur, work.mask, out=product, gram_out=rows["gram_p"],
+        pair = apply_kkt(v, schur, work.mask, out=product, gram_out=rows["gram_p"],
                          spectra=work.spectra)
         return pair if image is not None else pair[0]
 
     def prec(v):
-        return apply_precond_inverse(v, None, schur, out=product)
+        return apply_precond_inverse(v, schur, out=product)
 
-    result = pcg_solve(op, prec, rows["residual"], PcgConfig(abs_tol=work.cg_tol), image=image,
-                       work=(rows["x"], rows["residual"], rows["search"], product))
+    result = pcg_solve(op, prec, rows["residual"], work.cg_tol,
+                       (rows["x"], rows["residual"], rows["search"], product), image=image)
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -515,10 +521,9 @@ def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:
                            *work.recover(state, result.solution))
 
 
-def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float,
-                         scratch=None) -> float:
+def fraction_to_boundary(v: np.ndarray, dv: np.ndarray, tau: float, scratch) -> float:
     """Largest step in (0, 1] keeping ``v + alpha*dv >= (1 - tau) * v``, for
-    ``v > 0``; ``scratch`` is an n-long temporary, allocated when not given."""
+    ``v > 0``; ``scratch`` is a temporary of ``v``'s length."""
     with np.errstate(all="ignore"):  # zeros, overflows and NaNs are sorted out below
         ratios = np.divide(v, dv, out=scratch)
     # Read as int64, a double with the sign bit set is negative and grows
@@ -592,9 +597,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     samples whose squared norm ``b @ b`` overflows, which would make the
     objective infinite.
     """
-    if np.iscomplexobj(b):
-        raise ValueError("observed samples must be real")
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    b = real_vector(b, "observed samples")
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
             raise ValueError("observed samples must be finite, with a finite squared norm")

@@ -73,8 +73,16 @@ class Mask:
         return cls(np.flatnonzero(flags), shape)
 
 
+def real_vector(values, what: str) -> np.ndarray:
+    """``values`` as a flat float64 array; ``ValueError`` for a complex one,
+    whose imaginary part the cast would drop."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    return np.asarray(values, dtype=np.float64).reshape(-1)
+
+
 def _check_spectrum(beta, mask: Mask) -> np.ndarray:
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
+    beta = real_vector(beta, "coefficients")
     if beta.size != mask.shape.n:
         raise UnsupportedShapeError(
             f"coefficient vector has {beta.size} entries, grid expects {mask.shape.n}"
@@ -93,7 +101,7 @@ def observe(beta, mask: Mask) -> np.ndarray:
 
 def embed(values, mask: Mask) -> np.ndarray:
     """Zero-fill observed values back onto the full grid."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    values = real_vector(values, "observed samples")
     if values.size != mask.n_observed:
         raise UnsupportedShapeError(
             f"observed vector has {values.size} entries, mask expects {mask.n_observed}"

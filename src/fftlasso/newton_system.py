@@ -76,7 +76,11 @@ The formulas are helpers on arrays (:func:`barrier_scaling`,
 :func:`schur_coefficients`, :func:`stationarity`, :func:`dual_residual`,
 :func:`barrier_residuals`, :func:`condense`, :func:`recover_eliminated`),
 which the solver's block sweeps (``ipm._Workspace``) call on slices, so
-each formula has one implementation.
+each formula has one implementation.  Only the Schur forms run: the 2x2
+forms of ``K`` and ``P^{-1}`` above, and the diagonals over whole vectors,
+are references in the test suite (``tests/conftest.py``), composed from
+:func:`~fftlasso.masking.gram` and these helpers and checked against the
+dense 6-block system.
 
 Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
 with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
@@ -97,7 +101,6 @@ from .masking import Mask, gram
 
 __all__ = [
     "BarrierDiagonals",
-    "barrier_diagonals",
     "apply_kkt",
     "apply_precond_inverse",
     "recover_eliminated",
@@ -114,29 +117,6 @@ class BarrierDiagonals:
     omega2: np.ndarray  # sigma2 / (sigma1 + sigma2)
     delta: np.ndarray  # 4 sigma1 sigma2 / (sigma1 + sigma2)
     precond: np.ndarray  # 1 / (1 + delta)
-
-    @property
-    def lambda1(self) -> np.ndarray:
-        return self.sigma1 + self.sigma2
-
-    @property
-    def lambda2(self) -> np.ndarray:
-        return self.sigma1 - self.sigma2
-
-
-def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
-    """Build the barrier scaling diagonals from slacks and multipliers.
-
-    All four inputs must be strictly positive and finite; otherwise the
-    iterate has left the interior and the condensed system loses
-    definiteness.
-    """
-    arrays = [np.asarray(a, dtype=np.float64) for a in (s1, s2, nu1, nu2)]
-    check_interior(*arrays)
-    out = BarrierDiagonals(*(np.empty(arrays[0].shape) for _ in range(6)))
-    barrier_scaling(*arrays, out, lambda1=out.precond)  # precond is written last
-    schur_coefficients(out)
-    return out
 
 
 def exterior(s1, s2, nu1, nu2) -> str | None:
@@ -208,48 +188,29 @@ def condense(r1, r2, r3, r4, omega1, omega2, out, scratch) -> None:
     rho += term
 
 
-def apply_kkt(d_beta, d_z, diag: BarrierDiagonals, mask: Mask, out=None,
-              gram_out=None, spectra=None):
-    """Apply the condensed operator.
+def apply_kkt(d_beta, diag: BarrierDiagonals, mask: Mask, out=None, gram_out=None,
+              spectra=None):
+    """The Schur complement's product and the Gram product inside it,
+    ``(S d_beta, G d_beta)``; PCG accumulates the second.
 
-    With a pair ``(d_beta, d_z)`` the result is ``K (d_beta, d_z)``, a
-    (2, n) array.  With ``d_z=None`` it is the Schur complement's product
-    and the Gram product inside it, ``(S d_beta, G d_beta)``; PCG
-    accumulates the second.  PCG calls this function rather than a private
-    kernel so that each Krylov step is one call of ``apply_kkt``, the unit
-    in which Krylov work is counted.  With ``d_z=None``, ``out`` (when
-    given) receives ``S d_beta``; ``gram_out`` (for ``G d_beta``) and
-    ``spectra`` go to :func:`~fftlasso.masking.gram`, done before ``out`` is written.
-    With an empty mask and no ``gram_out``, ``G d_beta`` is ``d_beta`` itself.
+    PCG calls this function rather than a private kernel so that each
+    Krylov step is one call of ``apply_kkt``, the unit in which Krylov work
+    is counted.  ``out`` (when given) receives ``S d_beta``; ``gram_out``
+    (for ``G d_beta``) and ``spectra`` go to :func:`~fftlasso.masking.gram`,
+    done before ``out`` is written.  With an empty mask and no ``gram_out``,
+    ``G d_beta`` is ``d_beta`` itself.  Only ``delta`` of ``diag`` is read.
     """
     identity = not mask.n_missing and gram_out is None  # G = I: no copy
     gram_d_beta = d_beta if identity else gram(d_beta, mask, out=gram_out, spectra=spectra)
-    if d_z is None:
-        product = np.multiply(diag.delta, d_beta, out=out)
-        product += gram_d_beta
-        return product, gram_d_beta
-    lambda1, lambda2 = diag.lambda1, diag.lambda2
-    out = np.empty((2, gram_d_beta.size))
-    out[0] = gram_d_beta + lambda1 * d_beta + lambda2 * d_z
-    out[1] = lambda2 * d_beta + lambda1 * d_z
-    return out
+    product = np.multiply(diag.delta, d_beta, out=out)
+    product += gram_d_beta
+    return product, gram_d_beta
 
 
-def apply_precond_inverse(first, second, diag: BarrierDiagonals, out=None):
-    """Apply the closed-form inverse of the preconditioner.
-
-    With a pair ``(first, second)`` the result is ``P^{-1}`` times it, a
-    (2, n) array, by block elimination through ``Delta`` and ``omega``.
-    With ``second=None`` it is the Schur preconditioner's
-    ``(I + Delta)^{-1} first``, written into ``out`` when it is given.
-    """
-    if second is None:
-        return np.multiply(diag.precond, first, out=out)
-    tilt = diag.omega1 - diag.omega2  # Lam2 / Lam1
-    out = np.empty((2, np.size(first)))
-    out[0] = diag.precond * (first - tilt * second)
-    out[1] = second / diag.lambda1 - tilt * out[0]
-    return out
+def apply_precond_inverse(r, diag: BarrierDiagonals, out=None):
+    """The Schur preconditioner's ``(I + Delta)^{-1} r``, written into
+    ``out`` when it is given.  Only ``precond`` of ``diag`` is read."""
+    return np.multiply(diag.precond, r, out=out)
 
 
 def recover_eliminated(d_beta, r2, r3, r4, diag: BarrierDiagonals, out) -> tuple[np.ndarray, ...]:

@@ -12,13 +12,17 @@ from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
 from fftlasso.ipm import IpmState, _convergence_report
 from fftlasso.newton_system import (
-    barrier_diagonals,
+    BarrierDiagonals,
     barrier_residuals,
+    barrier_scaling,
+    check_interior,
     condense,
     dual_residual,
     recover_eliminated,
+    schur_coefficients,
     stationarity,
 )
+from fftlasso.pcg import pcg_solve
 
 
 def dense_observation_matrix(mask: Mask) -> np.ndarray:
@@ -47,6 +51,62 @@ def dense_augmented_system(state: IpmState, mask: Mask):
         [-i, -i, -i, z, z, z],
         [i, -i, z, -i, z, z],
     ])
+
+
+def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
+    """The barrier diagonals over whole vectors, from the formula helpers
+    the solver's sweeps run on blocks; ``InteriorViolationError`` unless all
+    four arrays are strictly positive and finite."""
+    check_interior(s1, s2, nu1, nu2)
+    out = BarrierDiagonals(*(np.empty(np.shape(s1)) for _ in range(6)))
+    barrier_scaling(s1, s2, nu1, nu2, out, lambda1=out.precond)  # precond is written last
+    schur_coefficients(out)
+    return out
+
+
+def lambdas(diag: BarrierDiagonals):
+    """``(Lam1, Lam2) = (Sig1 + Sig2, Sig1 - Sig2)``, the diagonals of the 2x2
+    condensed system."""
+    return diag.sigma1 + diag.sigma2, diag.sigma1 - diag.sigma2
+
+
+def apply_kkt_pair(d_beta, d_z, diag: BarrierDiagonals, mask: Mask) -> np.ndarray:
+    """``K (d_beta, d_z)`` of the 2x2 condensed system, a (2, n) array."""
+    lambda1, lambda2 = lambdas(diag)
+    return np.stack([gram(d_beta, mask) + lambda1 * d_beta + lambda2 * d_z,
+                     lambda2 * d_beta + lambda1 * d_z])
+
+
+def apply_precond_inverse_pair(first, second, diag: BarrierDiagonals) -> np.ndarray:
+    """``P^{-1} (first, second)`` of the 2x2 preconditioner, a (2, n) array,
+    by block elimination through ``Delta`` and ``omega``."""
+    tilt = diag.omega1 - diag.omega2  # Lam2 / Lam1
+    top = diag.precond * (first - tilt * second)
+    return np.stack([top, second / lambdas(diag)[0] - tilt * top])
+
+
+def kkt_pair_operator(diag: BarrierDiagonals, mask: Mask):
+    """:func:`apply_kkt_pair` on stacked vectors ``(d_beta, d_z)`` of length 2n."""
+    return lambda v: apply_kkt_pair(*np.split(v, 2), diag, mask).reshape(-1)
+
+
+def precond_pair_operator(diag: BarrierDiagonals):
+    """:func:`apply_precond_inverse_pair` on stacked vectors of length 2n."""
+    return lambda v: apply_precond_inverse_pair(*np.split(v, 2), diag).reshape(-1)
+
+
+def schur_complement(m: np.ndarray) -> np.ndarray:
+    """Schur complement of a dense 2x2 block matrix onto its first block."""
+    n = m.shape[0] // 2
+    return m[:n, :n] - m[:n, n:] @ np.linalg.solve(m[n:, n:], m[n:, :n])
+
+
+def pcg_in_new_arrays(apply_op, apply_prec, rhs, tol: float = 1e-12, image=None):
+    """:func:`~fftlasso.pcg.pcg_solve` iterating in four new arrays; ``rhs``
+    is left as it is."""
+    rhs = np.asarray(rhs, dtype=np.float64)
+    work = [np.empty_like(rhs) for _ in range(4)]
+    return pcg_solve(apply_op, apply_prec, rhs, tol, work, image=image)
 
 
 def exact_data(state, b, mask: Mask):
@@ -156,6 +216,25 @@ def sparse_instance(rng, n: int, n_missing: int, n_active: int,
     )
     b = observe(beta_true, mask) + noise * rng.standard_normal(mask.n_observed)
     return b, mask, beta_true
+
+
+def slab_mask(shape: GridShape, fraction: float, axis: int = 0) -> Mask:
+    """Contiguous hole: the first ``round(fraction * extent)`` planes along
+    ``axis`` are missing (a half-space at 0.5, a detector gap when thin)."""
+    flags = np.zeros(shape.dims, dtype=bool)
+    cut = [slice(None)] * shape.ndim
+    cut[axis] = slice(0, round(fraction * shape.dims[axis]))
+    flags[tuple(cut)] = True
+    return Mask.from_bool(flags, shape)
+
+
+def punched_lattice_mask(shape: GridShape, radius: float, period: int) -> Mask:
+    """Contiguous holes: the closed balls of ``radius`` around every point
+    whose coordinates are multiples of ``period``, periodic on the grid, as
+    when the Bragg peaks are punched out of diffuse scattering."""
+    axes = np.meshgrid(*(np.arange(m) for m in shape.dims), indexing="ij")
+    offsets = [np.minimum(x % period, period - x % period) for x in axes]
+    return Mask.from_bool(sum(o * o for o in offsets) <= radius * radius, shape)
 
 
 def penalty_at_widest_gap(xi, lo_frac=1 / 16, hi_frac=1 / 4):

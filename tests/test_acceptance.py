@@ -23,7 +23,7 @@ from fftlasso import (
 )
 from fftlasso.cli import EXIT_OK, main
 from fftlasso.diagnostics import (
-    dense_gram_matrix,
+    dense_condensed_matrices,
     dense_synthesis_matrix,
     densify,
     ista_solve,
@@ -31,13 +31,17 @@ from fftlasso.diagnostics import (
     soft_threshold,
 )
 from fftlasso.ipm import IpmConfig
-from fftlasso.newton_system import (
-    apply_kkt,
-    apply_precond_inverse,
-    barrier_diagonals,
-)
+from fftlasso.newton_system import apply_kkt, apply_precond_inverse
 
-from conftest import penalty_at_widest_gap, random_feasible_iterate, sparse_instance
+from conftest import (
+    barrier_diagonals,
+    kkt_pair_operator,
+    penalty_at_widest_gap,
+    precond_pair_operator,
+    random_feasible_iterate,
+    schur_complement,
+    sparse_instance,
+)
 
 
 def report_pass(number, text):
@@ -49,7 +53,12 @@ def empty_mask(n):
 
 
 def test_criterion_1_operator_correctness():
-    """Dense-oracle equivalence of every operator; orthogonality at scale."""
+    """Dense-oracle equivalence of every operator; orthogonality at scale.
+
+    The condensed operator and its preconditioner are checked in the 2x2
+    form (the test references) against dense ``K`` and ``P``, and in the
+    Schur form the solver runs against their dense complements onto beta,
+    ``S = G + Delta`` and ``I + Delta``."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -71,23 +80,18 @@ def test_criterion_1_operator_correctness():
 
         state = random_feasible_iterate(rng, n)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
-        k_dense = np.block([
-            [dense_gram_matrix(mask) + np.diag(d.lambda1), np.diag(d.lambda2)],
-            [np.diag(d.lambda2), np.diag(d.lambda1)],
-        ])
-        p_dense = np.block([
-            [np.diag(1 + d.lambda1), np.diag(d.lambda2)],
-            [np.diag(d.lambda2), np.diag(d.lambda1)],
-        ])
-        k_fast = densify(
-            lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)), 2 * n
-        )
-        pinv_fast = densify(
-            lambda v: np.concatenate(apply_precond_inverse(v[:n], v[n:], d)), 2 * n
-        )
+        k_dense, p_dense = dense_condensed_matrices(state, mask)
+        k_fast = densify(kkt_pair_operator(d, mask), 2 * n)
+        pinv_fast = densify(precond_pair_operator(d), 2 * n)
         worst = max(worst, np.max(np.abs(k_dense - k_fast)))
         worst = max(worst, np.max(np.abs(np.linalg.inv(p_dense) - pinv_fast)))
         worst = max(worst, np.max(np.abs(p_dense @ pinv_fast - np.eye(2 * n))))
+        s_fast = densify(lambda v: apply_kkt(v, d, mask)[0], n)
+        ps_inv_fast = densify(lambda v: apply_precond_inverse(v, d), n)
+        ps_dense = schur_complement(p_dense)
+        worst = max(worst, np.max(np.abs(schur_complement(k_dense) - s_fast)))
+        worst = max(worst, np.max(np.abs(np.linalg.inv(ps_dense) - ps_inv_fast)))
+        worst = max(worst, np.max(np.abs(ps_dense @ ps_inv_fast - np.eye(n))))
     assert worst <= 1e-10
 
     ortho_worst = 0.0

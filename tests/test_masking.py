@@ -1,6 +1,7 @@
 """Observation operators: dense oracle equivalence, adjointness, spectrum."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from fftlasso import (
     Mask,
     UnsupportedShapeError,
     analyze,
+    default_penalty,
     embed,
     gram,
+    lasso_objective,
     observe,
     observe_adjoint,
     synthesize,
@@ -243,3 +246,32 @@ def test_operator_norm_bounded(rng):
     m = Mask(np.sort(rng.choice(32, 7, replace=False)), GridShape((32,)))
     dense = densify(lambda v: gram(v, m), 32)
     assert np.linalg.norm(dense, 2) <= 1.0 + 1e-12
+
+
+#: Each entry point that casts samples ``b`` or coefficients ``beta`` to
+#: float64, called with complex ones.
+COMPLEX_CALLS = {
+    "observe": lambda beta, b, mask: observe(beta, mask),
+    "observe_adjoint": lambda beta, b, mask: observe_adjoint(b, mask),
+    "embed": lambda beta, b, mask: embed(b, mask),
+    "gram": lambda beta, b, mask: gram(beta, mask),
+    "default_penalty": lambda beta, b, mask: default_penalty(b, mask),
+    "lasso_objective-beta": lambda beta, b, mask: lasso_objective(beta, b.real, mask, 0.1),
+    "lasso_objective-b": lambda beta, b, mask: lasso_objective(beta.real, b, mask, 0.1),
+}
+
+
+@pytest.mark.parametrize("missing", [[], [1, 6]], ids=["empty", "masked"])
+@pytest.mark.parametrize("name", COMPLEX_CALLS)
+def test_complex_input_is_rejected(name, missing):
+    """A complex array is refused with ``ValueError``, not cast to real with
+    a ``ComplexWarning`` that drops its imaginary part; a zero imaginary
+    part is refused too, by dtype, as ``solve`` does."""
+    mask = Mask(np.array(missing, dtype=np.int64), GridShape((8,)))
+    for imag in (1.0, 0.0):
+        beta = np.ones(mask.shape.n) + imag * 1j
+        b = np.ones(mask.n_observed) + imag * 1j
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                COMPLEX_CALLS[name](beta, b, mask)

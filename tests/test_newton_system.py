@@ -8,21 +8,24 @@ from hypothesis import strategies as st
 from fftlasso import GridShape, InteriorViolationError, Mask, analyze
 from fftlasso.diagnostics import dense_gram_matrix, densify
 from fftlasso.ipm import IpmState, _Workspace
-from fftlasso.newton_system import (
-    apply_kkt,
-    apply_precond_inverse,
-    barrier_diagonals,
-    recover_eliminated,
-)
+from fftlasso.newton_system import apply_kkt, apply_precond_inverse, recover_eliminated
 
 from conftest import (
+    apply_kkt_pair,
+    apply_precond_inverse_pair,
+    barrier_diagonals,
     central_path_state,
     dense_augmented_system,
     exact_rhs,
+    kkt_pair_operator,
+    lambdas,
     newton_rhs,
+    pcg_in_new_arrays,
+    precond_pair_operator,
     random_feasible_iterate,
     recovered,
     same_bits,
+    schur_complement,
     spread_iterate,
 )
 
@@ -37,16 +40,19 @@ def scalar_diag(s1, s2, nu1, nu2, n=1):
 
 
 class TestBarrierDiagonals:
+    """The formula helpers over whole vectors, through the test reference."""
+
     def test_unit_case(self):
         d = scalar_diag(1.0, 1.0, 1.0, 1.0, n=4)
         np.testing.assert_array_equal(d.sigma1, np.ones(4))
-        np.testing.assert_array_equal(d.lambda1, 2 * np.ones(4))
-        np.testing.assert_array_equal(d.lambda2, np.zeros(4))
+        lambda1, lambda2 = lambdas(d)
+        np.testing.assert_array_equal(lambda1, 2 * np.ones(4))
+        np.testing.assert_array_equal(lambda2, np.zeros(4))
 
     def test_scalar_case(self):
         d = scalar_diag(2.0, 1.0, 1.0, 3.0)
         assert d.sigma1[0] == 0.5 and d.sigma2[0] == 3.0
-        assert d.lambda1[0] == 3.5 and d.lambda2[0] == -2.5
+        assert [v[0] for v in lambdas(d)] == [3.5, -2.5]
         # Delta = 4 sigma1 sigma2 / (sigma1 + sigma2) = lambda1 - lambda2^2 / lambda1
         assert d.delta[0] == pytest.approx(3.5 - 2.5**2 / 3.5)
         assert d.precond[0] == pytest.approx(1.0 / (1.0 + 6.0 / 3.5))
@@ -108,14 +114,11 @@ class TestNewtonRhs:
         b = rng.standard_normal(mask.n_observed)
         rhs = exact_rhs(state, b, mask, 0.4)
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
+        lambda1, lambda2 = lambdas(d)
         r_beta = rhs.r1 - rhs.r3 + rhs.r4  # the slack residuals r5, r6 are zero
         r_c = rhs.r2 - rhs.r3 - rhs.r4
-        np.testing.assert_allclose(
-            rhs.rho, r_beta - d.lambda2 / d.lambda1 * r_c, atol=1e-13
-        )
-        np.testing.assert_allclose(
-            d.delta, d.lambda1 - d.lambda2**2 / d.lambda1, atol=1e-13
-        )
+        np.testing.assert_allclose(rhs.rho, r_beta - lambda2 / lambda1 * r_c, atol=1e-13)
+        np.testing.assert_allclose(d.delta, lambda1 - lambda2**2 / lambda1, atol=1e-13)
 
     def test_condensed_rhs_matches_dense_elimination(self, rng):
         """Schur complements of the dense 6-block system onto beta, and onto (beta, z)."""
@@ -137,72 +140,85 @@ class TestNewtonRhs:
 
         s_dense, rho_dense = schur(n)
         np.testing.assert_allclose(rhs.rho, rho_dense, atol=1e-11)
-        s_fast = densify(lambda v: apply_kkt(v, None, d, mask)[0], n)
+        s_fast = densify(lambda v: apply_kkt(v, d, mask)[0], n)
         assert np.max(np.abs(s_dense - s_fast)) <= 1e-11
         # the 2x2 condensed operator is the complement onto (beta, z)
         k_cond, _ = schur(2 * n)
-        k_fast = densify(
-            lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)), 2 * n
-        )
+        k_fast = densify(kkt_pair_operator(d, mask), 2 * n)
         assert np.max(np.abs(k_cond - k_fast)) <= 1e-11
 
 
+def lifted(p, d):
+    """The 2x2 direction ``(p, -Lam1^{-1} Lam2 p)`` that PCG on the Schur
+    complement stands for, stacked."""
+    lambda1, lambda2 = lambdas(d)
+    return np.concatenate([p, -lambda2 / lambda1 * p])
+
+
 class TestApplyKkt:
+    """The 2x2 reference against dense ``K``, and the solver's Schur form
+    against the reference on the directions PCG takes."""
+
     def test_unit_diagonals_empty_mask(self, rng):
         n = 8
-        d = scalar_diag(1.0, 1.0, 1.0, 1.0, n)  # lambda1 = 2, lambda2 = 0
+        d = scalar_diag(1.0, 1.0, 1.0, 1.0, n)  # lambda1 = 2, lambda2 = 0, delta = 2
         db, dz = rng.standard_normal(n), rng.standard_normal(n)
-        top, bottom = apply_kkt(db, dz, d, empty_mask(n))
+        top, bottom = apply_kkt_pair(db, dz, d, empty_mask(n))
         np.testing.assert_allclose(top, 3 * db, atol=1e-13)
         np.testing.assert_allclose(bottom, 2 * dz, atol=1e-13)
+        product, image = apply_kkt(db, d, empty_mask(n))
+        assert image is db
+        np.testing.assert_allclose(product, 3 * db, atol=1e-13)
 
     def test_dense_equivalence(self, rng):
         n = 8
         mask = Mask(np.sort(rng.choice(n, 2, replace=False)), GridShape((n,)))
         st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        dense = np.block([
-            [dense_gram_matrix(mask) + np.diag(d.lambda1), np.diag(d.lambda2)],
-            [np.diag(d.lambda2), np.diag(d.lambda1)],
-        ])
-        fast = densify(
-            lambda v: np.concatenate(apply_kkt(v[:n], v[n:], d, mask)), 2 * n
-        )
+        lambda1, lambda2 = np.diag(lambdas(d)[0]), np.diag(lambdas(d)[1])
+        dense = np.block([[dense_gram_matrix(mask) + lambda1, lambda2], [lambda2, lambda1]])
+        fast = densify(kkt_pair_operator(d, mask), 2 * n)
         assert np.max(np.abs(dense - fast)) <= 1e-12
+        schur = densify(lambda v: apply_kkt(v, d, mask)[0], n)
+        assert np.max(np.abs(dense_gram_matrix(mask) + np.diag(d.delta) - schur)) <= 1e-12
+        for _ in range(3):  # on the lifted directions K acts on the first block as S
+            p = rng.standard_normal(n)
+            top, bottom = np.split(kkt_pair_operator(d, mask)(lifted(p, d)), 2)
+            np.testing.assert_allclose(top, apply_kkt(p, d, mask)[0], atol=1e-12)
+            assert np.max(np.abs(bottom)) <= 1e-12
 
     def test_symmetry_and_positivity(self, rng):
         n = 16
         mask = Mask(np.array([3, 9, 10]), GridShape((n,)))
         st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
-
-        def op(v):
-            return np.concatenate(apply_kkt(v[:n], v[n:], d, mask))
+        op = kkt_pair_operator(d, mask)
 
         for _ in range(5):
             u, w = rng.standard_normal(2 * n), rng.standard_normal(2 * n)
             lhs, rhs_ = op(u) @ w, u @ op(w)
             assert abs(lhs - rhs_) <= 1e-12 * max(1.0, abs(lhs))
             assert u @ op(u) > 0.0
+            p, q = u[:n], w[:n]  # and so is the Schur complement
+            lhs, rhs_ = apply_kkt(p, d, mask)[0] @ q, p @ apply_kkt(q, d, mask)[0]
+            assert abs(lhs - rhs_) <= 1e-12 * max(1.0, abs(lhs))
+            assert p @ apply_kkt(p, d, mask)[0] > 0.0
 
 
 class TestPreconditioner:
     def test_diagonal_case(self):
-        d = scalar_diag(1.0, 1.0, 1.0, 1.0, 4)  # P = diag(3, 2) blocks
+        d = scalar_diag(1.0, 1.0, 1.0, 1.0, 4)  # P = diag(3, 2) blocks, I + Delta = 3
         rb, rc = np.ones(4), np.ones(4)
-        top, bottom = apply_precond_inverse(rb, rc, d)
+        top, bottom = apply_precond_inverse_pair(rb, rc, d)
         np.testing.assert_allclose(top, np.full(4, 1 / 3), atol=1e-14)
         np.testing.assert_allclose(bottom, np.full(4, 1 / 2), atol=1e-14)
+        np.testing.assert_allclose(apply_precond_inverse(rb, d), np.full(4, 1 / 3), atol=1e-14)
 
     def test_scalar_case_inverse(self):
         d = scalar_diag(2.0, 1.0, 1.0, 3.0)  # sigma = (0.5, 3), D = 9.5
         p = np.array([[4.5, -2.5], [-2.5, 3.5]])
-        p_inv = np.array([
-            [apply_precond_inverse(np.ones(1), np.zeros(1), d)[0][0],
-             apply_precond_inverse(np.zeros(1), np.ones(1), d)[0][0]],
-            [apply_precond_inverse(np.ones(1), np.zeros(1), d)[1][0],
-             apply_precond_inverse(np.zeros(1), np.ones(1), d)[1][0]],
-        ])
+        p_inv = np.column_stack([apply_precond_inverse_pair(np.ones(1), np.zeros(1), d)[:, 0],
+                                 apply_precond_inverse_pair(np.zeros(1), np.ones(1), d)[:, 0]])
         np.testing.assert_allclose(p_inv, np.array([[3.5, 2.5], [2.5, 4.5]]) / 9.5,
                                    atol=1e-14)
         np.testing.assert_allclose(p @ p_inv, np.eye(2), atol=1e-13)
@@ -211,14 +227,13 @@ class TestPreconditioner:
         n = 16
         st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
-        p = np.block([
-            [np.diag(1 + d.lambda1), np.diag(d.lambda2)],
-            [np.diag(d.lambda2), np.diag(d.lambda1)],
-        ])
-        fast = densify(
-            lambda v: np.concatenate(apply_precond_inverse(v[:n], v[n:], d)), 2 * n
-        )
+        lambda1, lambda2 = np.diag(lambdas(d)[0]), np.diag(lambdas(d)[1])
+        p = np.block([[np.eye(n) + lambda1, lambda2], [lambda2, lambda1]])
+        fast = densify(precond_pair_operator(d), 2 * n)
         assert np.max(np.abs(np.linalg.inv(p) - fast)) <= 1e-12
+        # the Schur form inverts the complement I + Delta of P onto beta
+        schur = densify(lambda v: apply_precond_inverse(v, d), n)
+        assert np.max(np.abs(np.linalg.inv(schur_complement(p)) - schur)) <= 1e-12
         for _ in range(3):
             u = rng.standard_normal(2 * n)
             assert u @ (p @ u) > 0.0
@@ -230,20 +245,22 @@ class TestPreconditionedOperator:
         st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         v = rng.standard_normal(2 * n)
-        out = apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, empty_mask(n)), d)
+        out = apply_precond_inverse_pair(*apply_kkt_pair(v[:n], v[n:], d, empty_mask(n)), d)
         np.testing.assert_allclose(np.concatenate(out), v, atol=1e-12)
+        schur = apply_precond_inverse(apply_kkt(v[:n], d, empty_mask(n))[0], d)
+        np.testing.assert_allclose(schur, v[:n], atol=1e-12)
 
     def test_block_triangular_form(self, rng):
         n = 8
         mask = Mask(np.array([0, 4, 7]), GridShape((n,)))
         st8 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
-        dense = densify(lambda v: np.concatenate(
-            apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
+        dense = densify(lambda v: precond_pair_operator(d)(kkt_pair_operator(d, mask)(v)), 2 * n)
         g = dense_gram_matrix(mask)
-        det = d.lambda1 * (1 + d.lambda1) - d.lambda2**2  # of P's 2x2 blocks
-        expect_11 = np.eye(n) + np.diag(d.lambda1 / det) @ (g - np.eye(n))
-        expect_21 = -np.diag(d.lambda2 / det) @ (g - np.eye(n))
+        lambda1, lambda2 = lambdas(d)
+        det = lambda1 * (1 + lambda1) - lambda2**2  # of P's 2x2 blocks
+        expect_11 = np.eye(n) + np.diag(lambda1 / det) @ (g - np.eye(n))
+        expect_21 = -np.diag(lambda2 / det) @ (g - np.eye(n))
         np.testing.assert_allclose(dense[:n, :n], expect_11, atol=1e-12)
         np.testing.assert_allclose(dense[n:, :n], expect_21, atol=1e-12)
         assert np.max(np.abs(dense[:n, n:])) <= 1e-12  # (1,2) block vanishes
@@ -254,8 +271,7 @@ class TestPreconditionedOperator:
         mask = Mask(np.sort(rng.choice(n, 3, replace=False)), GridShape((n,)))
         st16 = random_feasible_iterate(rng, n)
         d = barrier_diagonals(st16.s1, st16.s2, st16.nu1, st16.nu2)
-        dense = densify(lambda v: np.concatenate(
-            apply_precond_inverse(*apply_kkt(v[:n], v[n:], d, mask), d)), 2 * n)
+        dense = densify(lambda v: precond_pair_operator(d)(kkt_pair_operator(d, mask)(v)), 2 * n)
         eigs = np.linalg.eigvals(dense)
         assert np.max(np.abs(eigs.imag)) <= 1e-10
         assert np.min(eigs.real) > 0.0
@@ -272,8 +288,6 @@ class TestRecoverEliminated:
             assert np.all(block == 0.0)
 
     def test_matches_dense_six_block_solve(self, rng):
-        from fftlasso.pcg import PcgConfig, pcg_solve
-
         n = 4
         mask = Mask(np.array([1]), GridShape((n,)))
         st4 = random_feasible_iterate(rng, n)
@@ -282,12 +296,8 @@ class TestRecoverEliminated:
         rhs = exact_rhs(st4, b, mask, lam)
         d = barrier_diagonals(st4.s1, st4.s2, st4.nu1, st4.nu2)
 
-        res = pcg_solve(
-            lambda v: apply_kkt(v, None, d, mask)[0],
-            lambda v: apply_precond_inverse(v, None, d),
-            rhs.rho,
-            PcgConfig(abs_tol=1e-13),
-        )
+        res = pcg_in_new_arrays(lambda v: apply_kkt(v, d, mask)[0],
+                                lambda v: apply_precond_inverse(v, d), rhs.rho, 1e-13)
         d_s1, d_s2, d_nu1, d_nu2 = recovered(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
@@ -318,7 +328,8 @@ class TestRecoverEliminated:
         )
         # d_z satisfies the second condensed row for any d_beta
         r_c = rhs.r2 - rhs.r3 - rhs.r4
-        np.testing.assert_allclose(d.lambda2 * db + d.lambda1 * dz, r_c, atol=1e-12)
+        lambda1, lambda2 = lambdas(d)
+        np.testing.assert_allclose(lambda2 * db + lambda1 * dz, r_c, atol=1e-12)
 
 
 class TestInPlaceKernels:
@@ -354,9 +365,9 @@ class TestInPlaceKernels:
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
         d_beta = rng.standard_normal(32)
         product, image = np.full(32, np.nan), np.full(32, np.nan)
-        got = apply_kkt(d_beta, None, d, mask, out=product, gram_out=image)
+        got = apply_kkt(d_beta, d, mask, out=product, gram_out=image)
         assert got[0] is product and got[1] is image
-        for a, b in zip(got, apply_kkt(d_beta, None, d, mask)):
+        for a, b in zip(got, apply_kkt(d_beta, d, mask)):
             assert same_bits(a, b)
 
     def test_condensation_at_a_new_barrier(self, rng):
@@ -382,7 +393,7 @@ class TestInPlaceKernels:
         d_beta = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
         keep = d_beta.copy()
         d = rhs.diag
-        c = (rhs.r2 - rhs.r3 - rhs.r4) / d.lambda1
+        c = (rhs.r2 - rhs.r3 - rhs.r4) / lambdas(d)[0]
         d_s1 = c + 2.0 * d.omega2 * d_beta
         d_s2 = c - 2.0 * d.omega1 * d_beta
         expect = (d_s1, d_s2, -d.sigma1 * d_s1 - rhs.r3, -d.sigma2 * d_s2 - rhs.r4)

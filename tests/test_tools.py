@@ -54,3 +54,35 @@ def test_traced_functions_stay_public(name):
     fn = getattr(module, attr)
     assert inspect.isfunction(fn) and fn.__module__ == module.__name__
     assert f'"{name}"' in (ROOT / "benchmarks" / "run.py").read_text(encoding="utf-8")
+
+
+def test_code_lines(tmp_path):
+    """Docstrings, comment-only lines and blank lines are not code; other
+    string literals are, on every line they span."""
+    (tmp_path / "sample.py").write_text('''"""Module docstring,
+over two lines."""
+
+# a comment
+import os  # trailing comment
+
+
+def f():
+    """Function docstring."""
+    text = """a literal
+    on two lines"""
+    return text
+''', encoding="utf-8")
+    (tmp_path / "empty.py").write_text("", encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split("\n") == ["     0  empty.py", "     5  sample.py", "     5  total", ""]
+
+
+def test_code_lines_of_the_package():
+    """One line per module of the package, then their sum."""
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py")],
+                          capture_output=True, text=True, timeout=60, check=True)
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = sorted(p.name for p in Path(fftlasso.__file__).parent.glob("*.py"))
+    assert [name for _, name in rows] == modules + ["total"]
+    assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0]) > 0
