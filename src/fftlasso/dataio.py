@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .fourier import GridShape
+from .fourier import GridShape, real_vector
 from .masking import Mask
 
 __all__ = [
@@ -67,7 +67,7 @@ def _read_payload(path: str, dtype: str) -> np.ndarray:
 
 def write_volume(path: str, values, dims) -> None:
     dims = [int(d) for d in dims]
-    values = np.asarray(values, dtype="<f8").reshape(-1)
+    values = real_vector(values, "volume samples").astype("<f8", copy=False)
     if values.size != math.prod(dims):
         raise ValueError(
             f"payload has {values.size} samples, dims {dims} expect {math.prod(dims)}"

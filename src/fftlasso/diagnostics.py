@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import IterationLimitError
-from .fourier import GridShape
+from .fourier import GridShape, real_vector
 from .ipm import IpmState
 from .masking import Mask, gram, observe_adjoint
 from .newton_system import check_interior
@@ -134,7 +134,7 @@ def classify_support(beta, threshold: float | None = None) -> SupportClassificat
     Default threshold is ``1e-6 * max|beta|`` (zero vector classifies as
     all-zero).
     """
-    beta = np.asarray(beta, dtype=np.float64).reshape(-1)
+    beta = real_vector(beta, "coefficients")
     if threshold is None:
         scale = float(np.max(np.abs(beta))) if beta.size else 0.0
         threshold = 1e-6 * scale
@@ -300,8 +300,8 @@ def scaling_trajectory_check(states: list[IpmState],
 
 
 def soft_threshold(x, t: float) -> np.ndarray:
-    """Proximity operator of ``t * ||.||_1``."""
-    x = np.asarray(x, dtype=np.float64)
+    """Proximity operator of ``t * ||.||_1``, in ``x``'s shape."""
+    x = real_vector(x, "x").reshape(np.shape(x))
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
@@ -322,8 +322,7 @@ def ista_solve(b, mask: Mask, lam: float, tol: float = 1e-10,
     """
     if mask.shape.n > ISTA_DIM_GUARD:
         raise ValueError(f"ISTA oracle guard: n {mask.shape.n} > {ISTA_DIM_GUARD}")
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    xi = observe_adjoint(b, mask)
+    xi = observe_adjoint(b, mask)  # refuses a complex b, and one of another length
     beta = np.zeros(mask.shape.n)
     for k in range(1, max_iters + 1):
         grad = gram(beta, mask) - xi

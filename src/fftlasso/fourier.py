@@ -99,8 +99,18 @@ class GridShape:
         return self.dims[:-1] + (self.dims[-1] // 2 + 1,)
 
 
-def _as_grid(values, shape: GridShape, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+def real_vector(values, what: str) -> np.ndarray:
+    """``values`` as a flat float64 array; ``ValueError`` for a complex one,
+    whose imaginary part the cast would drop."""
+    if np.iscomplexobj(values):
+        raise ValueError(f"{what} must be real")
+    return np.asarray(values, dtype=np.float64).reshape(-1)
+
+
+def _as_grid(values, shape: GridShape, what: str | None) -> np.ndarray:
+    """``values`` on the grid: complex128 for ``what=None`` (a spectrum),
+    else real float64 by :func:`real_vector`, ``what`` naming them."""
+    arr = np.asarray(values, dtype=np.complex128) if what is None else real_vector(values, what)
     if arr.size != shape.n:
         raise UnsupportedShapeError(
             f"array has {arr.size} elements, grid expects {shape.n}"
@@ -219,7 +229,7 @@ def pack(v, shape: GridShape) -> np.ndarray:
     MalformedSpectrumError
         If the symmetry violation exceeds tolerance.
     """
-    w = _as_grid(v, shape, np.complex128).copy()  # _along overwrites it
+    w = _as_grid(v, shape, None).copy()  # _along overwrites it
     scale = np.max(np.abs(w)) if w.size else 0.0
     w = _along(_pack_axis, w, np.empty_like(w), range(shape.ndim))
     residue = np.max(np.abs(w.imag)) if w.size else 0.0
@@ -237,7 +247,7 @@ def unpack(beta, shape: GridShape) -> np.ndarray:
     Exact inverse of :func:`pack`:  ``pack(unpack(beta)) == beta`` up to
     floating-point commutativity of the sqrt(2) scaling.
     """
-    w = _as_grid(beta, shape, np.float64).astype(np.complex128)
+    w = _as_grid(beta, shape, "coefficients").astype(np.complex128)
     return _along(_unpack_axis, w, np.empty_like(w), range(shape.ndim)).reshape(-1)
 
 
@@ -275,7 +285,7 @@ def synthesize(beta, shape: GridShape, out=None, spectra=None) -> np.ndarray:
         given.
     """
     _check_out(out, shape)
-    b = _as_grid(beta, shape, np.float64)
+    b = _as_grid(beta, shape, "coefficients")
     h = shape.dims[-1] // 2
     half, spare = _half_spectra(shape, spectra)
     half[..., 0] = b[..., 0]
@@ -300,7 +310,7 @@ def analyze(x, shape: GridShape, out=None, spectra=None) -> np.ndarray:
     """
     _check_out(out, shape)
     half, spare = _half_spectra(shape, spectra)
-    half = _rfftn(_as_grid(x, shape, np.float64), half)
+    half = _rfftn(_as_grid(x, shape, "signal"), half)
     half = _along(_pack_axis, half, spare, range(shape.ndim - 1))
     h = shape.dims[-1] // 2
     out = np.empty(shape.n) if out is None else out

@@ -45,9 +45,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InteriorViolationError, NumericalBreakdownError, StalledError
-from .masking import Mask, gram, observe, observe_adjoint, real_vector
+from .masking import Mask, gram, observe, observe_adjoint, observed_samples
 from .newton_system import (
-    BarrierDiagonals,
     apply_kkt,
     apply_precond_inverse,
     barrier_residuals,
@@ -241,7 +240,9 @@ def _penalty_of_correlation(xi: np.ndarray) -> float:
 
 
 def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
-    resid = real_vector(b, "observed samples") - observe(beta, mask)
+    """``0.5 ||b - observe(beta)||^2 + lam ||beta||_1``; ``b`` is checked
+    as :func:`~fftlasso.masking.embed` checks it."""
+    resid = observed_samples(b, mask) - observe(beta, mask)
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
@@ -428,9 +429,9 @@ class _Workspace:
                 violated = True  # the blocks left still take their step
                 continue
             sigma1, sigma2, prod = scratch[:3]
-            diag = BarrierDiagonals(sigma1, sigma2, *(row[cut] for row in written))
-            barrier_scaling(*_arrays(block), diag, lambda1=diag.precond)
-            schur_coefficients(diag)
+            omega1, omega2, delta, precond = (row[cut] for row in written)
+            barrier_scaling(*_arrays(block), sigma1, sigma2, omega1, omega2, lambda1=precond)
+            schur_coefficients(sigma1, omega2, delta, precond)
             r1, r2 = sigma1, sigma2  # spent once delta is formed
             stationarity(block, self.xi[cut], rows["g"][cut], r1)
             dual_residual(block, self.lam, r2)
@@ -466,12 +467,11 @@ class _Workspace:
         for cut, scratch in self.blocks:
             block = _block(state, cut)
             sigma1, sigma2, omega1, omega2, lambda1, r3, r4 = scratch
-            diag = BarrierDiagonals(sigma1, sigma2, omega1, omega2, None, None)
-            barrier_scaling(*_arrays(block), diag, lambda1)
+            barrier_scaling(*_arrays(block), sigma1, sigma2, omega1, omega2, lambda1)
             r2 = lambda1  # recover_eliminated forms its own sum
             dual_residual(block, self.lam, r2)
             barrier_residuals(block, r3, r4)
-            steps = recover_eliminated(d_beta[cut], r2, r3, r4, diag,
+            steps = recover_eliminated(d_beta[cut], r2, r3, r4, sigma1, sigma2, omega1, omega2,
                                        [row[cut] for row in rows])
             # alpha is monotone in the nearest ratio, so the least over the
             # blocks is the whole vector's
@@ -499,16 +499,15 @@ def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:
     """
     work.condense(state)
     rows = work.roles("pcg", state)
-    schur = BarrierDiagonals(None, None, None, None, rows["delta"], rows["precond"])
     image, product = rows["image"], rows["product"]
 
     def op(v):  # with G = I there is no image to accumulate: G d_beta is d_beta
-        pair = apply_kkt(v, schur, work.mask, out=product, gram_out=rows["gram_p"],
+        pair = apply_kkt(v, rows["delta"], work.mask, out=product, gram_out=rows["gram_p"],
                          spectra=work.spectra)
         return pair if image is not None else pair[0]
 
     def prec(v):
-        return apply_precond_inverse(v, schur, out=product)
+        return apply_precond_inverse(v, rows["precond"], out=product)
 
     result = pcg_solve(op, prec, rows["residual"], work.cg_tol,
                        (rows["x"], rows["residual"], rows["search"], product), image=image)
@@ -595,9 +594,10 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     Raises ``ValueError`` before any transform for complex ``b``, whose
     imaginary part the solve would drop, for NaN/Inf in ``b``, and for
     samples whose squared norm ``b @ b`` overflows, which would make the
-    objective infinite.
+    objective infinite; ``UnsupportedShapeError`` (a ``ValueError``) for a
+    ``b`` whose length is not ``mask.n_observed``.
     """
-    b = real_vector(b, "observed samples")
+    b = observed_samples(b, mask)
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
             raise ValueError("observed samples must be finite, with a finite squared norm")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnsupportedShapeError
-from .fourier import GridShape, analyze, synthesize
+from .fourier import GridShape, analyze, real_vector, synthesize
 
 __all__ = ["Mask", "observe", "observe_adjoint", "gram", "embed"]
 
@@ -73,14 +73,6 @@ class Mask:
         return cls(np.flatnonzero(flags), shape)
 
 
-def real_vector(values, what: str) -> np.ndarray:
-    """``values`` as a flat float64 array; ``ValueError`` for a complex one,
-    whose imaginary part the cast would drop."""
-    if np.iscomplexobj(values):
-        raise ValueError(f"{what} must be real")
-    return np.asarray(values, dtype=np.float64).reshape(-1)
-
-
 def _check_spectrum(beta, mask: Mask) -> np.ndarray:
     beta = real_vector(beta, "coefficients")
     if beta.size != mask.shape.n:
@@ -99,13 +91,21 @@ def observe(beta, mask: Mask) -> np.ndarray:
     return x[~mask.missing_bool]
 
 
-def embed(values, mask: Mask) -> np.ndarray:
-    """Zero-fill observed values back onto the full grid."""
+def observed_samples(values, mask: Mask) -> np.ndarray:
+    """``values`` as a flat float64 vector of ``mask.n_observed`` samples;
+    ``ValueError`` for a complex array, ``UnsupportedShapeError`` for
+    another length."""
     values = real_vector(values, "observed samples")
     if values.size != mask.n_observed:
         raise UnsupportedShapeError(
             f"observed vector has {values.size} entries, mask expects {mask.n_observed}"
         )
+    return values
+
+
+def embed(values, mask: Mask) -> np.ndarray:
+    """Zero-fill observed values back onto the full grid."""
+    values = observed_samples(values, mask)
     full = np.zeros(mask.shape.n, dtype=np.float64)
     full[~mask.missing_bool] = values
     return full

@@ -76,11 +76,14 @@ The formulas are helpers on arrays (:func:`barrier_scaling`,
 :func:`schur_coefficients`, :func:`stationarity`, :func:`dual_residual`,
 :func:`barrier_residuals`, :func:`condense`, :func:`recover_eliminated`),
 which the solver's block sweeps (``ipm._Workspace``) call on slices, so
-each formula has one implementation.  Only the Schur forms run: the 2x2
-forms of ``K`` and ``P^{-1}`` above, and the diagonals over whole vectors,
-are references in the test suite (``tests/conftest.py``), composed from
-:func:`~fftlasso.masking.gram` and these helpers and checked against the
-dense 6-block system.
+each formula has one implementation.  Every helper and kernel takes the
+arrays it reads and writes: :func:`apply_kkt` the diagonal ``delta``,
+:func:`apply_precond_inverse` the diagonal ``precond = 1/(1 + delta)``
+and :func:`recover_eliminated` ``sigma1, sigma2, omega1, omega2``.  Only
+the Schur forms run: the 2x2 forms of ``K`` and ``P^{-1}`` above, and the
+diagonals over whole vectors, are references in the test suite
+(``tests/conftest.py``), composed from :func:`~fftlasso.masking.gram` and
+these helpers and checked against the dense 6-block system.
 
 Recovery.  The second block row gives ``d_z = c - (omega1 - omega2) d_beta``
 with ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``.  The physical slack steps
@@ -92,31 +95,16 @@ steps of size ``|d_beta|``, and ``d_z`` is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InteriorViolationError
 from .masking import Mask, gram
 
 __all__ = [
-    "BarrierDiagonals",
     "apply_kkt",
     "apply_precond_inverse",
     "recover_eliminated",
 ]
-
-
-@dataclass(frozen=True)
-class BarrierDiagonals:
-    """Barrier scaling diagonals and the coefficients of the Schur reduction."""
-
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    omega1: np.ndarray  # sigma1 / (sigma1 + sigma2)
-    omega2: np.ndarray  # sigma2 / (sigma1 + sigma2)
-    delta: np.ndarray  # 4 sigma1 sigma2 / (sigma1 + sigma2)
-    precond: np.ndarray  # 1 / (1 + delta)
 
 
 def exterior(s1, s2, nu1, nu2) -> str | None:
@@ -136,21 +124,21 @@ def check_interior(s1, s2, nu1, nu2) -> None:
         raise InteriorViolationError(f"{name} must be strictly positive and finite")
 
 
-def barrier_scaling(s1, s2, nu1, nu2, diag: BarrierDiagonals, lambda1) -> None:
-    """Write ``sigma`` and ``omega`` into ``diag``; ``lambda1`` receives
-    ``sigma1 + sigma2``.  ``delta`` and ``precond`` are not touched."""
-    np.divide(nu1, s1, out=diag.sigma1)
-    np.divide(nu2, s2, out=diag.sigma2)
-    np.add(diag.sigma1, diag.sigma2, out=lambda1)
-    np.divide(diag.sigma1, lambda1, out=diag.omega1)
-    np.divide(diag.sigma2, lambda1, out=diag.omega2)
+def barrier_scaling(s1, s2, nu1, nu2, sigma1, sigma2, omega1, omega2, lambda1) -> None:
+    """``sigma1 = nu1/s1``, ``sigma2 = nu2/s2``, ``lambda1 = sigma1 + sigma2``
+    and ``omega_i = sigma_i/lambda1`` into the given arrays."""
+    np.divide(nu1, s1, out=sigma1)
+    np.divide(nu2, s2, out=sigma2)
+    np.add(sigma1, sigma2, out=lambda1)
+    np.divide(sigma1, lambda1, out=omega1)
+    np.divide(sigma2, lambda1, out=omega2)
 
 
-def schur_coefficients(diag: BarrierDiagonals) -> None:
-    """Write ``delta`` and ``precond`` from ``diag``'s ``sigma1`` and ``omega2``."""
-    delta = np.multiply(diag.sigma1, 4.0, out=diag.delta)
-    delta *= diag.omega2
-    precond = np.add(delta, 1.0, out=diag.precond)
+def schur_coefficients(sigma1, omega2, delta, precond) -> None:
+    """``delta = 4 sigma1 omega2`` and ``precond = 1/(1 + delta)`` into the given arrays."""
+    np.multiply(sigma1, 4.0, out=delta)
+    delta *= omega2
+    np.add(delta, 1.0, out=precond)
     np.divide(1.0, precond, out=precond)
 
 
@@ -188,8 +176,7 @@ def condense(r1, r2, r3, r4, omega1, omega2, out, scratch) -> None:
     rho += term
 
 
-def apply_kkt(d_beta, diag: BarrierDiagonals, mask: Mask, out=None, gram_out=None,
-              spectra=None):
+def apply_kkt(d_beta, delta, mask: Mask, out=None, gram_out=None, spectra=None):
     """The Schur complement's product and the Gram product inside it,
     ``(S d_beta, G d_beta)``; PCG accumulates the second.
 
@@ -198,22 +185,23 @@ def apply_kkt(d_beta, diag: BarrierDiagonals, mask: Mask, out=None, gram_out=Non
     is counted.  ``out`` (when given) receives ``S d_beta``; ``gram_out``
     (for ``G d_beta``) and ``spectra`` go to :func:`~fftlasso.masking.gram`,
     done before ``out`` is written.  With an empty mask and no ``gram_out``,
-    ``G d_beta`` is ``d_beta`` itself.  Only ``delta`` of ``diag`` is read.
+    ``G d_beta`` is ``d_beta`` itself.
     """
     identity = not mask.n_missing and gram_out is None  # G = I: no copy
     gram_d_beta = d_beta if identity else gram(d_beta, mask, out=gram_out, spectra=spectra)
-    product = np.multiply(diag.delta, d_beta, out=out)
+    product = np.multiply(delta, d_beta, out=out)
     product += gram_d_beta
     return product, gram_d_beta
 
 
-def apply_precond_inverse(r, diag: BarrierDiagonals, out=None):
-    """The Schur preconditioner's ``(I + Delta)^{-1} r``, written into
-    ``out`` when it is given.  Only ``precond`` of ``diag`` is read."""
-    return np.multiply(diag.precond, r, out=out)
+def apply_precond_inverse(r, precond, out=None):
+    """The Schur preconditioner's ``(I + Delta)^{-1} r``, with ``precond``
+    the diagonal ``1/(1 + delta)``, written into ``out`` when it is given."""
+    return np.multiply(precond, r, out=out)
 
 
-def recover_eliminated(d_beta, r2, r3, r4, diag: BarrierDiagonals, out) -> tuple[np.ndarray, ...]:
+def recover_eliminated(d_beta, r2, r3, r4, sigma1, sigma2, omega1, omega2,
+                       out) -> tuple[np.ndarray, ...]:
     """Back-substitute the eliminated blocks from the solution of ``S d_beta = rho``.
 
     ``c = (r2 - r3 - r4)/(Sig1 + Sig2)``
@@ -222,25 +210,25 @@ def recover_eliminated(d_beta, r2, r3, r4, diag: BarrierDiagonals, out) -> tuple
 
     The last line is the linearized complementarity
     ``d_nu = (mu - s nu)/s - Sig d_s``, since ``r3 = nu1 - mu/s1`` and
-    ``r4 = nu2 - mu/s2``.  Only ``sigma`` and ``omega`` of ``diag`` are
-    read.  Returns the physical steps ``(d_s1, d_s2, d_nu1, d_nu2)``, in
-    the four arrays of ``out``; ``d_beta`` is not modified.
+    ``r4 = nu2 - mu/s2``.  Returns the physical steps
+    ``(d_s1, d_s2, d_nu1, d_nu2)``, in the four arrays of ``out``;
+    ``d_beta`` is not modified.
     """
     d_s1, d_s2, d_nu1, d_nu2 = out
     # c waits in d_nu2 and Sig1 + Sig2 in d_nu1 until the slack steps are formed
     c = np.subtract(r2, r3, out=d_nu2)
     c -= r4
-    c /= np.add(diag.sigma1, diag.sigma2, out=d_nu1)
+    c /= np.add(sigma1, sigma2, out=d_nu1)
     # (2 omega) d_beta == omega (2 d_beta) exactly: the doubling is shared
     twice = np.multiply(d_beta, 2.0, out=d_s1)
-    np.multiply(diag.omega1, twice, out=d_s2)
+    np.multiply(omega1, twice, out=d_s2)
     np.subtract(c, d_s2, out=d_s2)
-    twice *= diag.omega2
+    twice *= omega2
     twice += c
-    np.negative(diag.sigma1, out=d_nu1)
+    np.negative(sigma1, out=d_nu1)
     d_nu1 *= d_s1
     d_nu1 -= r3
-    np.negative(diag.sigma2, out=d_nu2)
+    np.negative(sigma2, out=d_nu2)
     d_nu2 *= d_s2
     d_nu2 -= r4
     return d_s1, d_s2, d_nu1, d_nu2

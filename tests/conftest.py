@@ -12,7 +12,6 @@ from fftlasso import GridShape, Mask, gram, observe_adjoint
 from fftlasso.diagnostics import dense_gram_matrix, dense_synthesis_matrix
 from fftlasso.ipm import IpmState, _convergence_report
 from fftlasso.newton_system import (
-    BarrierDiagonals,
     barrier_residuals,
     barrier_scaling,
     check_interior,
@@ -53,31 +52,35 @@ def dense_augmented_system(state: IpmState, mask: Mask):
     ])
 
 
-def barrier_diagonals(s1, s2, nu1, nu2) -> BarrierDiagonals:
+def barrier_diagonals(s1, s2, nu1, nu2) -> SimpleNamespace:
     """The barrier diagonals over whole vectors, from the formula helpers
-    the solver's sweeps run on blocks; ``InteriorViolationError`` unless all
-    four arrays are strictly positive and finite."""
+    the solver's sweeps run on blocks, by name: ``sigma1``, ``sigma2``,
+    ``omega1``, ``omega2``, ``delta`` and ``precond``.
+    ``InteriorViolationError`` unless all four arrays are strictly positive
+    and finite."""
     check_interior(s1, s2, nu1, nu2)
-    out = BarrierDiagonals(*(np.empty(np.shape(s1)) for _ in range(6)))
-    barrier_scaling(s1, s2, nu1, nu2, out, lambda1=out.precond)  # precond is written last
-    schur_coefficients(out)
-    return out
+    d = SimpleNamespace(**{name: np.empty(np.shape(s1)) for name in
+                           ("sigma1", "sigma2", "omega1", "omega2", "delta", "precond")})
+    barrier_scaling(s1, s2, nu1, nu2, d.sigma1, d.sigma2, d.omega1, d.omega2,
+                    lambda1=d.precond)  # precond is written last
+    schur_coefficients(d.sigma1, d.omega2, d.delta, d.precond)
+    return d
 
 
-def lambdas(diag: BarrierDiagonals):
+def lambdas(diag):
     """``(Lam1, Lam2) = (Sig1 + Sig2, Sig1 - Sig2)``, the diagonals of the 2x2
     condensed system."""
     return diag.sigma1 + diag.sigma2, diag.sigma1 - diag.sigma2
 
 
-def apply_kkt_pair(d_beta, d_z, diag: BarrierDiagonals, mask: Mask) -> np.ndarray:
+def apply_kkt_pair(d_beta, d_z, diag, mask: Mask) -> np.ndarray:
     """``K (d_beta, d_z)`` of the 2x2 condensed system, a (2, n) array."""
     lambda1, lambda2 = lambdas(diag)
     return np.stack([gram(d_beta, mask) + lambda1 * d_beta + lambda2 * d_z,
                      lambda2 * d_beta + lambda1 * d_z])
 
 
-def apply_precond_inverse_pair(first, second, diag: BarrierDiagonals) -> np.ndarray:
+def apply_precond_inverse_pair(first, second, diag) -> np.ndarray:
     """``P^{-1} (first, second)`` of the 2x2 preconditioner, a (2, n) array,
     by block elimination through ``Delta`` and ``omega``."""
     tilt = diag.omega1 - diag.omega2  # Lam2 / Lam1
@@ -85,12 +88,12 @@ def apply_precond_inverse_pair(first, second, diag: BarrierDiagonals) -> np.ndar
     return np.stack([top, second / lambdas(diag)[0] - tilt * top])
 
 
-def kkt_pair_operator(diag: BarrierDiagonals, mask: Mask):
+def kkt_pair_operator(diag, mask: Mask):
     """:func:`apply_kkt_pair` on stacked vectors ``(d_beta, d_z)`` of length 2n."""
     return lambda v: apply_kkt_pair(*np.split(v, 2), diag, mask).reshape(-1)
 
 
-def precond_pair_operator(diag: BarrierDiagonals):
+def precond_pair_operator(diag):
     """:func:`apply_precond_inverse_pair` on stacked vectors of length 2n."""
     return lambda v: apply_precond_inverse_pair(*np.split(v, 2), diag).reshape(-1)
 
@@ -129,8 +132,9 @@ def newton_rhs(state, xi, g, lam: float):
 
 def recovered(d_beta, rhs):
     """``(d_s1, d_s2, d_nu1, d_nu2)`` back-substituted over whole vectors."""
-    return recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, rhs.diag,
-                              [np.empty(d_beta.size) for _ in range(4)])
+    d = rhs.diag
+    return recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, d.sigma1, d.sigma2, d.omega1,
+                              d.omega2, [np.empty(d_beta.size) for _ in range(4)])
 
 
 def check_convergence(state, rhs, tol: float):

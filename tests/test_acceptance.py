@@ -86,8 +86,8 @@ def test_criterion_1_operator_correctness():
         worst = max(worst, np.max(np.abs(k_dense - k_fast)))
         worst = max(worst, np.max(np.abs(np.linalg.inv(p_dense) - pinv_fast)))
         worst = max(worst, np.max(np.abs(p_dense @ pinv_fast - np.eye(2 * n))))
-        s_fast = densify(lambda v: apply_kkt(v, d, mask)[0], n)
-        ps_inv_fast = densify(lambda v: apply_precond_inverse(v, d), n)
+        s_fast = densify(lambda v: apply_kkt(v, d.delta, mask)[0], n)
+        ps_inv_fast = densify(lambda v: apply_precond_inverse(v, d.precond), n)
         ps_dense = schur_complement(p_dense)
         worst = max(worst, np.max(np.abs(schur_complement(k_dense) - s_fast)))
         worst = max(worst, np.max(np.abs(np.linalg.inv(ps_dense) - ps_inv_fast)))

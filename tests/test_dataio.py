@@ -1,6 +1,7 @@
 """File formats and the synthetic problem generator."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ class TestVolumeFile:
     def test_payload_length_checked_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_volume(str(tmp_path / "v"), np.zeros(5), (4,))
+
+    @pytest.mark.parametrize("imag", [1.0, 0.0])
+    def test_complex_samples_rejected_on_write(self, tmp_path, imag):
+        """A complex array is refused, not written as its real part after a
+        ``ComplexWarning``; nothing is written."""
+        path = tmp_path / "v.f64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be real"):
+                write_volume(str(path), np.ones(4) + imag * 1j, (4,))
+        assert not path.exists()
 
     def test_missing_sidecar(self, tmp_path):
         path = tmp_path / "orphan.f64"

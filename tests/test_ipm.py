@@ -2,11 +2,16 @@
 
 import copy
 import itertools
+import json
+import os
 import re
+import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -785,6 +790,32 @@ class TestSolve:
             assert report.converged and report.iterations == 14
             assert report.krylov_counts == krylov and report.total_krylov == sum(krylov)
             assert calls == {"synthesize": transforms, "analyze": transforms}
+
+    def test_blas_thread_count_changes_no_count(self):
+        """The BLAS thread count changes how PCG's inner products and the
+        duality measure round, not the counts: the seed-42/43 32^3 solves,
+        masked and unmasked, take the same IPM iterations and per-step
+        Krylov counts in a process with one OpenBLAS thread as with two."""
+        code = textwrap.dedent("""
+            import json
+            from fftlasso import IpmConfig, SyntheticSpec, generate_synthetic, solve
+            runs = []
+            for missing in (0.15, 0.0):
+                noisy, mask, _ = generate_synthetic(SyntheticSpec(
+                    dims=(32, 32, 32), noise_seed=42, missing_fraction=missing,
+                    missing_seed=43))
+                _, report = solve(noisy[~mask.missing_bool], mask,
+                                  IpmConfig(tol=1e-8, cg_tol=1e-12))
+                runs.append([report.status, report.iterations, report.krylov_counts])
+            print(json.dumps(runs))
+        """)
+        src = str(Path(fftlasso.__file__).resolve().parent.parent)
+        counts = [json.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+            check=True, env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        ).stdout) for threads in ("1", "2")]
+        assert counts[0] == counts[1]
+        assert [run[:2] for run in counts[0]] == [["converged", 14]] * 2
 
     def test_pcg_cap_stall_returns_first_iterate(self, monkeypatch):
         """PCG capped at one iteration converges at the first step of the 8^3

@@ -18,8 +18,15 @@ from fftlasso import (
     observe,
     observe_adjoint,
     synthesize,
+    unpack,
 )
-from fftlasso.diagnostics import dense_gram_matrix, densify
+from fftlasso.diagnostics import (
+    classify_support,
+    dense_gram_matrix,
+    densify,
+    ista_solve,
+    soft_threshold,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -248,8 +255,8 @@ def test_operator_norm_bounded(rng):
     assert np.linalg.norm(dense, 2) <= 1.0 + 1e-12
 
 
-#: Each entry point that casts samples ``b`` or coefficients ``beta`` to
-#: float64, called with complex ones.
+#: Each entry point that casts samples ``b``, coefficients ``beta`` or a
+#: signal to float64, called with complex ones.
 COMPLEX_CALLS = {
     "observe": lambda beta, b, mask: observe(beta, mask),
     "observe_adjoint": lambda beta, b, mask: observe_adjoint(b, mask),
@@ -258,6 +265,12 @@ COMPLEX_CALLS = {
     "default_penalty": lambda beta, b, mask: default_penalty(b, mask),
     "lasso_objective-beta": lambda beta, b, mask: lasso_objective(beta, b.real, mask, 0.1),
     "lasso_objective-b": lambda beta, b, mask: lasso_objective(beta.real, b, mask, 0.1),
+    "synthesize": lambda beta, b, mask: synthesize(beta, mask.shape),
+    "analyze": lambda beta, b, mask: analyze(beta, mask.shape),
+    "unpack": lambda beta, b, mask: unpack(beta, mask.shape),
+    "soft_threshold": lambda beta, b, mask: soft_threshold(beta, 0.1),
+    "classify_support": lambda beta, b, mask: classify_support(beta),
+    "ista_solve": lambda beta, b, mask: ista_solve(b, mask, 0.1),
 }
 
 
@@ -275,3 +288,19 @@ def test_complex_input_is_rejected(name, missing):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="must be real"):
                 COMPLEX_CALLS[name](beta, b, mask)
+
+
+@pytest.mark.parametrize("length", [1, 6, 7, 8])
+def test_lasso_objective_checks_the_sample_count(length):
+    """``b`` must hold ``mask.n_observed`` samples, as for :func:`embed`: a
+    shorter or longer ``b`` is refused, not broadcast against the observed
+    vector."""
+    mask = Mask(np.array([3]), GridShape((8,)))
+    b = np.ones(length)
+    if length == mask.n_observed:
+        assert lasso_objective(np.zeros(8), b, mask, 0.1) == 3.5
+        return
+    with pytest.raises(UnsupportedShapeError, match="mask expects 7"):
+        lasso_objective(np.zeros(8), b, mask, 0.1)
+    with pytest.raises(UnsupportedShapeError, match="mask expects 7"):
+        embed(b, mask)

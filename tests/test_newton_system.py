@@ -140,7 +140,7 @@ class TestNewtonRhs:
 
         s_dense, rho_dense = schur(n)
         np.testing.assert_allclose(rhs.rho, rho_dense, atol=1e-11)
-        s_fast = densify(lambda v: apply_kkt(v, d, mask)[0], n)
+        s_fast = densify(lambda v: apply_kkt(v, d.delta, mask)[0], n)
         assert np.max(np.abs(s_dense - s_fast)) <= 1e-11
         # the 2x2 condensed operator is the complement onto (beta, z)
         k_cond, _ = schur(2 * n)
@@ -166,7 +166,7 @@ class TestApplyKkt:
         top, bottom = apply_kkt_pair(db, dz, d, empty_mask(n))
         np.testing.assert_allclose(top, 3 * db, atol=1e-13)
         np.testing.assert_allclose(bottom, 2 * dz, atol=1e-13)
-        product, image = apply_kkt(db, d, empty_mask(n))
+        product, image = apply_kkt(db, d.delta, empty_mask(n))
         assert image is db
         np.testing.assert_allclose(product, 3 * db, atol=1e-13)
 
@@ -179,12 +179,12 @@ class TestApplyKkt:
         dense = np.block([[dense_gram_matrix(mask) + lambda1, lambda2], [lambda2, lambda1]])
         fast = densify(kkt_pair_operator(d, mask), 2 * n)
         assert np.max(np.abs(dense - fast)) <= 1e-12
-        schur = densify(lambda v: apply_kkt(v, d, mask)[0], n)
+        schur = densify(lambda v: apply_kkt(v, d.delta, mask)[0], n)
         assert np.max(np.abs(dense_gram_matrix(mask) + np.diag(d.delta) - schur)) <= 1e-12
         for _ in range(3):  # on the lifted directions K acts on the first block as S
             p = rng.standard_normal(n)
             top, bottom = np.split(kkt_pair_operator(d, mask)(lifted(p, d)), 2)
-            np.testing.assert_allclose(top, apply_kkt(p, d, mask)[0], atol=1e-12)
+            np.testing.assert_allclose(top, apply_kkt(p, d.delta, mask)[0], atol=1e-12)
             assert np.max(np.abs(bottom)) <= 1e-12
 
     def test_symmetry_and_positivity(self, rng):
@@ -200,9 +200,9 @@ class TestApplyKkt:
             assert abs(lhs - rhs_) <= 1e-12 * max(1.0, abs(lhs))
             assert u @ op(u) > 0.0
             p, q = u[:n], w[:n]  # and so is the Schur complement
-            lhs, rhs_ = apply_kkt(p, d, mask)[0] @ q, p @ apply_kkt(q, d, mask)[0]
+            lhs, rhs_ = apply_kkt(p, d.delta, mask)[0] @ q, p @ apply_kkt(q, d.delta, mask)[0]
             assert abs(lhs - rhs_) <= 1e-12 * max(1.0, abs(lhs))
-            assert p @ apply_kkt(p, d, mask)[0] > 0.0
+            assert p @ apply_kkt(p, d.delta, mask)[0] > 0.0
 
 
 class TestPreconditioner:
@@ -212,7 +212,8 @@ class TestPreconditioner:
         top, bottom = apply_precond_inverse_pair(rb, rc, d)
         np.testing.assert_allclose(top, np.full(4, 1 / 3), atol=1e-14)
         np.testing.assert_allclose(bottom, np.full(4, 1 / 2), atol=1e-14)
-        np.testing.assert_allclose(apply_precond_inverse(rb, d), np.full(4, 1 / 3), atol=1e-14)
+        np.testing.assert_allclose(apply_precond_inverse(rb, d.precond), np.full(4, 1 / 3),
+                                   atol=1e-14)
 
     def test_scalar_case_inverse(self):
         d = scalar_diag(2.0, 1.0, 1.0, 3.0)  # sigma = (0.5, 3), D = 9.5
@@ -232,7 +233,7 @@ class TestPreconditioner:
         fast = densify(precond_pair_operator(d), 2 * n)
         assert np.max(np.abs(np.linalg.inv(p) - fast)) <= 1e-12
         # the Schur form inverts the complement I + Delta of P onto beta
-        schur = densify(lambda v: apply_precond_inverse(v, d), n)
+        schur = densify(lambda v: apply_precond_inverse(v, d.precond), n)
         assert np.max(np.abs(np.linalg.inv(schur_complement(p)) - schur)) <= 1e-12
         for _ in range(3):
             u = rng.standard_normal(2 * n)
@@ -247,7 +248,7 @@ class TestPreconditionedOperator:
         v = rng.standard_normal(2 * n)
         out = apply_precond_inverse_pair(*apply_kkt_pair(v[:n], v[n:], d, empty_mask(n)), d)
         np.testing.assert_allclose(np.concatenate(out), v, atol=1e-12)
-        schur = apply_precond_inverse(apply_kkt(v[:n], d, empty_mask(n))[0], d)
+        schur = apply_precond_inverse(apply_kkt(v[:n], d.delta, empty_mask(n))[0], d.precond)
         np.testing.assert_allclose(schur, v[:n], atol=1e-12)
 
     def test_block_triangular_form(self, rng):
@@ -284,7 +285,8 @@ class TestRecoverEliminated:
         zero = np.zeros(n)
         d = barrier_diagonals(st8.s1, st8.s2, st8.nu1, st8.nu2)
         out = [np.full(n, np.nan) for _ in range(4)]
-        for block in recover_eliminated(zero, zero, zero, zero, d, out):
+        for block in recover_eliminated(zero, zero, zero, zero, d.sigma1, d.sigma2, d.omega1,
+                                        d.omega2, out):
             assert np.all(block == 0.0)
 
     def test_matches_dense_six_block_solve(self, rng):
@@ -296,8 +298,8 @@ class TestRecoverEliminated:
         rhs = exact_rhs(st4, b, mask, lam)
         d = barrier_diagonals(st4.s1, st4.s2, st4.nu1, st4.nu2)
 
-        res = pcg_in_new_arrays(lambda v: apply_kkt(v, d, mask)[0],
-                                lambda v: apply_precond_inverse(v, d), rhs.rho, 1e-13)
+        res = pcg_in_new_arrays(lambda v: apply_kkt(v, d.delta, mask)[0],
+                                lambda v: apply_precond_inverse(v, d.precond), rhs.rho, 1e-13)
         d_s1, d_s2, d_nu1, d_nu2 = recovered(res.solution, rhs)
 
         m6 = dense_augmented_system(st4, mask)
@@ -365,9 +367,9 @@ class TestInPlaceKernels:
         d = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
         d_beta = rng.standard_normal(32)
         product, image = np.full(32, np.nan), np.full(32, np.nan)
-        got = apply_kkt(d_beta, d, mask, out=product, gram_out=image)
+        got = apply_kkt(d_beta, d.delta, mask, out=product, gram_out=image)
         assert got[0] is product and got[1] is image
-        for a, b in zip(got, apply_kkt(d_beta, d, mask)):
+        for a, b in zip(got, apply_kkt(d_beta, d.delta, mask)):
             assert same_bits(a, b)
 
     def test_condensation_at_a_new_barrier(self, rng):
@@ -398,7 +400,8 @@ class TestInPlaceKernels:
         d_s2 = c - 2.0 * d.omega1 * d_beta
         expect = (d_s1, d_s2, -d.sigma1 * d_s1 - rhs.r3, -d.sigma2 * d_s2 - rhs.r4)
         out = [np.full(n, np.nan) for _ in range(4)]
-        sol = recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, d, out)
+        sol = recover_eliminated(d_beta, rhs.r2, rhs.r3, rhs.r4, d.sigma1, d.sigma2, d.omega1,
+                                 d.omega2, out)
         assert len(sol) == 4 and all(a is b for a, b in zip(out, sol))
         for got, want in zip(sol, expect):
             assert same_bits(got, want)

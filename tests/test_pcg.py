@@ -93,8 +93,8 @@ class TestExactCases:
         rhs = rng.standard_normal(2 * n)
         res = pcg_in_new_arrays(kkt_pair_operator(d, mask), precond_pair_operator(d), rhs)
         assert res.converged and res.iterations <= 2
-        res = pcg_in_new_arrays(lambda v: apply_kkt(v, d, mask)[0],
-                                lambda v: apply_precond_inverse(v, d), rhs[:n])
+        res = pcg_in_new_arrays(lambda v: apply_kkt(v, d.delta, mask)[0],
+                                lambda v: apply_precond_inverse(v, d.precond), rhs[:n])
         assert res.converged and res.iterations == 1
 
 
