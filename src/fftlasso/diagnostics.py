@@ -42,6 +42,9 @@ __all__ = [
 DENSE_DIM_GUARD = 4096
 ISTA_DIM_GUARD = 4096
 ISTA_ITER_CAP = 10**6
+CLUSTER_TOL = 0.05  # an eigenvalue within this of 1 is in the unit cluster
+SCALING_BAND = (1.0 / 50.0, 50.0)  # the band every scaling ratio should stay in
+SCALING_TAIL = 5  # the trailing iterates whose scaling ratios are checked
 
 
 def densify(operator, dim: int) -> np.ndarray:
@@ -182,15 +185,15 @@ def _pencil_eigvalsh(k: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * (c + c.T))
 
 
-def preconditioned_spectrum(state: IpmState, mask: Mask,
-                            cluster_tol: float = 0.05,
-                            support_threshold: float | None = None) -> SpectrumReport:
+def preconditioned_spectrum(state: IpmState, mask: Mask) -> SpectrumReport:
     """Dense eigenvalue probe of the preconditioned condensed operator.
 
     Solves the symmetric-definite generalized problem ``K v = lam P v``
     (congruent to the split-preconditioned form, identical spectrum),
     which is numerically robust where the nonsymmetric product is not.
-    Guarded to ``n <= 1024``.
+    Guarded to ``n <= 1024``.  The unit cluster counts the eigenvalues
+    within ``CLUSTER_TOL`` of 1; the support is classified at
+    :func:`classify_support`'s default threshold.
     """
     n = state.n
     if n > 1024:
@@ -199,7 +202,7 @@ def preconditioned_spectrum(state: IpmState, mask: Mask,
     eigs = _pencil_eigvalsh(k, p)
     eigs_k = np.linalg.eigvalsh(k)
 
-    support = classify_support(state.beta, support_threshold)
+    support = classify_support(state.beta)
     active = support.active
     if active.size:
         q = dense_gram_matrix(mask)[np.ix_(active, active)]
@@ -214,8 +217,8 @@ def preconditioned_spectrum(state: IpmState, mask: Mask,
     )
     return SpectrumReport(
         eigenvalues=eigs,
-        cluster_tol=cluster_tol,
-        unit_cluster_size=int(np.sum(np.abs(eigs - 1.0) <= cluster_tol)),
+        cluster_tol=CLUSTER_TOL,
+        unit_cluster_size=int(np.sum(np.abs(eigs - 1.0) <= CLUSTER_TOL)),
         predicted_cluster_size=2 * n - support.n_active,
         kappa_observed=float(eigs[-1] / eigs[0]),
         kappa_predicted=kappa_pred,
@@ -238,7 +241,8 @@ class ScalingReport:
 
     For each index class of the solution the barrier diagonals should
     scale like the barrier parameter or its inverse; ``in_band`` states
-    whether every observed ratio stayed inside ``band``.
+    whether every observed ratio stayed inside ``band``, which is
+    ``SCALING_BAND``, over the last ``SCALING_TAIL`` iterates.
     """
 
     band: tuple[float, float]
@@ -272,10 +276,9 @@ _SCALING_RATIOS = {
 
 
 def scaling_trajectory_check(states: list[IpmState],
-                             support: SupportClassification | None = None,
-                             band: tuple[float, float] = (1.0 / 50.0, 50.0),
-                             tail: int = 5) -> ScalingReport:
-    """Check barrier-diagonal growth rates over the last ``tail`` iterates.
+                             support: SupportClassification | None = None) -> ScalingReport:
+    """Check barrier-diagonal growth rates over the last ``SCALING_TAIL``
+    iterates, against the band ``SCALING_BAND``.
 
     Expected rates by class of the final solution: on positive indices
     ``sigma1 ~ mu`` and ``sigma2 ~ 1/mu``; mirrored on negative indices;
@@ -285,7 +288,7 @@ def scaling_trajectory_check(states: list[IpmState],
     """
     if not states:
         raise ValueError("empty trajectory")
-    window = states[-tail:]
+    window = states[-SCALING_TAIL:]
     if support is None:
         support = classify_support(window[-1].beta)
     diags = [(*_sigmas(st), st.duality_measure()) for st in window]
@@ -293,9 +296,9 @@ def scaling_trajectory_check(states: list[IpmState],
         name: _ratio_range(np.concatenate([ratio(*d, support) for d in diags]))
         for name, ratio in _SCALING_RATIOS.items()
     }
-    lo, hi = band
+    lo, hi = SCALING_BAND
     in_band = all(lo <= r[0] and r[1] <= hi for r in ranges.values())
-    return ScalingReport(band=band, iterations_checked=len(window), **ranges,
+    return ScalingReport(band=SCALING_BAND, iterations_checked=len(window), **ranges,
                          in_band=in_band)
 
 

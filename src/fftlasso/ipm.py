@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -85,11 +85,6 @@ INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
 BLOCK = 16384  # entries per block of the O(n) sweeps: seven scratch rows of this length fit L2
 
 
-def is_iteration_count(value) -> bool:
-    """True for an integer >= 0, numpy integers included; False for a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
-
-
 @dataclass(frozen=True)
 class IpmConfig:
     """Solver parameters.
@@ -113,7 +108,8 @@ class IpmConfig:
             raise ValueError("tol must be positive and finite")
         if not (math.isfinite(self.cg_tol) and self.cg_tol > 0.0):
             raise ValueError("cg_tol must be positive and finite")
-        if not is_iteration_count(self.max_iters):
+        count = self.max_iters  # an integer >= 0, numpy integers included, not a bool
+        if isinstance(count, bool) or not (isinstance(count, numbers.Integral) and count >= 0):
             raise ValueError("max_iters must be a nonnegative integer")
 
 
@@ -214,20 +210,12 @@ class SolveReport:
         return sum(self.krylov_counts)
 
     def to_dict(self) -> dict:
-        """The summary record: ``lam`` as ``lambda``, the Krylov total, no records."""
-        return {
-            "record": "summary",
-            "status": self.status,
-            "iterations": self.iterations,
-            "lambda": self.lam,
-            "tol": self.tol,
-            "final_objective": self.final_objective,
-            "final_kkt": self.final_kkt,
-            "final_mu": self.final_mu,
-            "total_krylov": self.total_krylov,
-            "reason": self.reason,
-            "wall_time": self.wall_time,
-        }
+        """The summary record: every field but ``records``, ``lam`` as
+        ``lambda``, and the iteration and Krylov totals."""
+        summary = {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                   for f in fields(self) if f.name != "records"}
+        return {"record": "summary", **summary, "iterations": self.iterations,
+                "total_krylov": self.total_krylov}
 
 
 def default_penalty(b, mask: Mask) -> float:
@@ -589,7 +577,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``),
         the step collapses (``StalledError``) or leaves the strict interior
         (``InteriorViolationError``), with status ``"stalled"`` and the
-        error's message as ``reason``.
+        error's message as ``reason``.  ``final_objective``, ``final_kkt``
+        and ``final_mu`` describe the returned ``beta``.
 
     Raises ``ValueError`` before any transform for complex ``b``, whose
     imaginary part the solve would drop, for NaN/Inf in ``b``, and for
@@ -627,29 +616,29 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
 def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
     """The interior-point loop of :func:`solve`.
 
-    Returns the solution, the iteration records, the status, the final KKT
-    residual, the final barrier and the failure reason.  The n-vectors of
+    Returns the solution, the iteration records, the status, the solution's
+    KKT residual and barrier, and the failure reason.  The n-vectors of
     the loop live in one :class:`_Workspace` and are released on return.
     """
     work = _Workspace(xi, lam, mask, config)
     records: list[IterationRecord] = []
     state = work.evaluate(initial_state(mask.shape.n, lam))
     conv = work.report(state)
-    # the best iterate's beta, or None while the best is the current iterate
-    best_beta, best_kkt = None, conv.max_residual
+    # the best iterate's (beta, mu), or None while the best is the current iterate
+    best, best_kkt = None, conv.max_residual
     stalled, reason = False, ""
 
     for iteration in range(1, config.max_iters + 1):
         t_iter = time.perf_counter()
         if conv.converged:
             break
-        if conv.barrier_residual <= INNER_SLACK * state.mu:
-            state = replace(state, mu=next_barrier(state.mu, config.tol))
-        previous = state
+        previous, mu = state, state.mu
+        if conv.barrier_residual <= INNER_SLACK * mu:
+            mu = next_barrier(mu, config.tol)
         try:
-            state, direction = ipm_step(state, work)
+            state, direction = ipm_step(replace(state, mu=mu), work)
         except (NumericalBreakdownError, StalledError, InteriorViolationError) as exc:
-            stalled, reason = True, str(exc)  # state's slacks, and so its beta, are intact
+            stalled, reason = True, str(exc)  # state, its slacks and so its beta are intact
             break
         conv = work.report(state)
         if conv.converged:  # confirm on the exact product, never on the carried one
@@ -672,13 +661,13 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         )
         records.append(record)
         if conv.max_residual < best_kkt:
-            best_beta, best_kkt = None, conv.max_residual
-        elif best_beta is None:  # the best is `previous`, whose arrays the next step reuses
-            best_beta = previous.beta
+            best, best_kkt = None, conv.max_residual
+        elif best is None:  # the best is `previous`, whose arrays the next step reuses
+            best = (previous.beta, previous.mu)
         if observer is not None:  # a copy: the solver reuses the iterate's arrays
             observer(state.copy(), record)
 
     status = "converged" if conv.converged else "stalled" if stalled else "max_iters"
-    if status == "converged" or best_beta is None:
-        best_beta, best_kkt = state.beta, conv.max_residual
-    return best_beta, records, status, best_kkt, state.mu, reason
+    if status == "converged" or best is None:
+        best, best_kkt = (state.beta, state.mu), conv.max_residual
+    return best[0], records, status, best_kkt, best[1], reason

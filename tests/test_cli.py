@@ -18,7 +18,7 @@ from fftlasso.cli import (
     build_parser,
     main,
 )
-from fftlasso.ipm import IpmConfig
+from fftlasso.ipm import IpmConfig, SolveReport
 from fftlasso.dataio import read_volume, write_volume
 from fftlasso.errors import NumericalBreakdownError
 
@@ -406,6 +406,17 @@ class TestBench:
         code = main(["bench", "--sizes", sizes, "--report", str(report)])
         assert_input_error(code, capsys)
         assert not report.exists()
+
+    def test_stalled_size_is_reported(self, capsys, monkeypatch):
+        """A stalled solve names its cube and reason on standard error, and
+        the run exits 3."""
+        stalled = SolveReport(status="stalled", lam=1.0, tol=1e-8, records=[],
+                              final_objective=0.0, final_kkt=1.0, final_mu=0.5,
+                              wall_time=0.0, reason="injected inner failure")
+        monkeypatch.setattr("fftlasso.cli.solve", lambda *args: (None, stalled))
+        code = main(["bench", "--sizes", "4"])
+        assert code == EXIT_STALLED
+        assert "stalled at 4^3: injected inner failure\n" in capsys.readouterr().err
 
 
 class TestSolverFlags:

@@ -62,6 +62,10 @@ class TestDensify:
         with pytest.raises(ValueError):
             densify(lambda v: v, 5000)
 
+    def test_synthesis_guard(self):
+        with pytest.raises(ValueError, match="dense assembly guard: n 4098 > 4096"):
+            dense_synthesis_matrix(GridShape((4098,)))
+
     def test_matches_matrix_free_on_unit_vectors(self, rng):
         from fftlasso import gram
 

@@ -716,6 +716,7 @@ class TestSolve:
         best_state, best_record = min(seen, key=lambda pair: pair[1].kkt_max)
         np.testing.assert_array_equal(beta, best_state.beta)
         assert report.final_kkt == best_record.kkt_max
+        assert report.final_mu == best_record.mu
         assert report.final_objective == lasso_objective(beta, b, mask, 0.4)
 
     def test_best_iterate_outlives_the_reuse_of_its_arrays(self, rng, monkeypatch):
@@ -735,8 +736,10 @@ class TestSolve:
         beta, report = solve(b, mask, IpmConfig(lam=0.4, tol=1e-8, max_iters=5),
                              observer=lambda state, record: seen.append((state, record)))
         assert report.status == "max_iters" and len(seen) == 5
-        np.testing.assert_array_equal(beta, seen[0][0].beta)
-        assert report.final_kkt == seen[0][1].kkt_max < 1e3
+        best_state, best_record = seen[0]
+        np.testing.assert_array_equal(beta, best_state.beta)
+        assert report.final_kkt == best_record.kkt_max < 1e3
+        assert report.final_mu == best_record.mu
 
     def test_interior_violation_returns_best_iterate(self, monkeypatch):
         """A step that leaves the interior ends the solve as ``stalled`` with
@@ -760,6 +763,7 @@ class TestSolve:
         best_state, best_record = min(seen, key=lambda pair: pair[1].kkt_max)
         np.testing.assert_array_equal(beta, best_state.beta)
         assert report.final_kkt == best_record.kkt_max
+        assert report.final_mu == best_record.mu
         assert report.final_objective == lasso_objective(beta, b, mask, report.lam)
 
     def test_seed_42_counters(self, monkeypatch):

@@ -176,6 +176,23 @@ class TestFailureModes:
         with pytest.raises(NumericalBreakdownError):
             pcg_in_new_arrays(bad_op, identity, np.ones(4))
 
+    def test_negative_preconditioner_breaks(self):
+        """``P^{-1} r = -r`` gives a negative ``r'P^{-1}r`` at the start."""
+        with pytest.raises(NumericalBreakdownError, match="preconditioner produced"):
+            pcg_in_new_arrays(identity, lambda r: -r, np.ones(4))
+
+    def test_nan_from_the_preconditioner_breaks(self):
+        """A NaN from the preconditioner's second call, on the first
+        iteration's residual, names that iteration."""
+        calls = []
+
+        def nan_after_first(r):
+            calls.append(None)
+            return r if len(calls) == 1 else np.full_like(r, np.nan)
+
+        with pytest.raises(NumericalBreakdownError, match="at iteration 1"):
+            pcg_in_new_arrays(dense_op(np.diag([1.0, 2.0, 3.0])), nan_after_first, np.ones(3))
+
     def test_history_recorded(self, rng):
         """A recording preconditioner sees the initial residual and one per
         iteration; the last is the one PCG stopped on."""

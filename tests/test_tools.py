@@ -1,5 +1,6 @@
 """Smoke tests of the tools that byte-identity and benchmark checks rest on."""
 
+import ast
 import importlib
 import inspect
 import os
@@ -86,3 +87,60 @@ def test_code_lines_of_the_package():
     modules = sorted(p.name for p in Path(fftlasso.__file__).parent.glob("*.py"))
     assert [name for _, name in rows] == modules + ["total"]
     assert sum(int(count) for count, _ in rows[:-1]) == int(rows[-1][0]) > 0
+
+
+#: The directories whose calls may pass an option of the package.
+CALLERS = ["src", "tests", "demos", "tools", "benchmarks"]
+
+
+def _options(tree: ast.Module):
+    """``(function, called name, parameter, position)`` of every parameter
+    with a default of a function or method in ``tree``; ``position`` counts
+    the arguments a call gives before it, None for a keyword-only one.  A
+    method's ``self`` is not given, and ``__init__`` is called by its class."""
+    classes = {id(fn): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        cls = classes.get(id(fn))
+        given = fn.args.posonlyargs + fn.args.args
+        bound = 0 if cls is None else 1
+        name = cls if fn.name == "__init__" else fn.name
+        label = f"{cls}.{fn.name}" if cls else fn.name
+        for position in range(len(given) - len(fn.args.defaults), len(given)):
+            yield label, name, given[position].arg, position - bound
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield label, name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, position) -> bool:
+    if any(k.arg in (None, parameter) for k in call.keywords):  # **kwargs or by name
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_option_has_a_caller():
+    """Each parameter with a default, of a function or method that the
+    package defines, is passed by at least one call of that name in the
+    repository's code: by keyword, by position, or through ``*args`` or
+    ``**kwargs``.  An option that nothing passes is a setting without a
+    caller; make it a constant.  Options that only tests set are kept."""
+    calls = {}
+    for top in CALLERS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    package = Path(fftlasso.__file__).parent
+    unset = [f"{path.stem}.{label}({parameter}=)"
+             for path in sorted(package.glob("*.py"))
+             for label, name, parameter, position
+             in _options(ast.parse(path.read_text(encoding="utf-8")))
+             if not any(_passes(call, parameter, position) for call in calls.get(name, []))]
+    assert unset == []
