@@ -79,9 +79,14 @@ class GridShape:
     n: int = field(init=False)
 
     def __post_init__(self):
-        if not all(isinstance(d, numbers.Integral) for d in self.dims):
+        try:
+            extents = tuple(self.dims)
+        except TypeError:  # an int, None, a float: no sequence of extents
+            raise UnsupportedShapeError(
+                f"grid extents must be a sequence of integers, got {self.dims!r}") from None
+        if not all(isinstance(d, numbers.Integral) for d in extents):
             raise UnsupportedShapeError(f"grid extents must be integers, got {self.dims!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(int(d) for d in extents)
         if not 1 <= len(dims) <= 3:
             raise UnsupportedShapeError(f"need 1 to 3 axes, got {len(dims)}")
         for d in dims:

@@ -32,7 +32,10 @@ Newton direction's arrays included; a :class:`NewtonDirection` carries
 only the step lengths and the Krylov solve's diagnostics.  The O(n)
 phases run as sweeps over blocks of ``BLOCK`` entries that recompute the
 barrier diagonals and residuals per block, with the formula helpers of
-:mod:`~fftlasso.newton_system`.  Observers get copies.
+:mod:`~fftlasso.newton_system` on slices of the iterate's arrays.  The
+evaluation sweep checks that the iterate is interior from the extremes it
+keeps: it evaluates every block, and one check after it names the
+offending array.  Observers get copies.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .newton_system import (
     check_interior,
     condense,
     dual_residual,
-    exterior,
     recover_eliminated,
     schur_coefficients,
     stationarity,
@@ -248,15 +250,15 @@ def initial_state(n: int, lam: float) -> IpmState:
                     nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
 
 
-def _extremes(state, r1, r2, scratch, out) -> None:
-    """Maxima (row 0) and minima (row 1) of ``r1``, ``r2``, ``s1 nu1`` and
-    ``s2 nu2`` into ``out``, the products formed in ``scratch``."""
-    out[:, 0] = r1.max(), r1.min()
-    out[:, 1] = r2.max(), r2.min()
-    prod = np.multiply(state.s1, state.nu1, out=scratch)
-    out[:, 2] = prod.max(), prod.min()
-    prod = np.multiply(state.s2, state.nu2, out=prod)
-    out[:, 3] = prod.max(), prod.min()
+def _extremes(block, r1, r2, out) -> None:
+    """Maxima (row 0) and minima (row 1) of ``r1``, ``r2``, ``s1 nu1``,
+    ``s2 nu2`` and the four arrays of ``block = (s1, s2, nu1, nu2)`` into
+    the eight columns of ``out``; the products overwrite ``r1`` and ``r2``."""
+    s1, s2, nu1, nu2 = block
+    out[:, :2] = (r1.max(), r2.max()), (r1.min(), r2.min())
+    values = (np.multiply(s1, nu1, out=r1), np.multiply(s2, nu2, out=r2), *block)
+    for column, v in enumerate(values, start=2):
+        out[:, column] = v.max(), v.min()
 
 
 def _convergence_report(state: IpmState, extremes: np.ndarray, tol: float) -> ConvergenceReport:
@@ -336,6 +338,14 @@ class _Workspace:
     and the extremes and step lengths combine exactly across blocks.  The
     dot products of the duality measure and of PCG run over whole vectors.
 
+    :meth:`evaluate` also keeps each block's extremes of ``s1``, ``s2``,
+    ``nu1`` and ``nu2``, and after the sweep raises
+    ``InteriorViolationError`` from them, naming the array a scan of the
+    whole vectors would; it skips no block.  An exterior entry divides by
+    zero or forms NaNs in its block.  The raise reports it, so the sweep's
+    loop, and nothing else, runs under ``np.errstate(all="ignore")``;
+    warnings change no value.
+
     On a masked grid the Gram products borrow two half spectra
     (``spectra``) from the rows idle during them, ``product`` and
     ``gram_p``, which are padded by ``2n/d_last`` floats so that one fits.
@@ -369,7 +379,7 @@ class _Workspace:
         self.blocks = [(slice(start, min(start + block, n)),
                         [row[:min(block, n - start)] for row in scratch])
                        for start in range(0, n, block)]
-        self.extremes = np.empty((len(self.blocks), 2, 4))
+        self.extremes = np.empty((len(self.blocks), 2, 8))
 
     def roles(self, phase: str, state: IpmState) -> dict:
         """The arrays holding ``phase``'s roles while ``state`` is the
@@ -384,8 +394,9 @@ class _Workspace:
         return IpmState(*moved, mu=state.mu)
 
     def evaluate(self, state: IpmState, step: NewtonDirection | None = None) -> IpmState:
-        """Evaluate ``state`` in one sweep: check that it is interior, write
-        the ``evaluate`` roles and keep the extremes for :meth:`report`.
+        """Evaluate ``state`` in one sweep: write the ``evaluate`` roles, keep
+        the extremes for :meth:`report` and, from them, check that it is
+        interior.
 
         With ``step``, the step lengths of the direction from ``state`` in
         the ``step`` roles, each block first takes the step: ``x + alpha*dx``
@@ -402,46 +413,44 @@ class _Workspace:
             new = self.rotate(state, moved)
         rows = self.roles("evaluate", new)
         written = [rows[role] for role in ("omega1", "omega2", "delta", "precond")]
-        violated = False
-        for (cut, scratch), extremes in zip(self.blocks, self.extremes):
-            if step is not None:  # reads the block of state's nu rows before delta overwrites it
-                for x, old, alpha in moves:
-                    x = x[cut]
-                    x *= alpha
-                    x += old[cut]
-                taken = image[cut]
-                taken *= step.alpha_primal
-                rows["g"][cut] += taken
-            block = _block(new, cut)
-            if violated or exterior(*_arrays(block)) is not None:
-                violated = True  # the blocks left still take their step
-                continue
-            sigma1, sigma2, prod = scratch[:3]
-            omega1, omega2, delta, precond = (row[cut] for row in written)
-            barrier_scaling(*_arrays(block), sigma1, sigma2, omega1, omega2, lambda1=precond)
-            schur_coefficients(sigma1, omega2, delta, precond)
-            r1, r2 = sigma1, sigma2  # spent once delta is formed
-            stationarity(block, self.xi[cut], rows["g"][cut], r1)
-            dual_residual(block, self.lam, r2)
-            _extremes(block, r1, r2, prod, extremes)
-        if violated:  # raises, naming the first offending array over whole vectors
-            check_interior(*_arrays(new))
+        with np.errstate(all="ignore"):  # an exterior block is reported by the check below
+            for (cut, scratch), extremes in zip(self.blocks, self.extremes):
+                if step is not None:  # reads the block of state's nu before delta overwrites it
+                    for x, old, alpha in moves:
+                        x = x[cut]
+                        x *= alpha
+                        x += old[cut]
+                    taken = image[cut]
+                    taken *= step.alpha_primal
+                    rows["g"][cut] += taken
+                block = [x[cut] for x in _arrays(new)]
+                sigma1, sigma2 = scratch[:2]
+                omega1, omega2, delta, precond = (row[cut] for row in written)
+                barrier_scaling(*block, sigma1, sigma2, omega1, omega2, lambda1=precond)
+                schur_coefficients(sigma1, omega2, delta, precond)
+                r1, r2 = sigma1, sigma2  # spent once delta is formed
+                stationarity(*block[2:], self.xi[cut], rows["g"][cut], r1)
+                dual_residual(*block[2:], self.lam, r2)
+                _extremes(block, r1, r2, extremes)
+        # each array's block maxima and minima name it as its whole vector would
+        check_interior(*self.extremes[..., 4:].reshape(-1, 4).T)
         return new
 
     def report(self, state: IpmState) -> ConvergenceReport:
         """The :class:`ConvergenceReport` of the iterate :meth:`evaluate` last saw."""
-        extremes = np.stack((self.extremes[:, 0].max(axis=0), self.extremes[:, 1].min(axis=0)))
+        extremes = np.stack((self.extremes[:, 0, :4].max(axis=0),
+                             self.extremes[:, 1, :4].min(axis=0)))
         return _convergence_report(state, extremes, self.tol)
 
     def condense(self, state: IpmState) -> None:
         """Form the condensed right-hand side ``rho`` at ``state.mu``."""
         rows = self.roles("condense", state)
         for cut, scratch in self.blocks:
-            block = _block(state, cut)
+            block = [x[cut] for x in _arrays(state)]
             r1, r2, r3, r4, term = scratch[:5]
-            stationarity(block, self.xi[cut], rows["g"][cut], r1)
-            dual_residual(block, self.lam, r2)
-            barrier_residuals(block, r3, r4)
+            stationarity(*block[2:], self.xi[cut], rows["g"][cut], r1)
+            dual_residual(*block[2:], self.lam, r2)
+            barrier_residuals(*block, state.mu, r3, r4)
             condense(r1, r2, r3, r4, rows["omega1"][cut], rows["omega2"][cut],
                      rows["rho"][cut], term)
 
@@ -453,27 +462,23 @@ class _Workspace:
         tau = max(FTB_TAU, 1.0 - state.mu)
         alphas = [1.0] * 4
         for cut, scratch in self.blocks:
-            block = _block(state, cut)
+            block = [x[cut] for x in _arrays(state)]
             sigma1, sigma2, omega1, omega2, lambda1, r3, r4 = scratch
-            barrier_scaling(*_arrays(block), sigma1, sigma2, omega1, omega2, lambda1)
+            barrier_scaling(*block, sigma1, sigma2, omega1, omega2, lambda1)
             r2 = lambda1  # recover_eliminated forms its own sum
-            dual_residual(block, self.lam, r2)
-            barrier_residuals(block, r3, r4)
+            dual_residual(*block[2:], self.lam, r2)
+            barrier_residuals(*block, state.mu, r3, r4)
             steps = recover_eliminated(d_beta[cut], r2, r3, r4, sigma1, sigma2, omega1, omega2,
                                        [row[cut] for row in rows])
             # alpha is monotone in the nearest ratio, so the least over the
             # blocks is the whole vector's
             alphas = [min(alpha, fraction_to_boundary(v, dv, tau, sigma1))
-                      for alpha, v, dv in zip(alphas, _arrays(block), steps)]
+                      for alpha, v, dv in zip(alphas, block, steps)]
         return min(alphas[:2]), min(alphas[2:])
 
 
 def _arrays(state) -> tuple:
     return state.s1, state.s2, state.nu1, state.nu2
-
-
-def _block(state: IpmState, cut: slice) -> IpmState:
-    return IpmState(state.s1[cut], state.s2[cut], state.nu1[cut], state.nu2[cut], state.mu)
 
 
 def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:

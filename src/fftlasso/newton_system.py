@@ -77,7 +77,10 @@ The formulas are helpers on arrays (:func:`barrier_scaling`,
 :func:`barrier_residuals`, :func:`condense`, :func:`recover_eliminated`),
 which the solver's block sweeps (``ipm._Workspace``) call on slices, so
 each formula has one implementation.  Every helper and kernel takes the
-arrays it reads and writes: :func:`apply_kkt` the diagonal ``delta``,
+arrays it reads and writes: ``stationarity(nu1, nu2, xi, g, out)``,
+``dual_residual(nu1, nu2, lam, out)``,
+``barrier_residuals(s1, s2, nu1, nu2, mu, r3, r4)``,
+:func:`apply_kkt` the diagonal ``delta``,
 :func:`apply_precond_inverse` the diagonal ``precond = 1/(1 + delta)``
 and :func:`recover_eliminated` ``sigma1, sigma2, omega1, omega2``.  Only
 the Schur forms run: the 2x2 forms of ``K`` and ``P^{-1}`` above, and the
@@ -107,21 +110,15 @@ __all__ = [
 ]
 
 
-def exterior(s1, s2, nu1, nu2) -> str | None:
-    """Name of the first of the four arrays that is empty or holds an entry
-    that is not strictly positive and finite; None when there is none."""
+def check_interior(s1, s2, nu1, nu2) -> None:
+    """Raise ``InteriorViolationError`` naming the first of the four arrays
+    that is empty or holds an entry that is not strictly positive and
+    finite.  Given each array's maxima and minima over blocks instead of
+    the array, it names the same one."""
     for name, arr in zip(("s1", "s2", "nu1", "nu2"), (s1, s2, nu1, nu2)):
         # one reduction each way; NaN fails both comparisons
         if arr.size == 0 or not (arr.min() > 0.0 and arr.max() < np.inf):
-            return name
-    return None
-
-
-def check_interior(s1, s2, nu1, nu2) -> None:
-    """Raise ``InteriorViolationError`` naming the first array :func:`exterior` finds."""
-    name = exterior(s1, s2, nu1, nu2)
-    if name is not None:
-        raise InteriorViolationError(f"{name} must be strictly positive and finite")
+            raise InteriorViolationError(f"{name} must be strictly positive and finite")
 
 
 def barrier_scaling(s1, s2, nu1, nu2, sigma1, sigma2, omega1, omega2, lambda1) -> None:
@@ -142,25 +139,25 @@ def schur_coefficients(sigma1, omega2, delta, precond) -> None:
     np.divide(1.0, precond, out=precond)
 
 
-def stationarity(state, xi, g, out) -> None:
+def stationarity(nu1, nu2, xi, g, out) -> None:
     """``r1 = xi - g + nu1 - nu2`` into ``out``."""
     r1 = np.subtract(xi, g, out=out)
-    r1 += state.nu1
-    r1 -= state.nu2
+    r1 += nu1
+    r1 -= nu2
 
 
-def dual_residual(state, lam: float, out) -> None:
+def dual_residual(nu1, nu2, lam: float, out) -> None:
     """``r2 = nu1 + nu2 - lam`` into ``out``."""
-    r2 = np.add(state.nu1, state.nu2, out=out)
+    r2 = np.add(nu1, nu2, out=out)
     r2 -= lam
 
 
-def barrier_residuals(state, r3, r4) -> None:
+def barrier_residuals(s1, s2, nu1, nu2, mu: float, r3, r4) -> None:
     """``r3 = nu1 - mu/s1`` and ``r4 = nu2 - mu/s2`` into the given arrays."""
-    np.divide(state.mu, state.s1, out=r3)
-    np.subtract(state.nu1, r3, out=r3)
-    np.divide(state.mu, state.s2, out=r4)
-    np.subtract(state.nu2, r4, out=r4)
+    np.divide(mu, s1, out=r3)
+    np.subtract(nu1, r3, out=r3)
+    np.divide(mu, s2, out=r4)
+    np.subtract(nu2, r4, out=r4)
 
 
 def condense(r1, r2, r3, r4, omega1, omega2, out, scratch) -> None:

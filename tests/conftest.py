@@ -122,9 +122,9 @@ def newton_rhs(state, xi, g, lam: float):
     right-hand side ``rho`` of ``state`` at ``state.mu``, over whole
     vectors: the reference the solver's block sweeps match bit for bit."""
     r1, r2, r3, r4, rho = (np.empty(state.n) for _ in range(5))
-    stationarity(state, xi, g, r1)
-    dual_residual(state, lam, r2)
-    barrier_residuals(state, r3, r4)
+    stationarity(state.nu1, state.nu2, xi, g, r1)
+    dual_residual(state.nu1, state.nu2, lam, r2)
+    barrier_residuals(state.s1, state.s2, state.nu1, state.nu2, state.mu, r3, r4)
     diag = barrier_diagonals(state.s1, state.s2, state.nu1, state.nu2)
     condense(r1, r2, r3, r4, diag.omega1, diag.omega2, rho, np.empty(state.n))
     return SimpleNamespace(r1=r1, r2=r2, r3=r3, r4=r4, rho=rho, diag=diag)

@@ -43,7 +43,8 @@ class TestGridShape:
         """2^32 x 2^32 has 2^64 samples, which int64 would wrap to 0."""
         assert GridShape((2**32, 2**32)).n == 2**64
 
-    @pytest.mark.parametrize("dims", [(5,), (4, 7), (3, 3, 3), (0,), (2, 2, 2, 2), ()])
+    @pytest.mark.parametrize("dims", [(5,), (4, 7), (3, 3, 3), (0,), (2, 2, 2, 2), (), 64, None,
+                                      4.0])
     def test_rejects_bad_dims(self, dims):
         with pytest.raises(UnsupportedShapeError):
             GridShape(dims)

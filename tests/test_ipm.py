@@ -289,14 +289,20 @@ class TestBlockedSweeps:
         assert same_bits(rows["precond"], rhs.diag.precond)
         assert work.report(new) == check_convergence(new, rhs, tol)
 
-    @pytest.mark.parametrize("poison", [{"nu1": -1}, {"s2": -1, "nu1": 0}, {"nu2": -1, "s1": 5}],
-                             ids=["last-block-only", "later-array-first", "earlier-array-last"])
+    @pytest.mark.parametrize("poison, value", [  # the NaN cases keep the bare ids
+        pytest.param(poison, value, id=name + suffix)
+        for (name, poison), (suffix, value) in itertools.product(
+            {"last-block-only": {"nu1": -1}, "later-array-first": {"s2": -1, "nu1": 0},
+             "earlier-array-last": {"nu2": -1, "s1": 5}, "first-block-only": {"s2": 0}}.items(),
+            {"": np.nan, "-zero": 0.0, "-negative": -1.0, "-inf": np.inf}.items())])
     @pytest.mark.parametrize("stepped", [False, True])
-    def test_interior_violation_names_the_first_array(self, poison, stepped):
+    def test_interior_violation_names_the_first_array(self, poison, value, stepped):
         """A violation anywhere raises, naming the first offending array in
         ``s1, s2, nu1, nu2`` order over whole vectors, as ``check_interior``
-        does; with a step, the violation comes from the direction."""
-        n = 64000
+        does; with a step, the violation comes from the direction.  No
+        warning is raised, and the slacks the step started from, which the
+        solve's best iterate may read, are left as they were."""
+        n = 64000  # the last block is partial
         rng = np.random.default_rng(1)
         state = random_feasible_iterate(rng, n)
         xi, g = rng.standard_normal(n), rng.standard_normal(n)
@@ -308,10 +314,18 @@ class TestBlockedSweeps:
         direction = NewtonDirection(krylov_iters=1, pcg_residual=0.0,
                                     alpha_primal=1.0, alpha_dual=1.0)
         for name, index in poison.items():
-            (steps["d_" + name] if stepped else getattr(state, name))[index] = np.nan
+            old = getattr(state, name)
+            if stepped:  # old + (value - old) is value, or about -1 for -1
+                steps["d_" + name][index] = value - old[index]
+            else:
+                old[index] = value
+        slacks = state.s1.copy(), state.s2.copy()
         first = min(poison, key=("s1", "s2", "nu1", "nu2").index)
-        with pytest.raises(InteriorViolationError, match=f"^{first} "):
-            work.evaluate(state, step=direction if stepped else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InteriorViolationError, match=f"^{first} "):
+                work.evaluate(state, step=direction if stepped else None)
+        assert same_bits(state.s1, slacks[0]) and same_bits(state.s2, slacks[1])
 
 
 class TestStepMechanics:

@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tools/report_fingerprint.py
 
-Runs seven fixed cases in a temporary directory, under fixed relative file
+Runs eight fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
 
 - ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
@@ -17,6 +17,9 @@ names, and prints one ``sha256  name`` line per artefact:
 - ``lib-40``: a 40^3 library solve with 15% missing (seeds 42/43), whose
   64,000 entries end in a partial block of the solver's O(n) sweeps; its
   records and spectrum are hashed together into one line;
+- ``lib-16-max-iters``: a 16^3 library solve with 15% missing (seeds
+  42/43) stopped by ``max_iters=5`` before it converges, so that the
+  best-iterate exit and its ``final_*`` fields are hashed too;
 - ``probe-1d``: a 1-D masked solve, probed at every iterate with
   ``preconditioned_spectrum`` and over its trajectory with
   ``scaling_trajectory_check``.  The ``spectra`` line rests on the
@@ -34,7 +37,7 @@ inner products of PCG (``np.vdot``) and of the duality measure and the
 objective (``@``) run on OpenBLAS, which splits a dot product over its
 threads and so rounds differently with another count.  With
 ``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 10 of
-the 18 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
+the 20 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
 ``lib-32-denoise``, ``lib-256x256-denoise`` and ``lib-40``), with the same
 iteration counts.  The tool prints ``os.cpu_count()`` and
 ``OPENBLAS_NUM_THREADS`` to stderr, so that two outputs can be checked to
@@ -146,6 +149,9 @@ def run() -> None:
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(40, 40, 40), noise_seed=42, missing_seed=43))
     emit("lib-40/records+beta", b"".join(solve_bytes(noisy[~mask.missing_bool], mask, IpmConfig())))
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(16, 16, 16), noise_seed=42, missing_seed=43))
+    library_case("lib-16-max-iters", noisy[~mask.missing_bool], mask, IpmConfig(max_iters=5))
     probe_case("probe-1d")
 
 
