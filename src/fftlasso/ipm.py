@@ -26,7 +26,9 @@ exactly and the check repeated.
 
 A solve allocates its n-vectors once, in a :class:`_Workspace`, which
 also holds the solve's constants (``xi``, ``lam``, the mask and the
-tolerances), so a step is ``ipm_step(state, work)``.  Its :data:`ROLES`
+tolerances), so a step is ``ipm_step(state, work)``; the starting
+iterate and ``g`` are rows of it too, and ``xi`` and every row start on
+a 64-byte boundary.  Its :data:`ROLES`
 table says which row holds what in each phase of a step, ``g`` and the
 Newton direction's arrays included; a :class:`NewtonDirection` carries
 only the step lengths and the Krylov solve's diagnostics.  The O(n)
@@ -61,7 +63,7 @@ from .newton_system import (
     schur_coefficients,
     stationarity,
 )
-from .pcg import pcg_solve
+from .pcg import BLOCK, pcg_solve
 
 __all__ = [
     "IpmConfig",
@@ -84,7 +86,6 @@ MU_POWER = 1.5  # superlinear tail of the barrier schedule
 FTB_TAU = 0.995  # fraction-to-boundary damping
 GAMMA_CENTRALITY = 1e-4  # centrality monitor only, never enforced
 INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
-BLOCK = 16384  # entries per block of the O(n) sweeps: seven scratch rows of this length fit L2
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,9 @@ class IpmState:
     @property
     def beta(self) -> np.ndarray:
         """``(s1 - s2)/2``, a new array on every access."""
-        return 0.5 * (self.s1 - self.s2)
+        beta = np.subtract(self.s1, self.s2)
+        beta *= 0.5
+        return beta
 
     def duality_measure(self) -> float:
         """Average complementarity product (nu1's1 + nu2's2) / 2n."""
@@ -244,10 +247,32 @@ def initial_state(n: int, lam: float) -> IpmState:
     correlation.  The duality measure then equals ``lam/2``, taken as the
     initial barrier.
     """
+    return _start(np.empty((4, n)), lam)
+
+
+def _start(arrays, lam: float) -> IpmState:
+    """:func:`initial_state`, written into the four ``arrays``."""
     if lam <= 0:
         raise ValueError("penalty must be positive")
-    return IpmState(s1=np.ones(n), s2=np.ones(n), nu1=np.full(n, 0.5 * lam),
-                    nu2=np.full(n, 0.5 * lam), mu=lam / 2.0)
+    s1, s2, nu1, nu2 = arrays
+    s1.fill(1.0)
+    s2.fill(1.0)
+    nu1.fill(0.5 * lam)
+    nu2.fill(0.5 * lam)
+    return IpmState(s1, s2, nu1, nu2, mu=lam / 2.0)
+
+
+def _aligned(size: int) -> np.ndarray:
+    """A new float64 vector of ``size`` entries that starts on a 64-byte
+    boundary, a cache line and an AVX-512 vector."""
+    buffer = np.empty(size + 7)
+    skip = -buffer.ctypes.data % 64 // 8
+    return buffer[skip:skip + size]
+
+
+def _padded(size: int) -> int:
+    """``size`` rounded up to whole 64-byte lines of float64."""
+    return -(-size // 8) * 8
 
 
 def _extremes(block, r1, r2, out) -> None:
@@ -309,7 +334,8 @@ _KEPT = {"previous_s1": "free0", "previous_s2": "free1"}
 #: ``gram(beta)``: the step advances it by ``alpha_primal * G d_beta`` and
 #: ``confirm`` overwrites it with the exact product.  ``image`` and
 #: ``gram_p`` exist only on a masked grid: with ``G = I`` the step reads
-#: ``G d_beta`` from ``x``, and a product forms no ``G p``.
+#: ``G d_beta`` from ``x``, and a product forms no ``G p``.  PCG's
+#: temporary is not a row but the first scratch row of the sweeps.
 ROLES = {
     "evaluate": {**_ITERATE, "g": "g", "omega1": "x", "omega2": "product",
                  "delta": "free2", "precond": "free3", **_KEPT},
@@ -330,13 +356,24 @@ class _Workspace:
     once, and the sweeps that run the O(n) phases over them, with the rows
     that :data:`ROLES` names.
 
-    ``g``, the carried ``gram(beta)``, is its own array, zero (exact at
-    ``beta = 0``) until a step advances it.  ``sigma`` and ``r1``-``r4``
-    are never stored.  Each sweep runs over blocks of ``BLOCK`` entries
-    and recomputes per block what it needs, in seven block-length
-    ``scratch`` rows.  Elementwise work gives the same bits on a slice,
-    and the extremes and step lengths combine exactly across blocks.  The
-    dot products of the duality measure and of PCG run over whole vectors.
+    ``g``, the carried ``gram(beta)``, is a row, zero (exact at
+    ``beta = 0``) until a step advances it.  ``start`` is
+    :func:`initial_state` in four more rows, which the first step's
+    :meth:`rotate` makes ``free`` rows.  ``sigma`` and ``r1``-``r4`` are
+    never stored.  Each sweep runs over blocks of ``BLOCK`` entries and
+    recomputes per block what it needs, in seven block-length ``scratch``
+    rows; PCG, during which they are idle, takes the first as its
+    temporary.  Elementwise work gives the same bits on a slice, and the
+    extremes and step lengths combine exactly across blocks.  The dot
+    products of the duality measure and of PCG run over whole vectors.
+
+    All rows are cut from one block that starts on a 64-byte boundary,
+    and each row's length is rounded up to a multiple of 8 floats, so
+    every row, every block of a sweep (``BLOCK`` is a multiple of 8) and
+    both lent half spectra start on a 64-byte boundary.  numpy's
+    three-operand ufuncs (``np.add(a, b, out=c)``) run at about half speed
+    when ``c`` does not, and the heap gives 16-byte alignment only, so
+    without this the speed of a solve depended on where its rows landed.
 
     :meth:`evaluate` also keeps each block's extremes of ``s1``, ``s2``,
     ``nu1`` and ``nu2``, and after the sweep raises
@@ -363,19 +400,23 @@ class _Workspace:
         # page-faults them anew (43K minor faults per 256^2 solve against none).
         half = mask.shape.half if mask.n_missing else ()
         flat_2d = len(half) == 2  # gram_p cannot lend its half spectrum: a spare row does
-        plain = ["x", *_FREE, *(["image"] if half else []), *(["gram_p"] if flat_2d else [])]
+        plain = ["x", "g", *_FREE, *(["image"] if half else []), *(["gram_p"] if flat_2d else [])]
         lenders = ["product", *(["spare" if flat_2d else "gram_p"] if half else [])]
-        wide = 2 * math.prod(half) if half else n  # floats in a row that holds a half spectrum
+        spectrum = 2 * math.prod(half) if half else n  # floats in a row that holds a half spectrum
         block = min(BLOCK, n)
-        flat = np.empty(len(plain) * n + len(lenders) * wide + 7 * block)
-        cut = len(plain) * n
+        stride, wide, short = _padded(n), _padded(spectrum), _padded(block)
+        cut = (len(plain) + 4) * stride  # the plain rows, then the start's four
+        flat = _aligned(cut + len(lenders) * wide + 7 * short)
+        rows = flat[:cut].reshape(-1, stride)[:, :n]
         wides = flat[cut:cut + len(lenders) * wide].reshape(len(lenders), wide)
-        self.rows = {"image": None, "gram_p": None, "g": np.zeros(n)}
-        self.rows.update(zip(plain, flat[:cut].reshape(-1, n)))
+        self.rows = {"image": None, "gram_p": None}
+        self.rows.update(zip(plain, rows))
         self.rows.update((name, row[:n]) for name, row in zip(lenders, wides))
-        self.spectra = (tuple(row.view(np.complex128).reshape(half) for row in wides)
+        self.rows["g"].fill(0.0)
+        self.start = _start(rows[len(plain):], lam)
+        self.spectra = (tuple(row[:spectrum].view(np.complex128).reshape(half) for row in wides)
                         if half else None)
-        scratch = flat[cut + wides.size:].reshape(7, block)
+        scratch = flat[cut + wides.size:].reshape(7, short)
         self.blocks = [(slice(start, min(start + block, n)),
                         [row[:min(block, n - start)] for row in scratch])
                        for start in range(0, n, block)]
@@ -502,8 +543,9 @@ def newton_direction(state: IpmState, work: _Workspace) -> NewtonDirection:
     def prec(v):
         return apply_precond_inverse(v, rows["precond"], out=product)
 
+    temporary = work.blocks[0][1][0]  # a scratch row: the sweeps are idle during PCG
     result = pcg_solve(op, prec, rows["residual"], work.cg_tol,
-                       (rows["x"], rows["residual"], rows["search"], product), image=image)
+                       (rows["x"], rows["residual"], rows["search"], temporary), image=image)
     if not result.converged:
         raise NumericalBreakdownError(
             f"PCG stalled at preconditioned residual {result.residual_norm:.3e} "
@@ -595,7 +637,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
             raise ValueError("observed samples must be finite, with a finite squared norm")
-    xi = observe_adjoint(b, mask)
+    xi = observe_adjoint(b, mask, out=_aligned(mask.shape.n))
     lam = config.lam if config.lam is not None else _penalty_of_correlation(xi)
     if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
         return np.zeros(mask.shape.n), SolveReport(
@@ -623,11 +665,14 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
 
     Returns the solution, the iteration records, the status, the solution's
     KKT residual and barrier, and the failure reason.  The n-vectors of
-    the loop live in one :class:`_Workspace` and are released on return.
+    the loop, the starting iterate among them, live in one
+    :class:`_Workspace` and are released on return; besides it the loop
+    allocates only the beta of the best iterate, when a step raises the
+    KKT residual, and the returned one.
     """
     work = _Workspace(xi, lam, mask, config)
     records: list[IterationRecord] = []
-    state = work.evaluate(initial_state(mask.shape.n, lam))
+    state = work.evaluate(work.start)
     conv = work.report(state)
     # the best iterate's (beta, mu), or None while the best is the current iterate
     best, best_kkt = None, conv.max_residual

@@ -111,9 +111,10 @@ def embed(values, mask: Mask) -> np.ndarray:
     return full
 
 
-def observe_adjoint(values, mask: Mask) -> np.ndarray:
-    """Transpose of :func:`observe`: zero-fill, then analyze."""
-    return analyze(embed(values, mask), mask.shape)
+def observe_adjoint(values, mask: Mask, out=None) -> np.ndarray:
+    """Transpose of :func:`observe`: zero-fill, then analyze, into ``out``
+    when given (as :func:`~fftlasso.fourier.analyze` takes it)."""
+    return analyze(embed(values, mask), mask.shape, out=out)
 
 
 def gram(beta, mask: Mask, out=None, spectra=None) -> np.ndarray:

@@ -21,6 +21,10 @@ from .errors import NumericalBreakdownError
 __all__ = ["PcgResult", "pcg_solve"]
 
 MAX_ITERS_CAP = 5000
+#: Entries per block of the O(n) vector updates, here and in the solver's
+#: sweeps (``ipm``): seven rows of this length fit L2, and it is a multiple
+#: of 8 floats, so the blocks of a 64-byte-aligned row start aligned too.
+BLOCK = 16384
 
 
 @dataclass
@@ -48,16 +52,19 @@ def pcg_solve(apply_op, apply_prec, rhs, tol: float, work, image=None) -> PcgRes
         The iteration limit is 10x the system dimension, capped at
         ``MAX_ITERS_CAP``.
     work : sequence of numpy.ndarray
-        Four arrays of ``rhs``'s shape to iterate in: the solution ``x``
-        (returned), the residual, the search direction and a temporary.
+        The solution ``x`` (returned), the residual and the search
+        direction, three C-contiguous arrays of ``rhs``'s shape to iterate
+        in, and a temporary of at least ``min(BLOCK, rhs.size)`` floats.
         The residual array may be ``rhs`` itself, which is then
         overwritten.  The operator and the preconditioner may return the
         same array on every call, and that array may be the temporary:
-        ``K p`` is last read when it is scaled into the temporary in place,
-        and ``L p`` must be a different array.
+        the updates run over the blocks in increasing order and write only
+        the temporary's head, so each block of ``K p`` is read before it
+        is overwritten.  ``L p`` must be a different array.
     image : numpy.ndarray, optional
-        Overwritten with ``L x`` for the returned ``x``, accumulated with
-        CG's own step lengths, so ``L`` is never applied to ``x`` itself.
+        C-contiguous; overwritten with ``L x`` for the returned ``x``,
+        accumulated with CG's own step lengths, so ``L`` is never applied
+        to ``x`` itself.
 
     Returns
     -------
@@ -68,7 +75,10 @@ def pcg_solve(apply_op, apply_prec, rhs, tol: float, work, image=None) -> PcgRes
     Raises
     ------
     ValueError
-        If ``tol`` is not positive and finite.
+        If ``tol`` is not positive and finite, if ``rhs``, ``image`` or one
+        of the three iterated arrays is not C-contiguous (the updates run
+        on flat views of them, where a copy would drop them), or if the
+        temporary is too short.
     NumericalBreakdownError
         If the recurrence produces NaN/Inf or a direction of nonpositive
         curvature (the operator is not SPD, typically an interior
@@ -77,6 +87,11 @@ def pcg_solve(apply_op, apply_prec, rhs, tol: float, work, image=None) -> PcgRes
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive and finite")
     x, r, p, scaled = work
+    if not all(a.flags.c_contiguous for a in (rhs, x, r, p, *([] if image is None else [image]))):
+        raise ValueError("rhs, image and the iterated work arrays must be C-contiguous")
+    if scaled.size < min(BLOCK, rhs.size):
+        raise ValueError(f"the temporary holds {scaled.size} floats, "
+                         f"fewer than min(BLOCK, rhs.size) = {min(BLOCK, rhs.size)}")
     limit = min(10 * r.size, MAX_ITERS_CAP)
     x.fill(0.0)
     if image is not None:
@@ -92,21 +107,30 @@ def pcg_solve(apply_op, apply_prec, rhs, tol: float, work, image=None) -> PcgRes
         return PcgResult(x, 0, True, norm)
 
     np.copyto(p, z)
+    x_flat, r_flat, p_flat = (a.reshape(-1) for a in (x, r, p))  # views: all contiguous
+    image_flat = None if image is None else image.reshape(-1)
+    scaled = scaled.reshape(-1)
+    blocks = [(slice(start, start + BLOCK), scaled[:min(BLOCK, r.size - start)])
+              for start in range(0, r.size, BLOCK)]
     for k in range(1, limit + 1):
         kp = apply_op(p)
         if image is not None:
             kp, lp = kp
+            lp = lp.reshape(-1)
         curvature = float(np.vdot(p, kp))
         if not math.isfinite(curvature) or curvature <= 0:
             raise NumericalBreakdownError(
                 f"nonpositive curvature p'Kp = {curvature} at iteration {k}"
             )
         alpha = rho / curvature
-        # r -= alpha * Kp and the like, through one temporary, which may be Kp
-        r -= np.multiply(kp, alpha, out=scaled)
-        x += np.multiply(p, alpha, out=scaled)
-        if image is not None:
-            image += np.multiply(lp, alpha, out=scaled)
+        kp = kp.reshape(-1)
+        # r -= alpha * Kp and the like, a block at a time through the
+        # temporary; Kp, which may be the temporary, is read first
+        for cut, temp in blocks:
+            r_flat[cut] -= np.multiply(kp[cut], alpha, out=temp)
+            x_flat[cut] += np.multiply(p_flat[cut], alpha, out=temp)
+            if image is not None:
+                image_flat[cut] += np.multiply(lp[cut], alpha, out=temp)
         z = apply_prec(r)
         rho_next = float(np.vdot(r, z))
         if not math.isfinite(rho_next) or rho_next < 0:
@@ -116,8 +140,11 @@ def pcg_solve(apply_op, apply_prec, rhs, tol: float, work, image=None) -> PcgRes
         norm = math.sqrt(rho_next)
         if norm <= tol:
             return PcgResult(x, k, True, norm)
-        p *= rho_next / rho
-        p += z
+        z, ratio = z.reshape(-1), rho_next / rho
+        for cut, _ in blocks:  # p = z + ratio * p
+            search = p_flat[cut]
+            search *= ratio
+            search += z[cut]
         rho = rho_next
 
     return PcgResult(x, limit, False, norm)

@@ -939,21 +939,63 @@ class TestWorkspaceRoles:
             assert work.rows["image"] is None and work.rows["gram_p"] is None
 
     @pytest.mark.parametrize("dims,floats,lenders", [
-        # 7 n-long rows, 2 of 2*64*33 floats that lend half spectra, 7 scratch rows
-        ((64, 64), 7 * 4096 + 2 * 4224 + 7 * 4096, ["product", "spare"]),
-        # 6 n-long rows, 2 of 2*16*16*9 floats that lend half spectra, 7 scratch rows
-        ((16, 16, 16), 6 * 4096 + 2 * 4608 + 7 * 4096, ["product", "gram_p"]),
-    ], ids=["2d", "3d"])
+        # 8 n-long rows and the 4 of the start, 2 of 2*64*33 floats that lend
+        # half spectra, 7 scratch rows
+        ((64, 64), 12 * 4096 + 2 * 4224 + 7 * 4096, ["product", "spare"]),
+        # 7 n-long rows and the 4 of the start, 2 of 2*16*16*9 floats that
+        # lend half spectra, 7 scratch rows
+        ((16, 16, 16), 11 * 4096 + 2 * 4608 + 7 * 4096, ["product", "gram_p"]),
+        # as 2d, with rows of 72 floats and lenders of 2*6*7 = 84 padded to 88
+        ((6, 12), 12 * 72 + 2 * 88 + 7 * 72, ["product", "spare"]),
+        # as 3d, with every row of 30 floats padded to 32
+        ((30,), 11 * 32 + 2 * 32 + 7 * 32, ["product", "gram_p"]),
+    ], ids=["2d", "3d", "2d-padded", "1d-padded"])
     def test_allocation_size(self, dims, floats, lenders):
-        """On a masked grid only the rows that lend a half spectrum are padded.
+        """On a masked grid the rows that lend a half spectrum are longer.
         On 2-D grids the packing passes end in the second half spectrum, so
-        ``gram_p``, their output, is a plain row and a spare row lends it."""
+        ``gram_p``, their output, is a plain row and a spare row lends it.
+        Every row is padded to a multiple of 8 floats, and the block has 7
+        more, to start on a 64-byte boundary."""
         _, mask = _roles_instance(dims)
         work = fftlasso.ipm._Workspace(np.zeros(mask.shape.n), 0.5, mask)
-        assert work.rows["x"].base.size == floats
+        assert work.rows["x"].base.size == floats + 7
         for name, row in work.rows.items():
             lends = [np.shares_memory(row, half) for half in work.spectra]
             assert lends == [name == lender for lender in lenders], name
+
+    @pytest.mark.parametrize("missing_fraction", [0.15, 0.0], ids=["masked", "empty"])
+    @pytest.mark.parametrize("dims", [(30,), (6, 12), (64, 64), (16, 16, 16)],
+                             ids=["30", "6x12", "64^2", "16^3"])
+    def test_hot_vectors_start_on_a_cache_line(self, dims, missing_fraction, monkeypatch):
+        """Every row of the workspace, ``g`` and the start among them, the
+        scratch rows of every block, both lent half spectra, ``xi`` as
+        :func:`solve` builds it and the iterate's arrays before and after a
+        rotation start on a 64-byte boundary, where numpy's three-operand
+        ufuncs run at full speed; so do the blocks of a sweep."""
+        b, mask = _roles_instance(dims, missing_fraction)
+        iterate, data = fftlasso.ipm._iterate, []
+
+        def spy(xi, *args):
+            data.append(xi)
+            return iterate(xi, *args)
+
+        monkeypatch.setattr(fftlasso.ipm, "_iterate", spy)
+        solve(b, mask)
+        work = fftlasso.ipm._Workspace(data[0], 0.5, mask)
+        vectors = {"xi": data[0], **{name: row for name, row in work.rows.items()
+                                     if row is not None}}
+        vectors.update((f"spectrum{i}", half) for i, half in enumerate(work.spectra or ()))
+        vectors.update((f"block{k}/scratch{i}", row) for k, (_, scratch) in enumerate(work.blocks)
+                       for i, row in enumerate(scratch))
+        state = work.start
+        for rotations in range(2):
+            vectors.update((f"{name}@{rotations}", array) for name, array
+                           in zip(("s1", "s2", "nu1", "nu2"), fftlasso.ipm._arrays(state)))
+            steps = work.roles("step", state)
+            state = work.rotate(state, [steps[f"d_{name}"] for name in ("s1", "s2", "nu1", "nu2")])
+        offsets = {name: v.ctypes.data % 64 for name, v in vectors.items()}
+        assert {name: offset for name, offset in offsets.items() if offset} == {}
+        assert BLOCK % 8 == 0  # so a block of an aligned row starts aligned
 
 
 def forbid_transforms(monkeypatch):
@@ -1171,18 +1213,18 @@ def peak_vectors_of_solve(spec: SyntheticSpec):
 
 class TestMemory:
     """Peaks of whole solves, in n-long float64 arrays.  Fourteen n-vectors
-    persist on a masked grid: the iterate, ``xi``, ``g`` and the
-    workspace's eight rows.  Four are PCG's fixed rows, its solution, its
-    accumulated ``G d_beta``, its product and ``G p``; the other four, dead
-    once PCG returns, take the next direction and so the next iterate, and
-    the old iterate's arrays take their place.  With an empty mask
+    persist on a masked grid: ``xi`` and, in the workspace's block, the
+    iterate, ``g`` and eight more rows.  Four are PCG's fixed rows, its
+    solution, its accumulated ``G d_beta``, its product and ``G p``; the other
+    four, dead once PCG returns, take the next direction and so the next
+    iterate, and the old iterate's arrays take their place.  With an empty mask
     ``G = I``: ``G d_beta`` is ``d_beta`` and no product forms ``G p``, so
     twelve persist.  Besides them come seven block-length scratch rows and
     numpy's buffers.  On a masked grid the Gram products in the Newton loop
-    borrow their half spectra from the product and ``G p`` rows, the only
-    two rows padded by ``2n/d_last`` floats so that one fits (on 2-D grids
-    a spare row lends the second instead, and ``G p``'s is n long).  Only
-    the transforms of ``b`` before the loop and of the objective after it
+    borrow their half spectra from the product and ``G p`` rows, the only two
+    rows longer by ``2n/d_last`` floats so that one fits (on 2-D grids a spare
+    row lends the second instead, and ``G p``'s is n long).  Only the
+    transforms of ``b`` before the loop and of the objective after it
     allocate their own."""
 
     def test_peak_vectors_of_a_masked_solve(self):
@@ -1224,6 +1266,41 @@ class TestMemory:
                           missing_seed=43))
         assert converged
         assert peak <= 13.55
+
+    @pytest.mark.parametrize("dims,missing_fraction", [((48, 48, 48), 0.15), ((32, 32, 32), 0.0)],
+                             ids=["masked-48^3", "empty-32^3"])
+    def test_no_vector_allocated_besides_the_workspace(self, dims, missing_fraction, monkeypatch):
+        """From the workspace's construction to ``_iterate``'s return a solve
+        allocates less than one n-vector besides the workspace's block and
+        one beta, the best iterate's or the returned one: the start and
+        ``g`` are rows of the block, so no n-vector is freed, and
+        page-faulted anew, from solve to solve.
+        (The grids are large enough that numpy's ufunc buffers, up to
+        393 KB in the packing passes, stay below one n-vector.)"""
+        b, mask = _roles_instance(dims, missing_fraction)
+        iterate, init = fftlasso.ipm._iterate, fftlasso.ipm._Workspace.__init__
+        blocks, peaks = [], []
+
+        def spy_init(self, *args):
+            init(self, *args)
+            blocks.append(self.rows["x"].base.nbytes)
+
+        def spy(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            result = iterate(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
+
+        monkeypatch.setattr(fftlasso.ipm._Workspace, "__init__", spy_init)
+        monkeypatch.setattr(fftlasso.ipm, "_iterate", spy)
+        tracemalloc.start()
+        try:
+            beta, report = solve(b, mask, IpmConfig(tol=1e-8, cg_tol=1e-12))
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peaks[0] - blocks[0] - beta.nbytes < beta.nbytes
 
     @pytest.mark.parametrize("dims", [(64,), (16, 16), (16, 16, 16)])
     def test_no_half_spectrum_allocated_by_public_steps(self, dims, monkeypatch):

@@ -241,6 +241,65 @@ def test_work_arrays_give_the_same_iterates(rng):
         np.testing.assert_allclose(rhs, b - m @ res.solution, atol=1e-8)  # now the residual
 
 
+def test_blocked_updates_give_the_same_iterates(rng, monkeypatch):
+    """Over blocks of 16 entries with a ragged tail, through a temporary of
+    one block or through the operator's and the preconditioner's output
+    array, PCG gives the bits of one block over the whole vector."""
+    n = 40
+    m = random_spd(rng, n, cond=1e4)
+    scale = np.geomspace(1.0, 1e3, n)
+    image_map = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    ref_image = np.empty(n)
+    ref = pcg_in_new_arrays(lambda v: (m @ v, image_map @ v), lambda v: v / scale, b, 1e-10,
+                            image=ref_image)
+
+    monkeypatch.setattr(fftlasso.pcg, "BLOCK", 16)
+    shared = np.empty(n)
+
+    def op_into(v):
+        np.matmul(m, v, out=shared)
+        return shared, image_map @ v
+
+    for temporary in (np.full(16, np.nan), shared):
+        work = (np.full(n, np.nan), b.copy(), np.full(n, np.nan), temporary)
+        image = np.full(n, np.nan)
+        res = pcg_solve(op_into, lambda v: np.divide(v, scale, out=shared), work[1], 1e-10, work,
+                        image=image)
+        assert res.iterations == ref.iterations
+        assert res.solution.tobytes() == ref.solution.tobytes()
+        assert image.tobytes() == ref_image.tobytes()
+
+
+@pytest.mark.parametrize("strided", ["x", "residual", "search", "rhs", "image"])
+def test_rejects_strided_arrays(strided):
+    """The updates run on flat views, and a strided array's flat form is a
+    copy that would drop them: PCG refuses it before its first iteration."""
+    n = 8
+    arrays = {name: np.zeros(n) for name in ("x", "residual", "search", "rhs", "image")}
+    arrays[strided] = np.zeros(2 * n)[::2]
+    arrays["rhs"][:] = 1.0
+    work = (arrays["x"], arrays["residual"], arrays["search"], np.empty(n))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        pcg_solve(lambda v: (v.copy(), v.copy()), identity, arrays["rhs"], 1e-10, work,
+                  image=arrays["image"])
+
+
+def test_rejects_a_short_temporary(monkeypatch):
+    """The temporary holds one block: ``min(BLOCK, rhs.size)`` floats."""
+    monkeypatch.setattr(fftlasso.pcg, "BLOCK", 4)
+    rhs = np.ones(8)
+    for size, fails in [(3, True), (4, False), (8, False)]:
+        work = (np.empty(8), np.empty(8), np.empty(8), np.empty(size))
+        if fails:
+            with pytest.raises(ValueError, match="temporary"):
+                pcg_solve(identity, identity, rhs, 1e-10, work)
+        else:
+            assert pcg_solve(identity, identity, rhs, 1e-10, work).converged
+    work = (np.empty(3), np.empty(3), np.empty(3), np.empty(3))
+    assert pcg_solve(identity, identity, np.ones(3), 1e-10, work).converged
+
+
 def test_preconditioned_stopping_quantity(rng):
     """Stopping is on sqrt(r' P^{-1} r), not the plain residual norm."""
     n = 16

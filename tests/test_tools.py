@@ -144,3 +144,21 @@ def test_every_option_has_a_caller():
              in _options(ast.parse(path.read_text(encoding="utf-8")))
              if not any(_passes(call, parameter, position) for call in calls.get(name, []))]
     assert unset == []
+
+
+def test_ab_pairs_one_tree_against_itself():
+    """``tools/ab.py`` on 2 pairs of a 16^3 grid, with this checkout as
+    both sides: every run is printed, the side that runs first alternates,
+    and ``--same-iterates`` finds the same counts and spectra."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), "--parent", str(ROOT), "--change",
+         str(ROOT), "--workload", "masked-64", "--dims", "16,16,16", "--pairs", "2",
+         "--solves", "1", "--same-iterates"],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    runs = [line.split()[:3] for line in done.stdout.splitlines() if line.startswith("pair")]
+    assert runs == [["pair", "1", "parent"], ["pair", "1", "change"],
+                    ["pair", "2", "change"], ["pair", "2", "parent"]]
+    assert re.search(r"^parent: median [0-9.]+ s, quartiles .*won \d of 2 pairs$",
+                     done.stdout, re.M)
+    assert "same iterates: counts and spectra are identical in every run" in done.stdout
