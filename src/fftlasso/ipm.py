@@ -84,7 +84,6 @@ __all__ = [
 SIGMA_MU = 0.2  # barrier reduction factor
 MU_POWER = 1.5  # superlinear tail of the barrier schedule
 FTB_TAU = 0.995  # fraction-to-boundary damping
-GAMMA_CENTRALITY = 1e-4  # centrality monitor only, never enforced
 INNER_SLACK = 10.0  # a barrier stage is solved when its residual <= this * mu
 
 
@@ -164,14 +163,12 @@ class ConvergenceReport:
     max_residual: float
     converged: bool
     barrier_residual: float  # max norm of the mu-shifted residuals, for the barrier test
-    centrality_ok: bool  # min s_i nu_i >= gamma * duality measure
 
 
 @dataclass
 class IterationRecord:
     iteration: int
     mu: float
-    primal_inf: float
     dual_inf: float
     complementarity: float
     kkt_max: float
@@ -179,7 +176,6 @@ class IterationRecord:
     alpha_primal: float
     alpha_dual: float
     pcg_residual: float
-    centrality_ok: bool
     wall_time: float
 
     def to_dict(self) -> dict:
@@ -287,10 +283,9 @@ def _extremes(block, r1, r2, out) -> None:
 
 
 def _convergence_report(state: IpmState, extremes: np.ndarray, tol: float) -> ConvergenceReport:
-    """Exact KKT residuals, the barrier residual at ``state.mu`` and the
-    centrality monitor, from the :func:`_extremes` of ``state``.  The slack
-    equations and ``y = nu`` hold exactly, so their residuals are not
-    checked."""
+    """Exact KKT residuals and the barrier residual at ``state.mu``, from
+    the :func:`_extremes` of ``state``.  The slack equations and ``y = nu``
+    hold exactly, so their residuals are not checked."""
     (r1_max, r2_max, p1_max, p2_max), (r1_min, r2_min, p1_min, p2_min) = extremes
     # max|r| from the extremes; abs() turns an all -0.0 max into +0.0
     stat = abs(float(max(r1_max, -r1_min)))
@@ -302,8 +297,7 @@ def _convergence_report(state: IpmState, extremes: np.ndarray, tol: float) -> Co
     comp_barrier = max(comp - state.mu, state.mu - comp_min)
     return ConvergenceReport(stationarity=stat, dual_equality=dual, complementarity=comp,
                              max_residual=worst, converged=worst <= tol,
-                             barrier_residual=max(stat, dual, comp_barrier),
-                             centrality_ok=comp_min >= GAMMA_CENTRALITY * state.duality_measure())
+                             barrier_residual=max(stat, dual, comp_barrier))
 
 
 @dataclass(frozen=True)
@@ -364,8 +358,8 @@ class _Workspace:
     recomputes per block what it needs, in seven block-length ``scratch``
     rows; PCG, during which they are idle, takes the first as its
     temporary.  Elementwise work gives the same bits on a slice, and the
-    extremes and step lengths combine exactly across blocks.  The dot
-    products of the duality measure and of PCG run over whole vectors.
+    extremes and step lengths combine exactly across blocks.  PCG's dot
+    products run over whole vectors.
 
     All rows are cut from one block that starts on a 64-byte boundary,
     and each row's length is rounded up to a multiple of 8 floats, so
@@ -701,12 +695,10 @@ def _iterate(xi, lam: float, mask: Mask, config: IpmConfig, observer):
         record = IterationRecord(
             iteration=iteration,
             mu=state.mu,
-            primal_inf=0.0,  # the slack equations hold by construction
             dual_inf=max(conv.dual_equality, conv.stationarity),
             complementarity=conv.complementarity,
             kkt_max=conv.max_residual,
             **asdict(direction),
-            centrality_ok=conv.centrality_ok,
             wall_time=time.perf_counter() - t_iter,
         )
         records.append(record)

@@ -130,9 +130,9 @@ class TestSolve:
         assert set(meta) == {"record", "input", "dims", "unknowns", "ipm_variables",
                              "missing", "lambda", "lambda_source", "tol", "cg_tol"}
         for r in iteration_records:
-            assert set(r) == {"record", "iteration", "mu", "primal_inf", "dual_inf",
-                              "complementarity", "kkt_max", "krylov_iters", "alpha_primal",
-                              "alpha_dual", "pcg_residual", "centrality_ok", "wall_time"}
+            assert set(r) == {"record", "iteration", "mu", "dual_inf", "complementarity",
+                              "kkt_max", "krylov_iters", "alpha_primal", "alpha_dual",
+                              "pcg_residual", "wall_time"}
         assert set(summary) == {"record", "status", "iterations", "lambda", "tol",
                                 "final_objective", "final_kkt", "final_mu", "total_krylov",
                                 "reason", "wall_time"}

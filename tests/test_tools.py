@@ -149,7 +149,8 @@ def test_every_option_has_a_caller():
 def test_ab_pairs_one_tree_against_itself():
     """``tools/ab.py`` on 2 pairs of a 16^3 grid, with this checkout as
     both sides: every run is printed, the side that runs first alternates,
-    and ``--same-iterates`` finds the same counts and spectra."""
+    the claim rule's verdict is printed, whatever it is, and
+    ``--same-iterates`` finds the same counts and spectra."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), "--parent", str(ROOT), "--change",
          str(ROOT), "--workload", "masked-64", "--dims", "16,16,16", "--pairs", "2",
@@ -161,4 +162,7 @@ def test_ab_pairs_one_tree_against_itself():
                     ["pair", "2", "change"], ["pair", "2", "parent"]]
     assert re.search(r"^parent: median [0-9.]+ s, quartiles .*won \d of 2 pairs$",
                      done.stdout, re.M)
+    assert re.search(r"^claim rule: change won [0-2] of 2 pairs, 9 in 10 needed: (yes|no); "
+                     r"median gain [+-][0-9.]+ s over parent IQR [0-9.]+ s: (yes|no); "
+                     r"gain claimable: (yes|no)$", done.stdout, re.M)
     assert "same iterates: counts and spectra are identical in every run" in done.stdout

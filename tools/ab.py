@@ -14,9 +14,12 @@ see paths, and so module and file names, of equal length.
 
 Every run is printed with its IPM and Krylov counts, then each side's
 median and quartiles over its runs and the pairs each side won; a tie
-counts for neither.  The exit status is 1 when an operation failed its
-check, and with ``--same-iterates`` also when the two sides' counts or
-recovered spectra (hashed bytes) differ.  ``--dims`` replaces the
+counts for neither.  A last line gives the verdict of the claim rule, by
+which a change may claim a gain in ``solve_s``: it won at least 9 in 10
+of all pairs, and its median is below the parent's by more than the
+parent's interquartile range.  The exit status is 1 when an operation
+failed its check, and with ``--same-iterates`` also when the two sides'
+counts or recovered spectra (hashed bytes) differ.  ``--dims`` replaces the
 workload's grid, for quick checks of the tool itself.
 """
 
@@ -97,6 +100,10 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
+def _yes(holds: bool) -> str:
+    return "yes" if holds else "no"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path)
@@ -132,12 +139,19 @@ def main(argv=None) -> int:
     for parent, change in zip(runs["parent"], runs["change"]):
         if parent["solve_s"] != change["solve_s"]:
             wins["parent" if parent["solve_s"] < change["solve_s"] else "change"] += 1
-    medians = {}
+    medians, iqrs = {}, {}
     for side in SIDES:
         q1, medians[side], q3 = _quartiles([run["solve_s"] for run in runs[side]])
+        iqrs[side] = q3 - q1
         print(f"{side}: median {medians[side]:.4f} s, quartiles {q1:.4f}-{q3:.4f} s "
-              f"(IQR {q3 - q1:.4f} s), won {wins[side]} of {args.pairs} pairs")
+              f"(IQR {iqrs[side]:.4f} s), won {wins[side]} of {args.pairs} pairs")
     print(f"change/parent median: {medians['change'] / medians['parent'] - 1:+.1%}")
+    won = 10 * wins["change"] >= 9 * args.pairs
+    gain = medians["parent"] - medians["change"]
+    clear = gain > iqrs["parent"]
+    print(f"claim rule: change won {wins['change']} of {args.pairs} pairs, 9 in 10 needed: "
+          f"{_yes(won)}; median gain {gain:+.4f} s over parent IQR {iqrs['parent']:.4f} s: "
+          f"{_yes(clear)}; gain claimable: {_yes(won and clear)}")
 
     status = 0
     if any(run["failures"] for side in SIDES for run in runs[side]):

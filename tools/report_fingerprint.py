@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fingerprint every report the solver writes, to check byte identity.
 
-    PYTHONPATH=src python tools/report_fingerprint.py
+    PYTHONPATH=src python tools/report_fingerprint.py [--drop KEY ...]
 
 Runs eight fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
@@ -30,12 +30,18 @@ Reports and record dicts are hashed as sorted-key JSON lines with
 ``wall_time`` removed; recovered spectra and imputed volumes as their raw
 float64 bytes.  A change that must not alter behaviour prints the same
 lines as its parent; point ``PYTHONPATH`` at the other checkout's ``src``
-and diff the two outputs.
+and diff the two outputs.  A change that deletes record keys on purpose
+is checked the same way, with ``--drop KEY`` for each deleted key given
+to the parent's run, which then hashes its records without them:
+
+    PYTHONPATH=../parent/src python tools/report_fingerprint.py --drop KEY
+
+prints the lines that the change must print.
 
 The lines compare only between runs with the same BLAS thread count.  The
-inner products of PCG (``np.vdot``) and of the duality measure and the
-objective (``@``) run on OpenBLAS, which splits a dot product over its
-threads and so rounds differently with another count.  With
+inner products of PCG (``np.vdot``) and of the objective (``@``) run on
+OpenBLAS, which splits a dot product over its threads and so rounds
+differently with another count.  With
 ``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 10 of
 the 20 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
 ``lib-32-denoise``, ``lib-256x256-denoise`` and ``lib-40``), with the same
@@ -46,6 +52,7 @@ be comparable.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -64,13 +71,16 @@ from fftlasso.masking import Mask, observe
 from fftlasso.synthetic import SyntheticSpec, generate_synthetic
 
 
+UNHASHED = {"wall_time"}  # record keys left out of every hash; --drop adds to it
+
+
 def emit(name: str, data: bytes) -> None:
     print(f"{hashlib.sha256(data).hexdigest()}  {name}")
 
 
 def json_lines(records) -> bytes:
     return "".join(
-        json.dumps({k: v for k, v in rec.items() if k != "wall_time"}, sort_keys=True) + "\n"
+        json.dumps({k: v for k, v in rec.items() if k not in UNHASHED}, sort_keys=True) + "\n"
         for rec in records
     ).encode()
 
@@ -156,6 +166,10 @@ def run() -> None:
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--drop", action="append", default=[], metavar="KEY",
+                        help="also leave KEY out of every hashed record")
+    UNHASHED.update(parser.parse_args().drop)
     print(f"cpu_count={os.cpu_count()} "
           f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}",
           file=sys.stderr)
