@@ -113,7 +113,7 @@ def dense_condensed_matrices(state: IpmState, mask: Mask):
     return k, p
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportClassification:
     """Partition of coefficient indices by solution sign."""
 
@@ -147,7 +147,7 @@ def classify_support(beta, threshold: float | None = None) -> SupportClassificat
     return SupportClassification(pos, neg, zero, float(threshold))
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectrumReport:
     """Observed spectrum of the preconditioned operator vs. prediction.
 

@@ -115,7 +115,7 @@ class IpmConfig:
             raise ValueError("max_iters must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IpmState:
     """The solver's iterate: slacks, bound multipliers and the barrier.
 
@@ -613,7 +613,8 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
         Recovered packed spectrum.  The imputed signal on the full grid is
         ``fourier.synthesize(beta, mask.shape)``.
     report : SolveReport
-        Per-iteration residuals, barrier values, Krylov counts, timings.
+        Per-iteration residuals, barrier values, Krylov counts, timings;
+        ``wall_time`` is the whole call's, checks and transforms included.
         On iteration exhaustion the best iterate seen is returned with
         status ``"max_iters"``; when PCG fails (``NumericalBreakdownError``),
         the step collapses (``StalledError``) or leaves the strict interior
@@ -627,6 +628,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     objective infinite; ``UnsupportedShapeError`` (a ``ValueError``) for a
     ``b`` whose length is not ``mask.n_observed``.
     """
+    t0 = time.perf_counter()
     b = observed_samples(b, mask)
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
@@ -636,8 +638,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     if lam == 0.0:  # default penalty of b = 0, whose exact solution is beta = 0
         return np.zeros(mask.shape.n), SolveReport(
             status="converged", lam=lam, tol=config.tol, records=[],
-            final_objective=0.0, final_kkt=0.0, final_mu=0.0, wall_time=0.0)
-    t0 = time.perf_counter()
+            final_objective=0.0, final_kkt=0.0, final_mu=0.0, wall_time=time.perf_counter() - t0)
     beta, records, status, final_kkt, final_mu, reason = _iterate(xi, lam, mask, config,
                                                                   observer)
     report = SolveReport(

@@ -19,9 +19,9 @@ from .fourier import GridShape, analyze, real_vector, synthesize
 __all__ = ["Mask", "observe", "observe_adjoint", "gram", "embed"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mask:
-    """Missing-sample index set on a grid.
+    """Missing-sample index set on a grid, compared and hashed by identity.
 
     Attributes
     ----------
@@ -35,7 +35,7 @@ class Mask:
 
     missing: np.ndarray
     shape: GridShape
-    missing_bool: np.ndarray = field(init=False, repr=False, compare=False)
+    missing_bool: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         idx = np.asarray(self.missing)

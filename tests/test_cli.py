@@ -73,6 +73,14 @@ class TestGenerate:
         assert_input_error(code, capsys)
         assert not (tmp_path / "s").exists()
 
+    def test_unwritable_mask_path_writes_no_signal(self, tmp_path, capsys):
+        code = main([
+            "generate", "--dims", "4,4", "--signal", str(tmp_path / "s"),
+            "--mask", str(tmp_path / "missing" / "m"),
+        ])
+        assert_input_error(code, capsys)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_dims(self, tmp_path, capsys):
         code = main([
             "generate", "--dims", "banana", "--signal", str(tmp_path / "s"),
@@ -331,6 +339,24 @@ class TestSolve:
         assert_input_error(code, capsys)
         assert not report.exists() and not out.exists()
 
+    @pytest.mark.parametrize("target", ["missing/out", "."], ids=["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("flag", ["--output", "--report", "--impute"])
+    def test_unwritable_output_is_refused_before_the_solve(self, problem_files, capsys,
+                                                           monkeypatch, flag, target):
+        """An output path in a missing directory, or one that names a
+        directory, exits 1 before the solve runs, and none of the outputs
+        is written."""
+        signal, mask, tmp = problem_files
+        monkeypatch.setattr("fftlasso.cli.solve",
+                            lambda *args: pytest.fail("solve ran before the outputs were checked"))
+        outputs = {name: str(tmp / name) for name in ("--output", "--report", "--impute")}
+        outputs[flag] = str(tmp / target)
+        before = sorted(tmp.iterdir())
+        code = main(["solve", "--input", signal, "--mask", mask,
+                     *[arg for pair in outputs.items() for arg in pair]])
+        assert_input_error(code, capsys)
+        assert sorted(tmp.iterdir()) == before
+
     def test_report_is_strict_json(self, tmp_path):
         """Just below the overflow, every number in the report is finite."""
         signal, mask = scaled_seed_42(tmp_path, 1e152)
@@ -406,6 +432,13 @@ class TestBench:
         code = main(["bench", "--sizes", sizes, "--report", str(report)])
         assert_input_error(code, capsys)
         assert not report.exists()
+
+    def test_unwritable_report_is_refused_before_any_solve(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr("fftlasso.cli.solve",
+                            lambda *args: pytest.fail("solve ran before the report was checked"))
+        code = main(["bench", "--sizes", "4", "--report", str(tmp_path / "missing" / "r")])
+        assert_input_error(code, capsys)
 
     def test_stalled_size_is_reported(self, capsys, monkeypatch):
         """A stalled solve names its cube and reason on standard error, and

@@ -1045,7 +1045,7 @@ class TestSolveBoundary:
         beta, report = solve(np.zeros(mask.n_observed), mask)
         assert np.all(beta == 0.0) and beta.size == 8
         assert report.status == "converged"
-        assert report.iterations == 0 and report.lam == 0.0
+        assert report.iterations == 0 and report.lam == 0.0 and report.wall_time > 0.0
 
 
 def _bindings(fn, name):

@@ -21,12 +21,15 @@ from fftlasso import (
     unpack,
 )
 from fftlasso.diagnostics import (
+    SpectrumReport,
     classify_support,
     dense_gram_matrix,
     densify,
     ista_solve,
     soft_threshold,
 )
+from fftlasso.ipm import IpmState
+from fftlasso.pcg import PcgResult
 
 SQRT2 = np.sqrt(2.0)
 
@@ -75,6 +78,31 @@ class TestMaskValidation:
         np.testing.assert_array_equal(m.missing, [1, 4])
         with pytest.raises(UnsupportedShapeError):
             Mask.from_bool([0, 1], GridShape((8,)))
+
+
+#: Factories of the dataclasses that hold arrays, each giving a new object
+#: with the same contents on every call.
+ARRAY_HOLDERS = {
+    "mask-2-missing": lambda: Mask(np.array([1, 5]), GridShape((8,))),
+    "mask-1-missing": lambda: Mask(np.array([1]), GridShape((8,))),
+    "mask-empty": lambda: empty_mask(8),
+    "ipm-state": lambda: IpmState(np.ones(3), np.ones(3), np.ones(3), np.ones(3), 0.1),
+    "support": lambda: classify_support(np.array([1.0, -1.0, 0.0])),
+    "spectrum": lambda: SpectrumReport(np.ones(3), 1e-6, 3, 3, 1.0, 1.0, 1.0, 0, 1.0, 0.1),
+    "pcg-result": lambda: PcgResult(np.ones(3), 1, True, 0.0),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_HOLDERS.values(), ids=ARRAY_HOLDERS.keys())
+def test_array_holders_compare_by_identity(make):
+    """Comparing two such objects never compares their arrays, which would
+    raise or answer by accident: they compare, and the frozen ones hash,
+    by identity."""
+    a, b = make(), make()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    if type(a).__dataclass_params__.frozen:
+        assert hash(a) == hash(a) != hash(b) and len({a, b}) == 2
 
 
 class TestObserve:

@@ -178,7 +178,8 @@ class TestFailureModes:
 
     def test_negative_preconditioner_breaks(self):
         """``P^{-1} r = -r`` gives a negative ``r'P^{-1}r`` at the start."""
-        with pytest.raises(NumericalBreakdownError, match="preconditioner produced"):
+        with pytest.raises(NumericalBreakdownError,
+                           match="preconditioner produced .* at iteration 0$"):
             pcg_in_new_arrays(identity, lambda r: -r, np.ones(4))
 
     def test_nan_from_the_preconditioner_breaks(self):
@@ -271,18 +272,53 @@ def test_blocked_updates_give_the_same_iterates(rng, monkeypatch):
         assert image.tobytes() == ref_image.tobytes()
 
 
-@pytest.mark.parametrize("strided", ["x", "residual", "search", "rhs", "image"])
-def test_rejects_strided_arrays(strided):
-    """The updates run on flat views, and a strided array's flat form is a
-    copy that would drop them: PCG refuses it before its first iteration."""
+@pytest.mark.parametrize("strided", ["x", "residual", "search", "image", "all"])
+def test_strided_vectors_receive_their_updates(rng, strided):
+    """A strided solution, residual, search direction or image is iterated
+    in place, through views, and leaves the entries between its own alone;
+    the solve matches the contiguous one, though the strided inner products
+    may round differently."""
+    n = 24
+    m = random_spd(rng, n, cond=10.0)
+    image_map = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    op = lambda v: (m @ v, image_map @ v)
+    ref_image = np.empty(n)
+    ref = pcg_in_new_arrays(op, identity, b, image=ref_image)
+
+    names = ("x", "residual", "search", "image")
+    bases = {name: np.full(2 * n, np.nan) for name in names if strided in (name, "all")}
+    vectors = {name: bases[name][::2] if name in bases else np.empty(n) for name in names}
+    rhs = vectors["residual"]
+    rhs[:] = b
+    work = (vectors["x"], rhs, vectors["search"], np.empty(n))
+    res = pcg_solve(op, identity, rhs, 1e-12, work, image=vectors["image"])
+    assert res.converged and res.solution is vectors["x"]
+    for base in bases.values():
+        assert np.isnan(base[1::2]).all() and np.isfinite(base[::2]).all()
+    for got, want in [(res.solution, ref.solution), (vectors["image"], ref_image)]:
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    np.testing.assert_allclose(rhs, b - m @ res.solution, atol=1e-10)  # now the residual
+
+
+@pytest.mark.parametrize("wrong", ["rhs-2d", "x", "residual", "search", "image", "temporary-2d"])
+def test_rejects_non_vectors(wrong):
+    """A right-hand side that is not a vector, an iterated vector of another
+    length or a temporary that is not a vector is refused before the
+    operator or the preconditioner is called."""
     n = 8
-    arrays = {name: np.zeros(n) for name in ("x", "residual", "search", "rhs", "image")}
-    arrays[strided] = np.zeros(2 * n)[::2]
-    arrays["rhs"][:] = 1.0
-    work = (arrays["x"], arrays["residual"], arrays["search"], np.empty(n))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        pcg_solve(lambda v: (v.copy(), v.copy()), identity, arrays["rhs"], 1e-10, work,
-                  image=arrays["image"])
+    arrays = {name: np.ones(n) for name in ("rhs", "x", "residual", "search", "image")}
+    temporary = np.empty((2, n // 2) if wrong == "temporary-2d" else n)
+    if wrong == "rhs-2d":
+        arrays = {name: np.ones((2, n // 2)) for name in arrays}
+    elif wrong in arrays:
+        arrays[wrong] = np.ones(n + 1)
+    calls = []
+    spy = lambda v: calls.append(v) or v
+    work = (arrays["x"], arrays["residual"], arrays["search"], temporary)
+    with pytest.raises(ValueError, match="vector"):
+        pcg_solve(lambda v: (spy(v), v), spy, arrays["rhs"], 1e-10, work, image=arrays["image"])
+    assert calls == []
 
 
 def test_rejects_a_short_temporary(monkeypatch):

@@ -23,6 +23,7 @@ NAMES = [
     "lib-32-denoise/records", "lib-32-denoise/beta",
     "lib-256x256-denoise/records", "lib-256x256-denoise/beta",
     "lib-40/records+beta", "lib-16-max-iters/records", "lib-16-max-iters/beta",
+    "lib-8-pcg-cap/records", "lib-8-pcg-cap/beta",
     "probe-1d/records", "probe-1d/beta", "probe-1d/spectra", "probe-1d/scaling",
 ]
 

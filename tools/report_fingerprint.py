@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python tools/report_fingerprint.py [--drop KEY ...]
 
-Runs eight fixed cases in a temporary directory, under fixed relative file
+Runs nine fixed cases in a temporary directory, under fixed relative file
 names, and prints one ``sha256  name`` line per artefact:
 
 - ``cli-16``: criterion 9's 16^3 ``fftlasso solve`` case;
@@ -20,6 +20,10 @@ names, and prints one ``sha256  name`` line per artefact:
 - ``lib-16-max-iters``: a 16^3 library solve with 15% missing (seeds
   42/43) stopped by ``max_iters=5`` before it converges, so that the
   best-iterate exit and its ``final_*`` fields are hashed too;
+- ``lib-8-pcg-cap``: an 8^3 library solve with 15% missing (seeds 42/43)
+  with ``fftlasso.pcg.MAX_ITERS_CAP`` set to 1, whose second step hits
+  PCG's iteration limit, so that the ``stalled`` exit, its ``reason`` and
+  the best iterate it returns are hashed too;
 - ``probe-1d``: a 1-D masked solve, probed at every iterate with
   ``preconditioned_spectrum`` and over its trajectory with
   ``scaling_trajectory_check``.  The ``spectra`` line rests on the
@@ -43,7 +47,7 @@ inner products of PCG (``np.vdot``) and of the objective (``@``) run on
 OpenBLAS, which splits a dot product over its threads and so rounds
 differently with another count.  With
 ``OPENBLAS_NUM_THREADS=1`` against the default on a 2-core machine, 10 of
-the 20 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
+the 22 lines differ (``cli-256x256`` but its stdout, ``lib-32``,
 ``lib-32-denoise``, ``lib-256x256-denoise`` and ``lib-40``), with the same
 iteration counts.  The tool prints ``os.cpu_count()`` and
 ``OPENBLAS_NUM_THREADS`` to stderr, so that two outputs can be checked to
@@ -63,6 +67,7 @@ import tempfile
 
 import numpy as np
 
+import fftlasso.pcg
 from fftlasso.cli import main
 from fftlasso.diagnostics import preconditioned_spectrum, scaling_trajectory_check
 from fftlasso.fourier import GridShape
@@ -162,6 +167,13 @@ def run() -> None:
     noisy, mask, _ = generate_synthetic(
         SyntheticSpec(dims=(16, 16, 16), noise_seed=42, missing_seed=43))
     library_case("lib-16-max-iters", noisy[~mask.missing_bool], mask, IpmConfig(max_iters=5))
+    noisy, mask, _ = generate_synthetic(
+        SyntheticSpec(dims=(8, 8, 8), noise_seed=42, missing_seed=43))
+    cap, fftlasso.pcg.MAX_ITERS_CAP = fftlasso.pcg.MAX_ITERS_CAP, 1
+    try:
+        library_case("lib-8-pcg-cap", noisy[~mask.missing_bool], mask, IpmConfig())
+    finally:
+        fftlasso.pcg.MAX_ITERS_CAP = cap
     probe_case("probe-1d")
 
 
