@@ -35,6 +35,17 @@ def sidecar_path(path: str) -> str:
     return path + ".json"
 
 
+def _checked_dims(dims, where: str) -> list[int]:
+    """``dims`` as a list of ints, if a non-empty list or tuple of positive
+    integers (numpy ones too, not bools); else ``ValueError`` after ``where``."""
+    if not (isinstance(dims, (list, tuple)) and dims
+            and all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+                    for d in dims)):
+        raise ValueError(f"{where}: 'dims' must be a non-empty list of positive integers, "
+                         f"got {dims!r}")
+    return [int(d) for d in dims]
+
+
 def _load_sidecar(path: str) -> dict:
     header_file = sidecar_path(path)
     if not os.path.exists(header_file):
@@ -46,12 +57,7 @@ def _load_sidecar(path: str) -> dict:
         raise ValueError(f"malformed header {header_file}: {exc}") from exc
     if not isinstance(header, dict) or "dims" not in header:
         raise ValueError(f"malformed header {header_file}: missing 'dims'")
-    dims = header["dims"]
-    if not (isinstance(dims, list) and dims
-            and all(type(d) is int and d > 0 for d in dims)):
-        raise ValueError(f"malformed header {header_file}: 'dims' must be a non-empty "
-                         f"list of positive integers, got {dims!r}")
-    header["dims"] = tuple(dims)
+    header["dims"] = tuple(_checked_dims(header["dims"], f"malformed header {header_file}"))
     return header
 
 
@@ -66,12 +72,8 @@ def _read_payload(path: str, dtype: str) -> np.ndarray:
 
 
 def write_volume(path: str, values, dims) -> None:
-    dims = [int(d) for d in dims]
-    values = real_vector(values, "volume samples").astype("<f8", copy=False)
-    if values.size != math.prod(dims):
-        raise ValueError(
-            f"payload has {values.size} samples, dims {dims} expect {math.prod(dims)}"
-        )
+    dims = _checked_dims(dims, f"cannot write {path}")
+    values = real_vector(values, "volume samples", math.prod(dims)).astype("<f8", copy=False)
     values.tofile(path)
     with open(sidecar_path(path), "w", encoding="utf-8") as fh:
         json.dump({"dims": dims, "order": VOLUME_ORDER, "dtype": VOLUME_DTYPE}, fh)
@@ -114,13 +116,7 @@ def read_mask(path: str) -> Mask:
     shape = GridShape(header["dims"])
     fmt = header.get("format")
     if fmt == "indices":
-        idx = _read_payload(path, "<u8").astype(np.int64)
-        return Mask(idx, shape)
+        return Mask(_read_payload(path, "<u8"), shape)  # Mask checks the range before its cast
     if fmt == "bytemask":
-        flags = _read_payload(path, "u1")
-        if flags.size != shape.n:
-            raise ValueError(
-                f"byte mask {path} has {flags.size} entries, grid expects {shape.n}"
-            )
-        return Mask.from_bool(flags != 0, shape)
+        return Mask.from_bool(_read_payload(path, "u1") != 0, shape)
     raise ValueError(f"malformed mask header: unknown format {fmt!r}")

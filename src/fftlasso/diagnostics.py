@@ -137,7 +137,7 @@ def classify_support(beta, threshold: float | None = None) -> SupportClassificat
     Default threshold is ``1e-6 * max|beta|`` (zero vector classifies as
     all-zero).
     """
-    beta = real_vector(beta, "coefficients")
+    beta = real_vector(beta, "coefficients", np.size(beta))
     if threshold is None:
         scale = float(np.max(np.abs(beta))) if beta.size else 0.0
         threshold = 1e-6 * scale
@@ -304,7 +304,7 @@ def scaling_trajectory_check(states: list[IpmState],
 
 def soft_threshold(x, t: float) -> np.ndarray:
     """Proximity operator of ``t * ||.||_1``, in ``x``'s shape."""
-    x = real_vector(x, "x").reshape(np.shape(x))
+    x = real_vector(x, "x", np.size(x)).reshape(np.shape(x))
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 

@@ -104,23 +104,17 @@ class GridShape:
         return self.dims[:-1] + (self.dims[-1] // 2 + 1,)
 
 
-def real_vector(values, what: str) -> np.ndarray:
-    """``values`` as a flat float64 array; ``ValueError`` for a complex one,
-    whose imaginary part the cast would drop."""
+def real_vector(values, what: str, size: int) -> np.ndarray:
+    """``values`` as a flat float64 array of ``size`` entries: the one length
+    check of every real input.  ``ValueError`` for a complex array, whose
+    imaginary part the cast would drop; ``UnsupportedShapeError`` for
+    another length, naming ``what`` and both counts."""
     if np.iscomplexobj(values):
         raise ValueError(f"{what} must be real")
-    return np.asarray(values, dtype=np.float64).reshape(-1)
-
-
-def _as_grid(values, shape: GridShape, what: str | None) -> np.ndarray:
-    """``values`` on the grid: complex128 for ``what=None`` (a spectrum),
-    else real float64 by :func:`real_vector`, ``what`` naming them."""
-    arr = np.asarray(values, dtype=np.complex128) if what is None else real_vector(values, what)
-    if arr.size != shape.n:
-        raise UnsupportedShapeError(
-            f"array has {arr.size} elements, grid expects {shape.n}"
-        )
-    return arr.reshape(shape.dims)
+    arr = np.asarray(values, dtype=np.float64).reshape(-1)
+    if arr.size != size:
+        raise UnsupportedShapeError(f"{what}: got {arr.size} values, expected {size}")
+    return arr
 
 
 def _pack_axis(v: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -234,7 +228,10 @@ def pack(v, shape: GridShape) -> np.ndarray:
     MalformedSpectrumError
         If the symmetry violation exceeds tolerance.
     """
-    w = _as_grid(v, shape, None).copy()  # _along overwrites it
+    w = np.asarray(v, dtype=np.complex128)
+    if w.size != shape.n:
+        raise UnsupportedShapeError(f"spectrum: got {w.size} values, expected {shape.n}")
+    w = w.reshape(shape.dims).copy()  # _along overwrites it
     scale = np.max(np.abs(w)) if w.size else 0.0
     w = _along(_pack_axis, w, np.empty_like(w), range(shape.ndim))
     residue = np.max(np.abs(w.imag)) if w.size else 0.0
@@ -252,7 +249,7 @@ def unpack(beta, shape: GridShape) -> np.ndarray:
     Exact inverse of :func:`pack`:  ``pack(unpack(beta)) == beta`` up to
     floating-point commutativity of the sqrt(2) scaling.
     """
-    w = _as_grid(beta, shape, "coefficients").astype(np.complex128)
+    w = real_vector(beta, "coefficients", shape.n).reshape(shape.dims).astype(np.complex128)
     return _along(_unpack_axis, w, np.empty_like(w), range(shape.ndim)).reshape(-1)
 
 
@@ -290,7 +287,7 @@ def synthesize(beta, shape: GridShape, out=None, spectra=None) -> np.ndarray:
         given.
     """
     _check_out(out, shape)
-    b = _as_grid(beta, shape, "coefficients")
+    b = real_vector(beta, "coefficients", shape.n).reshape(shape.dims)
     h = shape.dims[-1] // 2
     half, spare = _half_spectra(shape, spectra)
     half[..., 0] = b[..., 0]
@@ -315,7 +312,7 @@ def analyze(x, shape: GridShape, out=None, spectra=None) -> np.ndarray:
     """
     _check_out(out, shape)
     half, spare = _half_spectra(shape, spectra)
-    half = _rfftn(_as_grid(x, shape, "signal"), half)
+    half = _rfftn(real_vector(x, "signal", shape.n).reshape(shape.dims), half)
     half = _along(_pack_axis, half, spare, range(shape.ndim - 1))
     h = shape.dims[-1] // 2
     out = np.empty(shape.n) if out is None else out

@@ -50,7 +50,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from .errors import InteriorViolationError, NumericalBreakdownError, StalledError
-from .masking import Mask, gram, observe, observe_adjoint, observed_samples
+from .fourier import real_vector
+from .masking import Mask, gram, observe, observe_adjoint
 from .newton_system import (
     apply_kkt,
     apply_precond_inverse,
@@ -231,7 +232,7 @@ def _penalty_of_correlation(xi: np.ndarray) -> float:
 def lasso_objective(beta, b, mask: Mask, lam: float) -> float:
     """``0.5 ||b - observe(beta)||^2 + lam ||beta||_1``; ``b`` is checked
     as :func:`~fftlasso.masking.embed` checks it."""
-    resid = observed_samples(b, mask) - observe(beta, mask)
+    resid = real_vector(b, "observed samples", mask.n_observed) - observe(beta, mask)
     return 0.5 * float(resid @ resid) + lam * float(np.sum(np.abs(beta)))
 
 
@@ -629,7 +630,7 @@ def solve(b, mask: Mask, config: IpmConfig = IpmConfig(),
     ``b`` whose length is not ``mask.n_observed``.
     """
     t0 = time.perf_counter()
-    b = observed_samples(b, mask)
+    b = real_vector(b, "observed samples", mask.n_observed)
     with np.errstate(all="ignore"):  # a NaN, an Inf or an overflowing square
         if not math.isfinite(b @ b):
             raise ValueError("observed samples must be finite, with a finite squared norm")

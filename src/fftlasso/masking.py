@@ -41,12 +41,11 @@ class Mask:
         idx = np.asarray(self.missing)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"missing indices must be integers, got dtype {idx.dtype}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.shape.n):  # before the cast wraps
+            raise ValueError("missing indices out of range")
         idx = idx.astype(np.int64, copy=False).reshape(-1)
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.shape.n:
-                raise ValueError("missing indices out of range")
-            if np.any(np.diff(idx) <= 0):
-                raise ValueError("missing indices must be strictly increasing")
+        if np.any(np.diff(idx) <= 0):
+            raise ValueError("missing indices must be strictly increasing")
         if idx.size >= self.shape.n:
             raise ValueError("cannot mask every sample")
         flags = np.zeros(self.shape.n, dtype=bool)
@@ -67,45 +66,22 @@ class Mask:
         """Build from a boolean/byte array with True/1 marking missing."""
         flags = np.asarray(flags).reshape(-1).astype(bool)
         if flags.size != shape.n:
-            raise UnsupportedShapeError(
-                f"mask has {flags.size} entries, grid expects {shape.n}"
-            )
+            raise UnsupportedShapeError(f"mask flags: got {flags.size} values, expected {shape.n}")
         return cls(np.flatnonzero(flags), shape)
-
-
-def _check_spectrum(beta, mask: Mask) -> np.ndarray:
-    beta = real_vector(beta, "coefficients")
-    if beta.size != mask.shape.n:
-        raise UnsupportedShapeError(
-            f"coefficient vector has {beta.size} entries, grid expects {mask.shape.n}"
-        )
-    return beta
 
 
 def observe(beta, mask: Mask) -> np.ndarray:
     """Synthesize the signal and keep the observed samples, in index order."""
-    beta = _check_spectrum(beta, mask)
+    beta = real_vector(beta, "coefficients", mask.shape.n)
     x = synthesize(beta, mask.shape)
     if mask.n_missing == 0:
         return x
     return x[~mask.missing_bool]
 
 
-def observed_samples(values, mask: Mask) -> np.ndarray:
-    """``values`` as a flat float64 vector of ``mask.n_observed`` samples;
-    ``ValueError`` for a complex array, ``UnsupportedShapeError`` for
-    another length."""
-    values = real_vector(values, "observed samples")
-    if values.size != mask.n_observed:
-        raise UnsupportedShapeError(
-            f"observed vector has {values.size} entries, mask expects {mask.n_observed}"
-        )
-    return values
-
-
 def embed(values, mask: Mask) -> np.ndarray:
     """Zero-fill observed values back onto the full grid."""
-    values = observed_samples(values, mask)
+    values = real_vector(values, "observed samples", mask.n_observed)
     full = np.zeros(mask.shape.n, dtype=np.float64)
     full[~mask.missing_bool] = values
     return full
@@ -131,7 +107,7 @@ def gram(beta, mask: Mask, out=None, spectra=None) -> np.ndarray:
     that receives the result.  ``spectra`` are lent to both transforms, as
     to :func:`~fftlasso.fourier.synthesize`.
     """
-    beta = _check_spectrum(beta, mask)
+    beta = real_vector(beta, "coefficients", mask.shape.n)
     if not mask.n_missing:
         if out is None:
             return beta.copy()

@@ -47,8 +47,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, Mask, np.ndarra
 
     The noise is iid uniform on [0, 1) added elementwise, not centered.
     Missing samples are drawn independently per index with probability
-    ``missing_fraction``; the (astronomically unlikely) all-missing draw
-    is rejected and redrawn so at least one sample is always observed.
+    ``missing_fraction``, in one draw; if every sample comes out missing,
+    one drawn from the same generator is kept, so at least one is observed.
     """
     shape = GridShape(spec.dims)
     truth = _truth(shape)
@@ -56,8 +56,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[np.ndarray, Mask, np.ndarra
     noisy = truth + noise_rng.random(shape.n)
 
     mask_rng = np.random.default_rng(spec.missing_seed)
-    while True:
-        flags = mask_rng.random(shape.n) < spec.missing_fraction
-        if not flags.all():
-            break
+    flags = mask_rng.random(shape.n) < spec.missing_fraction
+    if flags.all():
+        flags[mask_rng.integers(shape.n)] = False
     return noisy, Mask.from_bool(flags, shape), truth

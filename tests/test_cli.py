@@ -305,7 +305,8 @@ class TestSolve:
         (b"\x01\x00\x00", {"format": "indices", "dims": [8, 8, 8]}),  # not one index
         (b"", {"format": "indices", "dims": 5}),
         (b"", {"format": "indices", "dims": None}),
-    ], ids=["partial-index", "scalar-dims", "null-dims"])
+        (np.array([3, 2**63], dtype="<u8").tobytes(), {"format": "indices", "dims": [8, 8, 8]}),
+    ], ids=["partial-index", "scalar-dims", "null-dims", "wrapping-index"])
     def test_broken_mask_file_is_input_error(self, problem_files, capsys, payload, header):
         signal, _, tmp = problem_files
         mask = tmp / "broken.mask"

@@ -1,11 +1,17 @@
 """File formats and the synthetic problem generator."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fftlasso
 from fftlasso import GridShape, Mask
 from fftlasso.dataio import read_mask, read_volume, sidecar_path, write_mask, write_volume
 from fftlasso.synthetic import SyntheticSpec, generate_synthetic
@@ -27,6 +33,16 @@ class TestVolumeFile:
     def test_payload_length_checked_on_write(self, tmp_path):
         with pytest.raises(ValueError):
             write_volume(str(tmp_path / "v"), np.zeros(5), (4,))
+
+    @pytest.mark.parametrize("dims", [[], [0], [-2, -3], (2.5, 3), (True, 6)])
+    def test_bad_dims_rejected_on_write(self, tmp_path, dims):
+        """Dims that the header check refuses, or that ``int()`` would
+        truncate, are refused before any file is opened, even with the
+        payload that their truncated product expects."""
+        path = tmp_path / "v.f64"
+        with pytest.raises(ValueError, match="dims"):
+            write_volume(str(path), np.zeros(math.prod(int(d) for d in dims)), dims)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("imag", [1.0, 0.0])
     def test_complex_samples_rejected_on_write(self, tmp_path, imag):
@@ -70,7 +86,7 @@ class TestVolumeFile:
         )
         with pytest.raises(ValueError, match=f"expect {2**64}"):
             read_volume(str(path))
-        with pytest.raises(ValueError, match=f"expect {2**64}"):
+        with pytest.raises(ValueError, match=f"got 0 values, expected {2**64}"):
             write_volume(str(tmp_path / "w.f64"), np.zeros(0), (2**32, 2**32))
         assert not (tmp_path / "w.f64").exists()
 
@@ -212,6 +228,17 @@ class TestGenerator:
         noisy, _, truth = generate_synthetic(SyntheticSpec(dims=(16, 16)))
         noise = noisy - truth
         assert np.all(noise >= 0.0) and np.all(noise < 1.0)
+
+    def test_all_missing_draw_keeps_one_sample(self):
+        """A fraction near 1 draws the mask once and keeps one sample, where
+        redrawing until one is observed would take about 1e12 draws."""
+        src = str(Path(fftlasso.__file__).resolve().parent.parent)
+        code = ("from fftlasso.synthetic import SyntheticSpec, generate_synthetic\n"
+                "spec = SyntheticSpec(dims=(2,), missing_fraction=1 - 1e-12)\n"
+                "print(generate_synthetic(spec)[1].n_observed)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.strip() == "1"
 
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):

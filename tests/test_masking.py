@@ -1,5 +1,8 @@
 """Observation operators: dense oracle equivalence, adjointness, spectrum."""
 
+import json
+import os
+import tempfile
 import tracemalloc
 import warnings
 
@@ -20,6 +23,7 @@ from fftlasso import (
     synthesize,
     unpack,
 )
+from fftlasso.dataio import read_mask, sidecar_path, write_volume
 from fftlasso.diagnostics import (
     SpectrumReport,
     classify_support,
@@ -62,6 +66,16 @@ class TestMaskValidation:
             Mask(np.array([8]), GridShape((8,)))
         with pytest.raises(ValueError):
             Mask(np.array([-1]), GridShape((8,)))
+
+    @pytest.mark.parametrize("missing", [np.array([3, -2**63]),
+                                         np.array([3, 2**63], dtype=np.uint64)],
+                             ids=["int64", "uint64"])
+    def test_out_of_range_past_the_last_index(self, missing):
+        """An index out of range is refused wherever it stands, and before a
+        cast to int64 wraps it, not left for ``flags[idx]`` to fail on with
+        an ``IndexError``."""
+        with pytest.raises(ValueError, match="out of range"):
+            Mask(missing, GridShape((8,)))
 
     def test_not_increasing(self):
         with pytest.raises(ValueError):
@@ -318,6 +332,49 @@ def test_complex_input_is_rejected(name, missing):
                 COMPLEX_CALLS[name](beta, b, mask)
 
 
+def _write_volume(beta, b, mask):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_volume(os.path.join(tmp, "v.f64"), beta, mask.shape.dims)
+
+
+def _read_byte_mask(beta, b, mask):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bytes")
+        beta.astype(np.uint8).tofile(path)
+        with open(sidecar_path(path), "w", encoding="utf-8") as fh:
+            json.dump({"format": "bytemask", "dims": list(mask.shape.dims)}, fh)
+        read_mask(path)
+
+
+#: The entry points of ``COMPLEX_CALLS`` that take a vector of one fixed
+#: length, and the volume and byte-mask files of ``mask.shape.n`` values.
+SIZED_CALLS = {**{name: call for name, call in COMPLEX_CALLS.items()
+                  if name not in ("soft_threshold", "classify_support")},
+               "write_volume": _write_volume, "read_mask": _read_byte_mask}
+
+#: The ones of fixed length whose vector is the samples ``b``.
+SAMPLE_CALLS = {"observe_adjoint", "embed", "default_penalty", "lasso_objective-b", "ista_solve"}
+
+
+@pytest.mark.parametrize("missing", [[], [1, 6]], ids=["empty", "masked"])
+@pytest.mark.parametrize("extra", [1, -1], ids=["long", "short"])
+@pytest.mark.parametrize("name", SIZED_CALLS)
+def test_wrong_length_is_rejected(name, extra, missing):
+    """A vector one entry too long or too short is refused with
+    ``UnsupportedShapeError``, whose message names the count it got and the
+    count expected, not broadcast, truncated or written."""
+    mask = Mask(np.array(missing, dtype=np.int64), GridShape((8,)))
+    beta, b = np.zeros(mask.shape.n), np.ones(mask.n_observed)
+    expected = b.size if name in SAMPLE_CALLS else beta.size
+    if name in SAMPLE_CALLS:
+        b = np.ones(expected + extra)
+    else:
+        beta = np.zeros(expected + extra)
+    with pytest.raises(UnsupportedShapeError,
+                       match=f": got {expected + extra} values, expected {expected}$"):
+        SIZED_CALLS[name](beta, b, mask)
+
+
 @pytest.mark.parametrize("length", [1, 6, 7, 8])
 def test_lasso_objective_checks_the_sample_count(length):
     """``b`` must hold ``mask.n_observed`` samples, as for :func:`embed`: a
@@ -328,7 +385,7 @@ def test_lasso_objective_checks_the_sample_count(length):
     if length == mask.n_observed:
         assert lasso_objective(np.zeros(8), b, mask, 0.1) == 3.5
         return
-    with pytest.raises(UnsupportedShapeError, match="mask expects 7"):
+    with pytest.raises(UnsupportedShapeError, match=f"got {length} values, expected 7"):
         lasso_objective(np.zeros(8), b, mask, 0.1)
-    with pytest.raises(UnsupportedShapeError, match="mask expects 7"):
+    with pytest.raises(UnsupportedShapeError, match=f"got {length} values, expected 7"):
         embed(b, mask)
